@@ -33,14 +33,16 @@ from .vecset import (
     vec_is_kl_sumfree,
 )
 from .constructions import (
+    ANY_P,
+    P,
+    TYPE_KINDS,
     ParameterError,
     TypeSpec,
+    band_layout,
     gen_type,
     nontriviality_check,
-    type1_a_values,
-    type2_a,
-    type3_a,
-    type5_a,
+    reference_specs,
+    type_support,
 )
 
 LABEL_PRIORITY = ("type1", "type2", "type3", "type4", "type5", "rz")
@@ -85,33 +87,11 @@ def _plain(v):
 # n = 1: complete decision by dilation scan
 
 
-def _axis_candidates_1d(params: Params) -> list[tuple[str, TypeSpec, ZpSet]]:
-    """Generator targets living in Z_p, as (kind, spec, target set)."""
-    from .constructions import type_support
-
-    out = []
-    if params.m < 2:
-        return out
-    for a in type1_a_values(params):
-        spec = TypeSpec("type1", params, a=a)
-        out.append(("type1", spec, type_support(spec)))
-    try:
-        spec = TypeSpec("type3", params)
-        out.append(("type3", spec, type_support(spec)))
-    except ParameterError:
-        pass
-    try:
-        spec = TypeSpec("rz", params, s=0, pset=())
-        out.append(("rz", spec, type_support(spec)))
-    except ParameterError:
-        pass
-    return out
-
-
 def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
     p = params.p
     matches = []
-    for kind, spec, target in _axis_candidates_1d(params):
+    for kind, _, spec in reference_specs(params, TYPE_KINDS):
+        target = type_support(spec)
         if len(target) != len(zp):
             continue
         for s in range(1, p):
@@ -137,58 +117,25 @@ def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
 _FIBER_FULL, _FIBER_ZERO, _FIBER_COZERO, _FIBER_P, _FIBER_COP = "full", "zero", "cozero", "P", "coP"
 
 
-def _axis_descriptors_2d(params: Params) -> list[dict]:
-    """Band descriptors of every generator structure at n = 2.
+def _descriptors_2d(params: Params) -> list[dict]:
+    """Band descriptors of every structure variant, read off the table at n = 2.
 
-    Each descriptor maps target axis index -> fiber kind over K = F_p; the
-    only proper subspace of F_p is {0}, so subspace bands become zero/cozero.
+    Each descriptor maps target axis index -> fiber kind over K = F_p.  The
+    only proper subspace of F_p is {0}, so a fibre of size 1 is {0} and one
+    of size p-1 is its complement; empty fibres leave the support.
     """
-    p, m = params.p, params.m
+    p = params.p
+    by_size = {1: _FIBER_ZERO, p - 1: _FIBER_COZERO, p: _FIBER_FULL}
     out = []
-    if params.m < 2:
-        return out
-
-    def interval(a, length):
-        return [(a + i) % p for i in range(length)]
-
-    for a in type1_a_values(params):
-        out.append({"kind": "type1", "bands": {i: _FIBER_FULL for i in interval(a, m)},
-                    "spec_extras": {"a": a}})
-    if params.l == 1:
-        a = type2_a(params)
-        bands = {a: _FIBER_COZERO, (a + m) % p: _FIBER_ZERO}
-        bands.update({i: _FIBER_FULL for i in interval(a + 1, m - 1)})
-        out.append({"kind": "type2", "bands": bands, "spec_extras": {"vbasis": ()}})
-    if params.k + params.l >= 5 and params.lam == params.k + params.l - 4:
-        a = type3_a(params)
-        bands = {(a - 1) % p: _FIBER_FULL, (a + m) % p: _FIBER_FULL}
-        bands.update({i: _FIBER_FULL for i in interval(a + 1, m - 2)})
-        out.append({"kind": "type3", "bands": bands, "spec_extras": {}})
-    if (params.k + params.l, params.lam) == (5, 1):
-        bands = {(2 * m + 1) % p: _FIBER_ZERO, (3 * m + 2) % p: _FIBER_ZERO,
-                 (2 * m + 2) % p: _FIBER_COZERO, (3 * m + 1) % p: _FIBER_COZERO}
-        bands.update({i: _FIBER_FULL for i in interval(2 * m + 3, m - 2)})
-        out.append({"kind": "type4", "bands": bands, "spec_extras": {"vbasis": ()}})
-    if (params.k, params.l, params.lam) == (3, 1, 1):
-        a = type5_a(params)
-        bands = {(a - 1) % p: _FIBER_ZERO, a % p: _FIBER_COP,
-                 (a + m - 1) % p: _FIBER_COZERO, (a + m) % p: _FIBER_P}
-        bands.update({i: _FIBER_FULL for i in interval(a + 1, m - 2)})
-        out.append({"kind": "type5", "bands": bands, "spec_extras": {"s": 1},
-                    "p_nonempty": True})
-    if (params.k, params.l) == (2, 1) and params.lam == 0:
-        bands = {m: _FIBER_ZERO, (m + 1) % p: _FIBER_COP,
-                 (2 * m) % p: _FIBER_COZERO, (2 * m + 1) % p: _FIBER_P}
-        bands.update({i: _FIBER_FULL for i in interval(m + 2, m - 2)})
-        out.append({"kind": "rz", "bands": bands, "spec_extras": {"s": 1},
-                    "p_nonempty": False})
-        # P = {} drops the top band and fills the co-P band completely.
-        bands0 = {m: _FIBER_ZERO, (2 * m) % p: _FIBER_COZERO}
-        bands0.update({i: _FIBER_FULL for i in interval(m + 1, m - 1)})
-        out.append({"kind": "rz", "bands": bands0, "spec_extras": {"s": 1, "pset": ()},
-                    "p_nonempty": False})
-        out.append({"kind": "rz", "bands": {i: _FIBER_FULL for i in interval(m, m)},
-                    "spec_extras": {"s": 0, "pset": ()}, "p_nonempty": False})
+    for kind, fields, _ in reference_specs(params, TYPE_KINDS):
+        bands = {}
+        for x0, sym, fib in band_layout(kind, params, fields):
+            size = None if fib is None else int(fib.sum())
+            if size is None:
+                bands[x0] = _FIBER_P if sym == P else _FIBER_COP
+            elif size:
+                bands[x0] = by_size[size]
+        out.append({"kind": kind, "bands": bands, "fields": fields})
     return out
 
 
@@ -207,8 +154,6 @@ def _fiber_sizes_ok(desc: dict, parts_by_target: dict, p: int) -> bool:
     if t is not None:
         cop = next(j for j, fk in desc["bands"].items() if fk == _FIBER_COP)
         if len(parts_by_target[cop]) != p - t:
-            return False
-        if desc.get("p_nonempty") and t == 0:
             return False
     return True
 
@@ -232,7 +177,7 @@ def _match_descriptor_2d(desc: dict, profile: DecompProfile, params: Params):
         constrained = [(j, fk) for j, fk in special if fk in (_FIBER_ZERO, _FIBER_COZERO)]
         for c in range(1, p):
             for u in _u_candidates(constrained, parts_by_target, c, s, p):
-                got = _check_fibers(special, parts_by_target, c, u, s, p, desc)
+                got = _check_fibers(special, parts_by_target, c, u, s, p)
                 if got is not None:
                     return {"s": s, "c": c, "u": u, "pset": got}
     return None
@@ -251,7 +196,7 @@ def _u_candidates(constrained, parts_by_target, c: int, s: int, p: int):
     return ((-c * x % p) * mod_inverse(i, p) % p,)
 
 
-def _check_fibers(special, parts_by_target, c, u, s, p, desc):
+def _check_fibers(special, parts_by_target, c, u, s, p):
     sinv = mod_inverse(s, p)
     pset = None
     images = {}
@@ -270,15 +215,13 @@ def _check_fibers(special, parts_by_target, c, u, s, p, desc):
         cop = next(j for j, fk in special if fk == "coP")
         if images[cop] != pset.complement():
             return None
-        if desc.get("p_nonempty") and pset.is_empty():
-            return None
     return pset if pset is not None else ZpSet(p)
 
 
 def _classify_2d(a: VecSet, params: Params) -> ClassReport:
     p = params.p
     matches = []
-    descriptors = _axis_descriptors_2d(params)
+    descriptors = _descriptors_2d(params)
     for line, dec in enumerate(decompositions_2d(p)):
         profile = decompose(a, dec)
         if profile.weight >= p or profile.weight == 0:
@@ -304,10 +247,10 @@ def _classify_2d(a: VecSet, params: Params) -> ClassReport:
 
 
 def _build_spec(desc: dict, found: dict, params: Params) -> TypeSpec:
-    extras = dict(desc["spec_extras"])
-    if desc["kind"] in ("type5", "rz") and "pset" not in extras:
-        extras["pset"] = tuple((x,) for x in found["pset"])
-    return TypeSpec(desc["kind"], params, **extras)
+    fields = dict(desc["fields"])
+    if fields.get("pset") is ANY_P:
+        fields["pset"] = tuple((x,) for x in found["pset"])
+    return TypeSpec(desc["kind"], params, **fields)
 
 
 def _block_matrix(dec: Decomposition, s: int, c: int, u: int, p: int) -> list[list[int]]:

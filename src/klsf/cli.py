@@ -9,15 +9,14 @@ Exit codes:
        orbits the classifier cannot name); findings are data, not failures
 
 Every command emits a manifest-style JSON document: schema id, the exact
-command line, parameters, seeds and thread count, then results.  Timing lives
-in a separate top-level block so that reruns are byte-identical outside it.
+command line, parameters and seeds, then results.  Every clock reading lives
+in the top-level `timing` block, so reruns are byte-identical outside it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -43,26 +42,17 @@ SCHEMA = "klsf/1"
 EXIT_OK, EXIT_PARAM, EXIT_CHECK, EXIT_FINDING = 0, 1, 2, 3
 
 
-def _emit(doc: dict, out_path: str | None, t0: float) -> None:
+def _emit(doc: dict, out_path: str | None, t0: float, timing: dict | None = None) -> None:
     from . import __version__
 
-    doc = dict(doc)
-    doc["schema"] = SCHEMA
-    doc["version"] = __version__
-    payload = json.dumps(doc, sort_keys=True, indent=2)
-    # Timing is appended outside the sorted payload so reruns differ only here.
-    full = payload[:-2] + f',\n  "timing": {{"wall_s": {time.perf_counter() - t0:.3f}}}\n}}'
+    doc = {**doc, "schema": SCHEMA, "version": __version__,
+           "timing": {"wall_s": round(time.perf_counter() - t0, 3), **(timing or {})}}
+    text = json.dumps(doc, sort_keys=True, indent=2)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(full + "\n")
+            fh.write(text + "\n")
     else:
-        print(full)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("KLSF_THREADS", "1"))
+        print(text)
 
 
 def _parse_vectors(text: str, dim: int) -> tuple[tuple[int, ...], ...]:
@@ -184,9 +174,8 @@ def cmd_enumerate(args, argv) -> int:
     params = Params(args.k, args.l, args.p)
     run = (enumerate_max(params, args.limit) if args.level == "max"
            else enumerate_second_level(params, args.limit))
-    doc = run.to_dict()
-    doc["wall_time_s"] = round(run.wall_time, 3)
-    _emit({"command": argv, "threads": _threads(args), "results": doc}, args.out, t0)
+    _emit({"command": argv, "results": run.to_dict()}, args.out, t0,
+          {"search_s": round(run.wall_time, 3)})
     if args.csv:
         _write_orbit_csv(args.csv, run)
     return EXIT_FINDING if run.findings else EXIT_OK
@@ -214,8 +203,7 @@ def cmd_covering(args, argv) -> int:
         grid = tuple(sorted(set(grid) | {Fraction(args.tau)}))
     scan = tau_scan(args.p, c, mode=args.mode, grid=grid, seed=args.seed, trials=args.trials)
     doc = scan.to_dict()
-    _emit({"command": argv, "seeds": {"scan": args.seed}, "threads": _threads(args),
-           "results": doc}, args.out, t0)
+    _emit({"command": argv, "seeds": {"scan": args.seed}, "results": doc}, args.out, t0)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("tau,violations,sets_examined\n")
@@ -245,6 +233,7 @@ def cmd_reproduce(args, argv) -> int:
     ids = list(CRITERIA) if args.criterion.lower() == "all" else [args.criterion]
     worst = EXIT_OK
     records = []
+    elapsed = {}
     for cid in ids:
         res = run_criterion(cid)
         print(res.summary(), file=sys.stderr)
@@ -253,13 +242,13 @@ def cmd_reproduce(args, argv) -> int:
         for line in res.findings:
             print("   FINDING: " + line, file=sys.stderr)
         records.append({"criterion": res.cid, "passed": res.passed,
-                        "findings": res.findings, "details": res.details,
-                        "elapsed_s": round(res.elapsed, 2)})
+                        "findings": res.findings, "details": res.details})
+        elapsed[res.cid] = round(res.elapsed, 2)
         if not res.passed:
             worst = EXIT_CHECK
         elif res.findings and worst == EXIT_OK:
             worst = EXIT_FINDING
-    _emit({"command": argv, "results": records}, args.out, t0)
+    _emit({"command": argv, "results": records}, args.out, t0, {"criteria_s": elapsed})
     return worst
 
 
@@ -269,9 +258,6 @@ def cmd_reproduce(args, argv) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON manifest here instead of stdout")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker count (results are independent of it; "
-                             "default $KLSF_THREADS or 1)")
     ap = argparse.ArgumentParser(prog="klsf", parents=[common],
                                  description="(k,l)-sum-free structure toolkit over F_p^n")
     sub = ap.add_subparsers(dest="verb", required=True)

@@ -7,27 +7,21 @@ exact size check before it is returned, and a GeneratorCheckError is raised
 when either fails (the structures are only guaranteed for large enough m, so
 small-m corner cases are reported rather than assumed).
 
-Structure catalogue (p = (k+l)m + 2 + lam, W = F_p^{n-1}):
-  cuboid j   [a_j, a_j+m] x W,                 a_j = -(km+1+j)/(k-l),  size (m+1)p^{n-1}
-  type 1     [a, a+m-1] x W                    for a with l*a - k*(a+m-1)
-             in [1, l] or [lam+l+2, k] (the second window only if lam+l+2 <= k)
-  type 2     {a}x(W\\V) | [a+1,a+m-1]xW | {a+m}xV,  a = mk/(l-k), l = 1, V < W proper
-  type 3     ({a-1} | [a+1, a+m-2] | {a+m}) x W,    a = (lm+k-1)/(k-l), lam = k+l-4
-  type 4     {2m+1,3m+2}xV | {2m+2,3m+1}x(W\\V) | [2m+3,3m]xW,  (k+l,lam) = (5,1)
-  type 5     product of a pinched column structure over F_p x F_p^s with
-             F_p^{n-1-s}: {(a-1,0)} | {a}x(F^s\\P) | [a+1,a+m-2]xF^s |
-             {a+m-1}x(F^s\\0) | {a+m}xP,  a = (m+2)/2, (k,l) = (3,1), lam = 1,
-             P nonempty with 0 not in 3P
-  rz         the Reiher-Zotova second-level sum-free structure ((k,l) = (2,1)):
-             same shape with a-1 -> m, windows shifted by one, 0 not in P+P,
-             P may be empty.
-All types have size m*p^{n-1}.
+The structures (extremal cuboids, types 1-5 and the Reiher-Zotova family rz)
+are catalogued once, in STRUCTURES: each row gives the parameter window, the
+base point on axis 0 and the bands {base + offset} x fibre.  Generation, axis
+supports, the classifier's band descriptors and the reference specs of the
+A3 grid are all read off that table.  With p = (k+l)m + 2 + lam, cuboids have
+size (m+1)p^{n-1} and every type has size m*p^{n-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable
+
+import numpy as np
 
 from .modmath import mod_inverse
 from .zpset import ZpSet, dilate, ed_profile
@@ -35,7 +29,6 @@ from .vecset import (
     CriterionError,
     Params,
     VecSet,
-    VecSetError,
     decompose,
     decompositions_2d,
     vec_is_kl_sumfree,
@@ -50,41 +43,6 @@ class GeneratorCheckError(AssertionError):
     """An emitted set failed its own verifier; indicates an implementation bug."""
 
 
-TYPE_KINDS = ("type1", "type2", "type3", "type4", "type5", "rz")
-
-
-# ---------------------------------------------------------------------------
-# Assembly helpers
-
-
-def _axis_interval(p: int, start: int, length: int) -> list[int]:
-    return [(start + i) % p for i in range(length)]
-
-
-def lift(base: VecSet, n: int) -> VecSet:
-    """base x F_p^(n - base.n): every block of p^base.n cells repeats base."""
-    d = base.n
-    if n < d:
-        raise VecSetError("cannot lift to a smaller dimension")
-    if n == d:
-        return base
-    block = base.p**d
-    reps = base.p ** (n - d)
-    unit = ((1 << (block * reps)) - 1) // ((1 << block) - 1)
-    return VecSet.from_mask(base.p, n, base.mask * unit)
-
-
-def column_product(p: int, slices: dict[int, VecSet], s: int) -> VecSet:
-    """Assemble a subset of F_p x F_p^s from per-axis-index fibers."""
-    mask = 0
-    for x0, fiber in slices.items():
-        if fiber.n != s:
-            raise VecSetError("fiber dimension mismatch")
-        for idx in fiber.indices():
-            mask |= 1 << (x0 % p + p * idx)
-    return VecSet.from_mask(p, 1 + s, mask)
-
-
 def subspace_span(p: int, dim: int, basis: tuple[tuple[int, ...], ...]) -> VecSet:
     """The span of `basis` inside F_p^dim (the zero space for an empty basis)."""
     vecs = set()
@@ -95,69 +53,6 @@ def subspace_span(p: int, dim: int, basis: tuple[tuple[int, ...], ...]) -> VecSe
     if len(out) != p ** len(basis):
         raise ParameterError("basis vectors are linearly dependent")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Extremal cuboids
-
-
-@dataclass(frozen=True)
-class CuboidSpec:
-    params: Params
-    j: int = 0
-
-    def __post_init__(self):
-        pr = self.params
-        if pr.m < 1 or not pr.lambda_in_range():
-            raise ParameterError(
-                f"cuboids need m >= 1 and lam in [0, k+l-3]; got m={pr.m}, lam={pr.lam}"
-            )
-        if not 0 <= self.j < pr.extremal_orbit_count():
-            raise ParameterError(
-                f"j={self.j} outside [0, {pr.extremal_orbit_count() - 1}]"
-            )
-
-    @property
-    def a_j(self) -> int:
-        pr = self.params
-        return -(pr.k * pr.m + 1 + self.j) * mod_inverse(pr.k - pr.l, pr.p) % pr.p
-
-
-def extremal_interval(params: Params, j: int) -> ZpSet:
-    spec = CuboidSpec(params, j)
-    return ZpSet(params.p, _axis_interval(params.p, spec.a_j, params.m + 1))
-
-
-def extremal_intervals(params: Params) -> list[ZpSet]:
-    """One representative interval per extremal orbit (j and lam-j coincide up
-    to negation, so only j < ceil((lam+1)/2) is listed)."""
-    return [extremal_interval(params, j) for j in range(params.extremal_orbit_count())]
-
-
-def gen_cuboid(spec: CuboidSpec) -> VecSet:
-    pr = spec.params
-    base = VecSet(pr.p, 1, [(x,) for x in _axis_interval(pr.p, spec.a_j, pr.m + 1)])
-    out = lift(base, pr.n)
-    _verify_emission(out, pr, (pr.m + 1) * pr.p ** (pr.n - 1), f"cuboid j={spec.j}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Types 1-5 and the second-level (2,1) structure
-
-
-@dataclass(frozen=True)
-class TypeSpec:
-    which: str
-    params: Params
-    a: int | None = None                                  # type 1
-    vbasis: tuple[tuple[int, ...], ...] | None = None     # types 2 and 4
-    s: int | None = None                                  # type 5 and rz
-    pset: tuple[tuple[int, ...], ...] | None = None       # type 5 and rz
-    notes: tuple[str, ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "notes", tuple(validate_type_spec(self)))
 
 
 def type1_a_values(params: Params) -> list[int]:
@@ -184,15 +79,245 @@ def type5_a(params: Params) -> int:
     return (params.m + 2) * mod_inverse(2, params.p) % params.p
 
 
+# ---------------------------------------------------------------------------
+# The structure table
+#
+# Fibres live in W = F_p^(n-1).  V is span(vbasis) for types 2 and 4 and
+# {0}^s x F_p^(n-1-s) for type 5 and rz; P stands for P x F_p^(n-1-s).
+
+W, V, CO_V, P, CO_P = "W", "V", "W\\V", "P", "W\\P"
+
+# A variant's P left open: the A3 grid takes P = {1}, the 2-D matcher solves for P.
+ANY_P = "any P"
+
+
+@dataclass(frozen=True)
+class Structure:
+    """One structure kind: the bands {base + offset} x fibre on axis 0.
+
+    `variants` lists the spec fields of the reference members, in A3 grid
+    order.  The variant with an open P (the generic member) is the kind's
+    reference spec; a kind without one takes its first variant.
+    """
+
+    requires: str                                # the parameter window, in words
+    window: Callable[[Params], bool]
+    base: Callable[[Params, dict], int]          # axis-0 point the offsets count from
+    bands: Callable[[int], tuple]                # m -> runs (first, last, fibre) of offsets
+    variants: Callable[[Params], list[dict]]
+    subspace: Callable | None = None             # (p, dim, spec fields) -> V over F_p^dim
+
+
+def _indicator(s: VecSet) -> np.ndarray:
+    return s.bit_array().astype(bool)
+
+
+def _span_v(p: int, dim: int, fields: dict) -> np.ndarray:
+    return _indicator(subspace_span(p, dim, tuple(fields["vbasis"] or ())))
+
+
+def _axes_v(p: int, dim: int, fields: dict) -> np.ndarray:
+    s = fields["s"] or 0
+    return np.tile(_indicator(VecSet(p, s, [(0,) * s])), p ** (dim - s))
+
+
+def _pinched(m: int) -> tuple:
+    return ((0, 0, V), (1, 1, CO_P), (2, m - 1, W), (m, m, CO_V), (m + 1, m + 1, P))
+
+
+STRUCTURES: dict[str, Structure] = {
+    "cuboid": Structure(
+        "m >= 1 and lam <= k+l-3", lambda pr: pr.lambda_in_range(),
+        lambda pr, f: -(pr.k * pr.m + 1 + f["j"]) * mod_inverse(pr.k - pr.l, pr.p),
+        lambda m: ((0, m, W),),
+        lambda pr: [{"j": j} for j in range(pr.extremal_orbit_count())]),
+    "type1": Structure(
+        "m >= 2", lambda pr: pr.m >= 2,
+        lambda pr, f: f["a"],
+        lambda m: ((0, m - 1, W),),
+        lambda pr: [{"a": a} for a in type1_a_values(pr)]),
+    "type2": Structure(
+        "l = 1, n >= 2 and m >= 2", lambda pr: pr.l == 1 and pr.n >= 2 and pr.m >= 2,
+        lambda pr, f: type2_a(pr),
+        lambda m: ((0, 0, CO_V), (1, m - 1, W), (m, m, V)),
+        lambda pr: [{"vbasis": ()}], _span_v),
+    "type3": Structure(
+        "k+l >= 5, lam = k+l-4 and m >= 2",
+        lambda pr: pr.k + pr.l >= 5 and pr.lam == pr.k + pr.l - 4 and pr.m >= 2,
+        lambda pr, f: type3_a(pr),
+        lambda m: ((-1, -1, W), (1, m - 2, W), (m, m, W)),
+        lambda pr: [{}]),
+    "type4": Structure(
+        "(k+l, lam) = (5, 1), n >= 2 and m >= 2",
+        lambda pr: (pr.k + pr.l, pr.lam) == (5, 1) and pr.n >= 2 and pr.m >= 2,
+        lambda pr, f: 2 * pr.m + 1,
+        lambda m: ((0, 0, V), (1, 1, CO_V), (2, m - 1, W), (m, m, CO_V), (m + 1, m + 1, V)),
+        lambda pr: [{"vbasis": ()}], _span_v),
+    "type5": Structure(
+        "(k, l, lam) = (3, 1, 1) and m >= 2",
+        lambda pr: (pr.k, pr.l, pr.lam) == (3, 1, 1) and pr.m >= 2,
+        lambda pr, f: type5_a(pr) - 1,
+        _pinched,
+        lambda pr: [{"s": 1, "pset": ANY_P}], _axes_v),
+    "rz": Structure(
+        "(k, l, lam) = (2, 1, 0), i.e. p = 3m+2, and m >= 2",
+        lambda pr: (pr.k, pr.l, pr.lam) == (2, 1, 0) and pr.m >= 2,
+        lambda pr, f: pr.m,
+        _pinched,
+        lambda pr: [{"s": 0, "pset": ()}, {"s": 1, "pset": ()}, {"s": 1, "pset": ANY_P}],
+        _axes_v),
+}
+
+TYPE_KINDS = tuple(kind for kind in STRUCTURES if kind != "cuboid")
+
+
+def _fibre(row: Structure, sym: str, p: int, dim: int, fields: dict) -> np.ndarray | None:
+    """Indicator over F_p^dim of one band's fibre; None for an open P."""
+    if sym == W:
+        return np.ones(p**dim, dtype=bool)
+    if sym in (V, CO_V):
+        fib = row.subspace(p, dim, fields)
+    elif fields["pset"] is ANY_P:
+        return None
+    else:
+        s = fields["s"] or 0
+        fib = np.tile(_indicator(VecSet(p, s, fields["pset"] or ())), p ** (dim - s))
+    return fib if sym in (V, P) else ~fib
+
+
+def band_layout(kind: str, params: Params, fields: dict) -> list[tuple[int, str, np.ndarray | None]]:
+    """(axis index, fibre symbol, fibre indicator over F_p^(n-1)) for every band
+    of `kind`; `fields` are the spec fields (a TypeSpec's or a variant's)."""
+    row = STRUCTURES[kind]
+    p, dim = params.p, params.n - 1
+    base = row.base(params, fields)
+    out = []
+    for first, last, sym in row.bands(params.m):
+        fib = _fibre(row, sym, p, dim, fields)
+        out.extend(((base + off) % p, sym, fib) for off in range(first, last + 1))
+    return out
+
+
+def _assemble(kind: str, params: Params, fields: dict) -> VecSet:
+    """Write each band's fibre into column x_0 of a (p^(n-1), p) bit array."""
+    p, n = params.p, params.n
+    cols = np.zeros((p ** (n - 1), p), dtype=bool)
+    for x0, _, fib in band_layout(kind, params, fields):
+        cols[:, x0] = fib
+    return VecSet.from_bit_array(p, n, cols.reshape(-1))
+
+
+def _support(kind: str, params: Params, fields: dict) -> ZpSet:
+    return ZpSet(params.p, [x0 for x0, _, fib in band_layout(kind, params, fields) if fib.any()])
+
+
+def _check_window(kind: str, pr: Params) -> None:
+    row = STRUCTURES[kind]
+    if not row.window(pr):
+        raise ParameterError(
+            f"{kind.replace('type', 'type ')} requires {row.requires}; "
+            f"(k,l,p,n)=({pr.k},{pr.l},{pr.p},{pr.n}) has m={pr.m}, lam={pr.lam}"
+        )
+
+
+def reference_specs(params: Params, kinds: tuple[str, ...] = tuple(STRUCTURES)) -> list[tuple]:
+    """(kind, variant fields, spec) for every table variant valid at `params`,
+    in table order; an open P is instantiated as P = {1} in the spec."""
+    out = []
+    for kind in kinds:
+        for fields in STRUCTURES[kind].variants(params):
+            try:
+                out.append((kind, fields, _make_spec(kind, params, fields)))
+            except ParameterError:
+                continue
+    return out
+
+
+def _make_spec(kind: str, params: Params, fields: dict):
+    if kind == "cuboid":
+        return CuboidSpec(params, **fields)
+    if fields.get("pset") is ANY_P:
+        fields = {**fields, "pset": ((1,),)}
+    return TypeSpec(kind, params, **fields)
+
+
+def _verify_emission(out: VecSet, pr: Params, want_size: int, label: str) -> None:
+    if len(out) != want_size:
+        raise GeneratorCheckError(
+            f"{label} at (k,l,p,n)=({pr.k},{pr.l},{pr.p},{pr.n}): size {len(out)} != {want_size}"
+        )
+    if not vec_is_kl_sumfree(out, pr.k, pr.l):
+        raise GeneratorCheckError(
+            f"{label} at (k,l,p,n)=({pr.k},{pr.l},{pr.p},{pr.n}) failed the sum-free verifier"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Extremal cuboids
+
+
+@dataclass(frozen=True)
+class CuboidSpec:
+    params: Params
+    j: int = 0
+
+    def __post_init__(self):
+        pr = self.params
+        _check_window("cuboid", pr)
+        if not 0 <= self.j < pr.extremal_orbit_count():
+            raise ParameterError(
+                f"j={self.j} outside [0, {pr.extremal_orbit_count() - 1}]"
+            )
+
+    @property
+    def a_j(self) -> int:
+        return STRUCTURES["cuboid"].base(self.params, vars(self)) % self.params.p
+
+
+def extremal_interval(params: Params, j: int) -> ZpSet:
+    spec = CuboidSpec(params, j)
+    return _support("cuboid", params, vars(spec))
+
+
+def extremal_intervals(params: Params) -> list[ZpSet]:
+    """One representative interval per extremal orbit (j and lam-j coincide up
+    to negation, so only j < ceil((lam+1)/2) is listed)."""
+    return [extremal_interval(params, j) for j in range(params.extremal_orbit_count())]
+
+
+def gen_cuboid(spec: CuboidSpec) -> VecSet:
+    pr = spec.params
+    out = _assemble("cuboid", pr, vars(spec))
+    _verify_emission(out, pr, (pr.m + 1) * pr.p ** (pr.n - 1), f"cuboid j={spec.j}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Types 1-5 and the second-level (2,1) structure
+
+
+@dataclass(frozen=True)
+class TypeSpec:
+    which: str
+    params: Params
+    a: int | None = None                                  # type 1
+    vbasis: tuple[tuple[int, ...], ...] | None = None     # types 2 and 4
+    s: int | None = None                                  # type 5 and rz
+    pset: tuple[tuple[int, ...], ...] | None = None       # type 5 and rz
+    notes: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "notes", tuple(validate_type_spec(self)))
+
+
 def validate_type_spec(spec: TypeSpec) -> list[str]:
-    """Check the per-type parameter window; returns advisory notes."""
+    """Check the table window and the per-kind fields; returns advisory notes."""
     pr = spec.params
     which = spec.which
     notes: list[str] = []
     if which not in TYPE_KINDS:
         raise ParameterError(f"unknown structure kind {which!r}")
-    if pr.m < 2:
-        raise ParameterError(f"{which} needs m >= 2; got m={pr.m}")
+    _check_window(which, pr)
     if which == "type1":
         if spec.a is None:
             raise ParameterError("type 1 needs the interval start a")
@@ -200,24 +325,14 @@ def validate_type_spec(spec: TypeSpec) -> list[str]:
             raise ParameterError(
                 f"type 1 requires l*a - k*(a+m-1) in [1,l] or [lam+l+2,k]; a={spec.a} fails"
             )
-    elif which == "type2":
-        if pr.l != 1:
-            raise ParameterError("type 2 requires l = 1")
-        if pr.n < 2:
-            raise ParameterError("type 2 requires n >= 2")
-        _check_subspace(spec, proper=True, name="type 2")
-    elif which == "type3":
-        if pr.k + pr.l < 5 or pr.lam != pr.k + pr.l - 4:
-            raise ParameterError("type 3 requires k+l >= 5 and lam = k+l-4")
-    elif which == "type4":
-        if (pr.k + pr.l, pr.lam) != (5, 1):
-            raise ParameterError("type 4 requires (k+l, lam) = (5, 1)")
-        if pr.n < 2:
-            raise ParameterError("type 4 requires n >= 2")
-        _check_subspace(spec, proper=True, name="type 4")
+    elif which in ("type2", "type4"):
+        basis = tuple(spec.vbasis or ())
+        if len(basis) >= pr.n - 1:
+            raise ParameterError(
+                f"{which.replace('type', 'type ')} requires V to be a proper subspace of F_p^(n-1)"
+            )
+        subspace_span(pr.p, pr.n - 1, basis)  # raises on dependent basis
     elif which == "type5":
-        if (pr.k, pr.l, pr.lam) != (3, 1, 1):
-            raise ParameterError("type 5 requires (k, l, lam) = (3, 1, 1)")
         s, pset = _check_sp(spec, pr)
         if not pset:
             raise ParameterError("type 5 requires a nonempty P (P = {} collapses to type 1/2)")
@@ -233,8 +348,6 @@ def validate_type_spec(spec: TypeSpec) -> list[str]:
         if (0,) * s in triple:
             raise ParameterError("type 5 requires 0 not in 3P")
     elif which == "rz":
-        if (pr.k, pr.l) != (2, 1) or pr.lam != 0:
-            raise ParameterError("the rz structure requires (k, l) = (2, 1) with p = 3m+2")
         s, pset = _check_sp(spec, pr)
         double = {tuple((x[i] + y[i]) % pr.p for i in range(s)) for x in pset for y in pset}
         if (0,) * s in double:
@@ -246,14 +359,6 @@ def validate_type_spec(spec: TypeSpec) -> list[str]:
             notes.append("s=0 accepted: interval slice [m, 2m-1] x F_p^(n-1); "
                          "the published classification states s >= 1")
     return notes
-
-
-def _check_subspace(spec: TypeSpec, proper: bool, name: str):
-    pr = spec.params
-    basis = spec.vbasis if spec.vbasis is not None else ()
-    if len(basis) >= pr.n - 1 and proper:
-        raise ParameterError(f"{name} requires V to be a proper subspace of F_p^(n-1)")
-    subspace_span(pr.p, pr.n - 1, tuple(basis))  # raises on dependent basis
 
 
 def _check_sp(spec: TypeSpec, pr: Params):
@@ -269,88 +374,15 @@ def _check_sp(spec: TypeSpec, pr: Params):
 
 def gen_type(spec: TypeSpec) -> VecSet:
     pr = spec.params
-    p, n, m = pr.p, pr.n, pr.m
-    which = spec.which
-    if which == "type1":
-        base = VecSet(p, 1, [(x,) for x in _axis_interval(p, spec.a, m)])
-        out = lift(base, n)
-    elif which == "type3":
-        a = type3_a(pr)
-        axis = [(a - 1) % p] + _axis_interval(p, a + 1, m - 2) + [(a + m) % p]
-        out = lift(VecSet(p, 1, [(x,) for x in axis]), n)
-    elif which in ("type2", "type4"):
-        v_sub = subspace_span(p, n - 1, tuple(spec.vbasis or ()))
-        co_v = v_sub.complement()
-        w = VecSet.full(p, n - 1)
-        if which == "type2":
-            a = type2_a(pr)
-            slices = {a: co_v, (a + m) % p: v_sub}
-            for x in _axis_interval(p, a + 1, m - 1):
-                slices[x] = w
-        else:
-            slices = {
-                (2 * m + 1) % p: v_sub,
-                (3 * m + 2) % p: v_sub,
-                (2 * m + 2) % p: co_v,
-                (3 * m + 1) % p: co_v,
-            }
-            for x in _axis_interval(p, 2 * m + 3, m - 2):
-                slices[x] = w
-        out = column_product(p, slices, n - 1)
-    elif which in ("type5", "rz"):
-        s = spec.s or 0
-        pset = VecSet(p, s, spec.pset or ())
-        fs = VecSet.full(p, s)
-        zero = VecSet(p, s, [(0,) * s])
-        start = (type5_a(pr) - 1) % p if which == "type5" else m
-        # Five bands: {start} x {0} | {start+1} x (F^s \ P) | m-2 full fibers |
-        # {start+m} x (F^s \ 0) | {start+m+1} x P.
-        slices = {start: zero, (start + 1) % p: pset.complement()}
-        for x in _axis_interval(p, start + 2, m - 2):
-            slices[x] = fs
-        slices[(start + m) % p] = zero.complement()
-        slices[(start + m + 1) % p] = pset
-        base = column_product(p, slices, s)
-        out = lift(base, n)
-    else:  # pragma: no cover - validate_type_spec already rejected
-        raise ParameterError(f"unknown structure kind {which!r}")
-    _verify_emission(out, pr, m * p ** (n - 1), which)
+    out = _assemble(spec.which, pr, vars(spec))
+    _verify_emission(out, pr, pr.m * pr.p ** (pr.n - 1), spec.which)
     return out
 
 
-def _verify_emission(out: VecSet, pr: Params, want_size: int, label: str) -> None:
-    if len(out) != want_size:
-        raise GeneratorCheckError(
-            f"{label} at (k,l,p,n)=({pr.k},{pr.l},{pr.p},{pr.n}): size {len(out)} != {want_size}"
-        )
-    if not vec_is_kl_sumfree(out, pr.k, pr.l):
-        raise GeneratorCheckError(
-            f"{label} at (k,l,p,n)=({pr.k},{pr.l},{pr.p},{pr.n}) failed the sum-free verifier"
-        )
-
-
 def type_support(spec: TypeSpec) -> ZpSet:
-    """Axis support of the generated structure under the natural decomposition."""
-    pr = spec.params
-    p, m = pr.p, pr.m
-    which = spec.which
-    if which == "type1":
-        return ZpSet(p, _axis_interval(p, spec.a, m))
-    if which == "type2":
-        return ZpSet(p, _axis_interval(p, type2_a(pr), m + 1))
-    if which == "type3":
-        a = type3_a(pr)
-        return ZpSet(p, [(a - 1) % p] + _axis_interval(p, a + 1, m - 2) + [(a + m) % p])
-    if which == "type4":
-        return ZpSet(p, _axis_interval(p, 2 * m + 1, m + 2))
-    if which == "type5":
-        return ZpSet(p, _axis_interval(p, type5_a(pr) - 1, m + 2))
-    if which == "rz":
-        length = m + 2 if spec.pset else m + 1
-        if (spec.s or 0) == 0:
-            length = m
-        return ZpSet(p, _axis_interval(p, m, length))
-    raise ParameterError(f"unknown structure kind {which!r}")
+    """Axis support of the generated structure under the natural decomposition:
+    the bands whose fibre is nonempty."""
+    return _support(spec.which, spec.params, vars(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +400,16 @@ class TrivialityReport:
         return self.status == "nontrivial"
 
 
+def extremal_embedding(s: ZpSet, intervals: list[ZpSet]) -> tuple[int, int] | None:
+    """The first (c, j), scanning c = 1..p-1, with c*S inside intervals[j]."""
+    for c in range(1, s.p):
+        img = dilate(s, c)
+        for j, iv in enumerate(intervals):
+            if img.issubset(iv):
+                return c, j
+    return None
+
+
 def nontriviality_check(a: VecSet, params: Params) -> TrivialityReport:
     """Decide containment-up-to-isomorphism in an extremal cuboid (n <= 2).
 
@@ -376,36 +418,27 @@ def nontriviality_check(a: VecSet, params: Params) -> TrivialityReport:
     the cuboid's hyperplane to be one of the p+1 lines, and on the axis it
     acts as a dilation; scanning (line, dilation, j) is therefore complete.
     """
-    p = params.p
     intervals = extremal_intervals(params)
     if a.n == 1:
-        zp = a.to_zpset()
-        if zp.is_empty():
-            return TrivialityReport("trivial", {"dilation": 1, "j": 0}, "empty set")
-        for s in range(1, p):
-            img = dilate(zp, s)
-            for j, iv in enumerate(intervals):
-                if img.issubset(iv):
-                    return TrivialityReport(
-                        "trivial", {"dilation": s, "j": j}, f"{s}*A lies in extremal interval j={j}"
-                    )
+        hit = extremal_embedding(a.to_zpset(), intervals)
+        if hit is None:
+            return TrivialityReport(
+                "nontrivial", None, "no dilation lands in any extremal interval (full scan)"
+            )
+        s, j = hit
         return TrivialityReport(
-            "nontrivial", None, "no dilation lands in any extremal interval (full scan)"
+            "trivial", {"dilation": s, "j": j}, f"{s}*A lies in extremal interval j={j}"
         )
     if a.n == 2:
-        for line, dec in enumerate(decompositions_2d(p)):
-            supp = decompose(a, dec).support
-            if supp.is_empty():
-                return TrivialityReport("trivial", {"line": line, "dilation": 1, "j": 0}, "empty set")
-            for s in range(1, p):
-                img = dilate(supp, s)
-                for j, iv in enumerate(intervals):
-                    if img.issubset(iv):
-                        return TrivialityReport(
-                            "trivial",
-                            {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis},
-                            f"axis support of line {line} embeds into extremal interval j={j}",
-                        )
+        for line, dec in enumerate(decompositions_2d(params.p)):
+            hit = extremal_embedding(decompose(a, dec).support, intervals)
+            if hit is not None:
+                s, j = hit
+                return TrivialityReport(
+                    "trivial",
+                    {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis},
+                    f"axis support of line {line} embeds into extremal interval j={j}",
+                )
         return TrivialityReport(
             "nontrivial",
             None,
@@ -427,15 +460,10 @@ class DistinctnessCertificate:
 
 
 def _reference_spec(kind: str, params: Params) -> TypeSpec:
-    if kind == "type1":
-        return TypeSpec("type1", params, a=type1_a_values(params)[0])
-    if kind in ("type2", "type4"):
-        return TypeSpec(kind, params, vbasis=())
-    if kind == "type5":
-        return TypeSpec(kind, params, s=1, pset=((1,),))
-    if kind == "rz":
-        return TypeSpec(kind, params, s=1, pset=((1,),))
-    return TypeSpec(kind, params)
+    variants = STRUCTURES[kind].variants(params)
+    if not variants:
+        raise ParameterError(f"{kind} has no reference variant at {params}")
+    return _make_spec(kind, params, next((f for f in variants if f.get("pset") is ANY_P), variants[0]))
 
 
 def available_kinds(params: Params) -> list[str]:
@@ -444,7 +472,7 @@ def available_kinds(params: Params) -> list[str]:
     for kind in TYPE_KINDS:
         try:
             _reference_spec(kind, params)
-        except (ParameterError, IndexError):
+        except ParameterError:
             continue
         out.append(kind)
     return out

@@ -20,15 +20,16 @@ from .modmath import primes_in
 from .zpset import ZpSet, find_kl_sums, is_ap, sumset
 from .vecset import Params, VecSet, kneser_gap
 from .constructions import (
-    CuboidSpec,
     ParameterError,
     TypeSpec,
     certify_type_distinctness,
     extremal_interval,
     gen_cuboid,
     gen_type,
+    reference_specs,
     type1_a_values,
     type3_support_profile,
+    type_support,
 )
 from .search import canonical_form, enumerate_max, enumerate_second_level
 from .covering import default_grid, tau_scan
@@ -114,32 +115,13 @@ def run_a2() -> CriterionResult:
 
 
 def a3_grid() -> list[tuple[str, object]]:
-    """Every (kind, spec) pair of the standard generator grid (n <= 2, p <= 23)."""
+    """Every (kind, spec) pair of the standard generator grid (n <= 2, p <= 23):
+    the valid reference variants of every structure kind."""
     out: list[tuple[str, object]] = []
     for p in primes_in(5, 23):
         for k, l in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (6, 1)):
             for n in (1, 2):
-                params = Params(k, l, p, n)
-                if params.m >= 1 and params.lambda_in_range():
-                    for j in range(params.extremal_orbit_count()):
-                        out.append(("cuboid", CuboidSpec(params, j)))
-                if params.m < 2:
-                    continue
-                for a in type1_a_values(params):
-                    out.append(("type1", TypeSpec("type1", params, a=a)))
-                for kind, kwargs in (
-                    ("type2", {"vbasis": ()}),
-                    ("type3", {}),
-                    ("type4", {"vbasis": ()}),
-                    ("type5", {"s": 1, "pset": ((1,),)}),
-                    ("rz", {"s": 0, "pset": ()}),
-                    ("rz", {"s": 1, "pset": ()}),
-                    ("rz", {"s": 1, "pset": ((1,),)}),
-                ):
-                    try:
-                        out.append((kind, TypeSpec(kind, params, **kwargs)))
-                    except ParameterError:
-                        continue
+                out.extend((kind, spec) for kind, _, spec in reference_specs(Params(k, l, p, n)))
     return out
 
 
@@ -212,13 +194,14 @@ def run_a5() -> CriterionResult:
         labels = {s.mask: rep.label for s, rep in run.second_level_orbits}
         notes = {s.mask: rep.notes for s, rep in run.second_level_orbits}
         if (k, l) == (2, 1):
-            want = canonical_form(ZpSet.interval(p, m, m))  # the [m, 2m-1] slice
+            want = canonical_form(type_support(TypeSpec("rz", params, s=0, pset=())))
             ok = want.mask in labels and labels[want.mask] in ("type1", "rz")
             tag = "rz-interval"
             if ok and labels[want.mask] == "type1":
                 ok = any("rz" in note for note in notes[want.mask])
         else:
-            want = canonical_form(ZpSet.interval(p, type1_a_values(params)[0], m))
+            spec = TypeSpec("type1", params, a=type1_a_values(params)[0])
+            want = canonical_form(type_support(spec))
             ok = want.mask in labels and labels[want.mask] == "type1"
             tag = "type-1 interval"
         res.details.append(

@@ -20,9 +20,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .zpset import ZpSet, dilate, is_kl_sumfree
+from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params, VecSet
-from .constructions import extremal_intervals
+from .constructions import extremal_embedding, extremal_intervals
 from .classify import ClassReport, classify
 
 
@@ -185,14 +185,11 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
         )
     if m < 1:
         raise SearchLimitError("second-level search needs m >= 1")
+    intervals = extremal_intervals(params)  # raises ParameterError outside the lam window
     t0 = time.perf_counter()
     _, hits, nodes = _scan(p, k, l, target=m, collect_max=False)
-    intervals = extremal_intervals(params)
-    nontrivial = []
-    for mask in hits:
-        s = ZpSet.from_mask(p, mask)
-        if not _embeds_in_any(s, intervals):
-            nontrivial.append(s)
+    labeled = (ZpSet.from_mask(p, mask) for mask in hits)
+    nontrivial = [s for s in labeled if extremal_embedding(s, intervals) is None]
     orbit_masks = sorted({canonical_form(s).mask for s in nontrivial})
     labeled_orbits = []
     findings = []
@@ -212,13 +209,3 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
         labeled_count=len(nontrivial), node_count=nodes,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def _embeds_in_any(s: ZpSet, intervals) -> bool:
-    p = s.p
-    for c in range(1, p):
-        img = dilate(s, c)
-        for iv in intervals:
-            if img.issubset(iv):
-                return True
-    return False

@@ -141,7 +141,12 @@ def verify_spectral_lemma(a: VecSet, k: int, l: int) -> SpectralCheck:
 
 def kernel_decomposition(p: int, t) -> Decomposition:
     """The decomposition (v, K) with K the kernel of x -> <t, x> and v the
-    least vector (in index order) with <t, v> = p - 1."""
+    least vector (in index order) with <t, v> = p - 1.
+
+    With j the first nonzero coordinate of t, that v is (p-1) * t_j^(-1) * e_j:
+    a vector that is zero past coordinate j has <t, x> = t_j * x_j, and one
+    that is not has index at least p^(j+1).
+    """
     t = tuple(int(c) % p for c in t)
     n = len(t)
     if n < 2:
@@ -158,13 +163,5 @@ def kernel_decomposition(p: int, t) -> Decomposition:
         b[i] = 1
         b[j0] = (-t[i] * inv) % p
         basis.append(tuple(b))
-    v = None
-    for idx in range(p**n):
-        x, rem = [], idx
-        for _ in range(n):
-            x.append(rem % p)
-            rem //= p
-        if sum(ti * xi for ti, xi in zip(t, x)) % p == p - 1:
-            v = tuple(x)
-            break
+    v = tuple((p - 1) * inv % p if i == j0 else 0 for i in range(n))
     return Decomposition(p, n, v, tuple(basis))

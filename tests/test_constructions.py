@@ -1,5 +1,7 @@
 """Structure generators: frozen examples, parameter windows, distinctness."""
 
+from itertools import product
+
 import pytest
 
 from klsf.zpset import ZpSet, dilate, ed_profile, is_kl_sumfree
@@ -137,6 +139,54 @@ def test_generator_sizes_and_verifier():
         params = spec.params
         assert len(out) == params.m * params.p ** (params.n - 1)
         assert vec_is_kl_sumfree(out, params.k, params.l)
+
+
+def _catalogue_bands(kind, params):
+    """Axis index -> fibre name, straight from the structure catalogue."""
+    k, l, p, m = params.k, params.l, params.p, params.m
+    if kind == "type2":
+        a = m * k * pow(l - k, -1, p) % p
+        bands = {a: "W-V", a + m: "V"} | {a + i: "W" for i in range(1, m)}
+    elif kind == "type4":
+        bands = {2 * m + 1: "V", 3 * m + 2: "V", 2 * m + 2: "W-V", 3 * m + 1: "W-V"}
+        bands |= {x: "W" for x in range(2 * m + 3, 3 * m + 1)}
+    else:  # type 5 starts at (m+2)/2 - 1, rz at m; both are pinched bands
+        start = (m + 2) * pow(2, -1, p) - 1 if kind == "type5" else m
+        bands = {start: "V", start + 1: "W-P", start + m: "W-V", start + m + 1: "P"}
+        bands |= {start + i: "W" for i in range(2, m)}
+    return {x % p: fib for x, fib in bands.items()}
+
+
+def _catalogue_member(spec, x):
+    """x in A iff x_0 lies in a band and the rest of x lies in that band's fibre."""
+    p = spec.params.p
+    fib = _catalogue_bands(spec.which, spec.params).get(x[0])
+    y = tuple(x[1:])
+    if spec.which in ("type2", "type4"):
+        span = {tuple(sum(c * b[i] for c, b in zip(cs, spec.vbasis)) % p for i in range(len(y)))
+                for cs in product(range(p), repeat=len(spec.vbasis))}
+        in_v, in_p = y in span, None
+    else:  # V = {0}^s x F_p^(n-1-s), P means P x F_p^(n-1-s)
+        in_v = all(c == 0 for c in y[:spec.s])
+        in_p = y[:spec.s] in spec.pset
+    return {None: False, "W": True, "V": in_v, "W-V": not in_v,
+            "P": in_p, "W-P": not in_p}[fib]
+
+
+def test_generators_n3_match_the_catalogue():
+    specs = [
+        TypeSpec("type2", Params(2, 1, 17, 3), vbasis=((2, 3),)),
+        TypeSpec("type2", Params(3, 1, 11, 3), vbasis=((1, 0),)),
+        TypeSpec("type4", Params(4, 1, 23, 3), vbasis=((1, 3),)),
+        TypeSpec("type5", Params(3, 1, 19, 3), s=2, pset=((1, 0), (0, 1))),
+        TypeSpec("rz", Params(2, 1, 17, 3), s=2, pset=((1, 2), (3, 0))),
+        TypeSpec("rz", Params(2, 1, 11, 3), s=1, pset=((1,),)),
+    ]
+    for spec in specs:
+        p = spec.params.p
+        want = VecSet(p, 3, [x for x in product(range(p), repeat=3) if _catalogue_member(spec, x)])
+        assert gen_type(spec) == want, spec
+        assert type_support(spec) == ZpSet(p, _catalogue_bands(spec.which, spec.params))
 
 
 def test_type_supports_and_weights():

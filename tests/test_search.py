@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from klsf.zpset import ZpSet, dilate, is_kl_sumfree
+from klsf import search
+from klsf.constructions import ParameterError
 from klsf.vecset import Params
 from klsf.search import (
     SearchLimitError,
@@ -138,3 +140,12 @@ def test_limit_refusal():
         enumerate_max(Params(2, 1, 61))
     with pytest.raises(SearchLimitError):
         enumerate_second_level(Params(2, 1, 101), p_limit=59)
+
+
+def test_second_level_checks_lambda_before_the_search(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("_scan ran for parameters outside the lam window")
+
+    monkeypatch.setattr(search, "_scan", no_scan)
+    with pytest.raises(ParameterError, match="lam <= k\\+l-3"):
+        enumerate_second_level(Params(2, 1, 43))  # lam = 2 > k+l-3 = 0

@@ -1,6 +1,7 @@
 """Fourier checks: transform identities, the sum-free lower bound, kernels."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ def test_kernel_decomposition_examples():
     assert sum(x * t for x, t in zip(d3.kbasis[0], (1, 1))) % 5 == 0
     with pytest.raises(VecSetError):
         kernel_decomposition(5, (0, 0))
+
+
+def _least_v_by_scan(p, t):
+    """The least vector in index order (coordinate 0 least significant) with <t, v> = p-1."""
+    for idx in range(p ** len(t)):
+        v = tuple(idx // p**i % p for i in range(len(t)))
+        if sum(ti * vi for ti, vi in zip(t, v)) % p == p - 1:
+            return v
+
+
+def test_kernel_decomposition_v_matches_scan():
+    for p in (2, 3, 5, 7):
+        for n in (2, 3):
+            for t in product(range(p), repeat=n):
+                if any(t):
+                    d = kernel_decomposition(p, t)
+                    assert d.v == _least_v_by_scan(p, t), (p, t)
+                    assert all(sum(ti * bi for ti, bi in zip(t, b)) % p == 0 for b in d.kbasis)
 
 
 def test_balance_link_via_kernel_decomposition():
