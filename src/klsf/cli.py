@@ -55,7 +55,7 @@ def _emit(doc: dict, out_path: str | None, t0: float, timing: dict | None = None
         print(text)
 
 
-def _parse_vectors(text: str, dim: int) -> tuple[tuple[int, ...], ...]:
+def _parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
     text = text.strip()
     if not text or text in ("{}", "()"):
         return ()
@@ -68,9 +68,6 @@ def _parse_vectors(text: str, dim: int) -> tuple[tuple[int, ...], ...]:
             vecs.append(tuple(int(c) for c in grp.split(",") if c.strip()))
     else:
         vecs = [(int(tok),) for tok in body.split(",")]
-    for v in vecs:
-        if len(v) != dim:
-            raise ParameterError(f"vector {v} does not have {dim} coordinates")
     return tuple(vecs)
 
 
@@ -111,9 +108,9 @@ def _spec_from_args(args):
         kind,
         params,
         a=args.a,
-        vbasis=_parse_vectors(args.vbasis, params.n - 1) if args.vbasis is not None else None,
+        vbasis=_parse_vectors(args.vbasis) if args.vbasis is not None else None,
         s=args.s,
-        pset=_parse_vectors(args.pset, args.s or 0) if args.pset is not None else None,
+        pset=_parse_vectors(args.pset) if args.pset is not None else None,
     )
 
 

@@ -327,6 +327,9 @@ def validate_type_spec(spec: TypeSpec) -> list[str]:
             )
     elif which in ("type2", "type4"):
         basis = tuple(spec.vbasis or ())
+        for v in basis:
+            if len(v) != pr.n - 1:
+                raise ParameterError(f"V basis vector {v} does not live in F_p^{pr.n - 1}")
         if len(basis) >= pr.n - 1:
             raise ParameterError(
                 f"{which.replace('type', 'type ')} requires V to be a proper subspace of F_p^(n-1)"

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .constructions import GeneratorCheckError
 from .modmath import is_prime
 from .zpset import ZpSet, ZpSetError, min_ap_cover, sumset
 from .search import canonical_form
@@ -130,7 +131,8 @@ def _finish_scan(p, c, grid, mode, violations, examined, hyp_hits, t0) -> TauSca
         tau_feasible = tau
     # Violation sets only gain members as tau grows; guard the report on it.
     counts = [len([v for v in violations if v.tau_star <= tau]) for tau in grid]
-    assert counts == sorted(counts), "violation monotonicity broken: implementation bug"
+    if counts != sorted(counts):
+        raise GeneratorCheckError("violation monotonicity broken: implementation bug")
     return TauScan(p, c, grid, tau_feasible, violations, mode, examined, hyp_hits,
                    time.perf_counter() - t0)
 
@@ -194,7 +196,11 @@ def _record_violation(mask: int, doubling: int, p: int, grid, violations: dict) 
     canon = canonical_form(a)
     if canon.mask not in violations:
         verdict = covering_verdict(canon)
-        assert not verdict.covered
+        if verdict.covered:
+            raise GeneratorCheckError(
+                f"early-exit scan and covering_verdict disagree on {sorted(canon.elements())}: "
+                "implementation bug"
+            )
         tau_star = next(t for t in grid if _doubling_ok(verdict.doubling, len(verdict.set), t))
         violations[canon.mask] = Violation(verdict, tau_star)
     return True

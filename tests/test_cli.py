@@ -49,6 +49,12 @@ def test_construct_parameter_error_exit_1(capsys):
         capsys,
     )
     assert code == 1 and "nonempty P" in err
+    code, _, err = run_cli(
+        ["construct", "--type", "2", "--k", "2", "--l", "1", "--p", "17", "--n", "3",
+         "--vbasis", "(1,2,3)"],
+        capsys,
+    )
+    assert code == 1 and "does not live in F_p^2" in err
 
 
 def test_verify_and_classify(capsys):

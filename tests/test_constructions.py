@@ -122,6 +122,11 @@ def test_degenerate_parameter_rejections():
         TypeSpec("type2", Params(3, 2, 23, 2), vbasis=())
     with pytest.raises(ParameterError, match="n >= 2"):
         TypeSpec("type4", Params(3, 2, 13, 1), vbasis=())
+    # V lives in F_p^(n-1): a basis vector of any other length is refused
+    with pytest.raises(ParameterError, match="\\(1, 2, 3\\) does not live in F_p\\^2"):
+        TypeSpec("type2", Params(2, 1, 17, 3), vbasis=((1, 2, 3),))
+    with pytest.raises(ParameterError, match="\\(1,\\) does not live in F_p\\^2"):
+        TypeSpec("type2", Params(2, 1, 17, 3), vbasis=((1,),))
 
 
 def test_generator_sizes_and_verifier():

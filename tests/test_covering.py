@@ -1,7 +1,11 @@
 """Covering property: verdicts, scan exhaustiveness, monotone reports."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +99,33 @@ def test_tiny_density_trivially_feasible():
     # |A| <= 2 forces APs, so every grid point is violation-free.
     scan = tau_scan(31, Fraction(10, 107), mode="exhaustive")
     assert scan.tau_feasible == 1 and not scan.violations
+
+
+def test_violation_self_check_survives_optimize():
+    # An early-exit scan that wrongly reports "not covered" must be caught by
+    # the exact verdict, also under python -O, and map to CLI exit code 2.
+    script = """
+import sys
+from fractions import Fraction
+from klsf import cli, covering
+from klsf.constructions import GeneratorCheckError
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+covering._covers_within = lambda elems, p, target: False
+try:
+    covering.tau_scan(13, Fraction(1, 3))
+except GeneratorCheckError as exc:
+    print("raised:", exc)
+print("exit", cli.main(["covering", "--p", "13", "--c", "1/3"]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("raised:") and "implementation bug" in lines[0]
+    assert lines[-1] == "exit 2"
+    assert "check failed" in run.stderr

@@ -3,10 +3,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, dilate, is_kl_sumfree
 from klsf import search
-from klsf.constructions import ParameterError
+from klsf.constructions import GeneratorCheckError, ParameterError, extremal_intervals
 from klsf.vecset import Params
 from klsf.search import (
     SearchLimitError,
@@ -149,3 +150,57 @@ def test_second_level_checks_lambda_before_the_search(monkeypatch):
     monkeypatch.setattr(search, "_scan", no_scan)
     with pytest.raises(ParameterError, match="lam <= k\\+l-3"):
         enumerate_second_level(Params(2, 1, 43))  # lam = 2 > k+l-3 = 0
+
+
+def brute_force_labeled(p, k, l, size):
+    """Every (k,l)-sum-free size-`size` subset of Z_p, not only those containing 1."""
+    return [a for a in (ZpSet(p, combo) for combo in combinations(range(1, p), size))
+            if is_kl_sumfree(a, k, l)]
+
+
+SMALL_KL = [(k, l) for k in range(2, 7) for l in range(1, k) if k + l <= 7]
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
+SMALL_CASES = [(k, l, p) for k, l in SMALL_KL for p in SMALL_PRIMES]
+
+
+@given(st.sampled_from(SMALL_CASES))
+def test_enumerate_max_property(case):
+    k, l, p = case
+    run = enumerate_max(Params(k, l, p))
+    assert not brute_force_orbits(p, k, l, run.max_size + 1)
+    if run.max_size == 0:  # p | k-l: not even a singleton is sum-free
+        assert run.extremal_orbits == () and run.labeled_count == 0
+        return
+    assert {o.mask for o in run.extremal_orbits} == brute_force_orbits(p, k, l, run.max_size)
+    assert run.labeled_count == len(brute_force_labeled(p, k, l, run.max_size))
+
+
+@given(st.sampled_from([c for c in SMALL_CASES if Params(*c).lambda_in_range()]))
+def test_second_level_property(case):
+    k, l, p = case
+    params = Params(k, l, p)
+    run = enumerate_second_level(params)
+    intervals = extremal_intervals(params)
+
+    def nontrivial(a):
+        return not any(dilate(a, c).issubset(iv) for c in range(1, p) for iv in intervals)
+
+    want = {mask for mask in brute_force_orbits(p, k, l, params.m)
+            if nontrivial(ZpSet.from_mask(p, mask))}
+    assert {o.mask for o, _ in run.second_level_orbits} == want
+    labeled = [a for a in brute_force_labeled(p, k, l, params.m) if nontrivial(a)]
+    assert run.labeled_count == len(labeled)
+
+
+def test_self_check_catches_a_dropped_hit(monkeypatch):
+    scan = search._scan
+
+    def drop_first_hit(*args, **kwargs):
+        best, hits, nodes = scan(*args, **kwargs)
+        return best, hits[1:], nodes
+
+    monkeypatch.setattr(search, "_scan", drop_first_hit)
+    # (2,1,11): one extremal orbit, |A| = 4 and |Stab(A)| = 2, so the tree
+    # rooted at {1} must emit it twice
+    with pytest.raises(GeneratorCheckError, match="1 times, expected"):
+        enumerate_max(Params(2, 1, 11))
