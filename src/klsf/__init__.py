@@ -39,9 +39,9 @@ from .vecset import (
     vhfold,
     vsumset,
 )
+from .modmath import GeneratorCheckError
 from .constructions import (
     CuboidSpec,
-    GeneratorCheckError,
     ParameterError,
     TrivialityReport,
     TypeSpec,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .modmath import mod_inverse
+from .modmath import GeneratorCheckError, dilation_masks, mod_inverse
 from .zpset import ZpSet, dilate
 from .vecset import (
     Decomposition,
@@ -90,14 +90,11 @@ def _plain(v):
 def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
     p = params.p
     matches = []
+    images = dilation_masks(p, zp.mask)
     for kind, _, spec in reference_specs(params, TYPE_KINDS):
         target = type_support(spec)
-        if len(target) != len(zp):
-            continue
-        for s in range(1, p):
-            if dilate(zp, s) == target:
-                matches.append((kind, spec, s))
-                break
+        if target.mask in images:
+            matches.append((kind, spec, images.index(target.mask) + 1))
     if not matches:
         return ClassReport("nontrivial-unknown", params,
                            notes=[f"size {len(zp)} vs m={params.m}; no generator matches"])
@@ -105,7 +102,8 @@ def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
     kind, spec, s = matches[0]
     back = mod_inverse(s, p)
     regen = gen_type(spec).to_zpset()
-    assert dilate(regen, back) == zp, "witness failed to regenerate the set"
+    if dilate(regen, back) != zp:
+        raise GeneratorCheckError("witness failed to regenerate the set")
     notes = [f"also matches {k} (dilation {sv})" for k, _, sv in matches[1:]]
     notes += list(spec.notes)
     return ClassReport(kind, params, {"spec": spec, "dilation_from_generator": back}, notes)
@@ -166,8 +164,8 @@ def _match_descriptor_2d(desc: dict, profile: DecompProfile, params: Params):
     if len(supp) != len(target_support):
         return None
     parts = [x.to_zpset() for x in profile.parts]
-    for s in range(1, p):
-        if dilate(supp, s) != target_support:
+    for s, image in enumerate(dilation_masks(p, supp.mask), 1):
+        if image != target_support.mask:
             continue
         sinv = mod_inverse(s, p)
         parts_by_target = {j: parts[sinv * j % p] for j in desc["bands"]}

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from .zpset import format_zpset
-from .vecset import Params, VecSet, format_vecset, parse_vecset, vec_is_kl_sumfree
+from .vecset import Params, VecSet, format_vecset, parse_vecset, parse_vectors, vec_is_kl_sumfree
 from .constructions import (
     CuboidSpec,
     GeneratorCheckError,
@@ -33,7 +33,7 @@ from .constructions import (
     nontriviality_check,
 )
 from .classify import classify
-from .search import SearchLimitError, enumerate_max, enumerate_second_level
+from .search import DEFAULT_P_LIMIT, SearchLimitError, enumerate_max, enumerate_second_level
 from .covering import default_grid, tau_scan
 from .spectral import spectrum, verify_spectral_lemma
 from .criteria import CRITERIA, run_criterion
@@ -53,22 +53,6 @@ def _emit(doc: dict, out_path: str | None, t0: float, timing: dict | None = None
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
-    text = text.strip()
-    if not text or text in ("{}", "()"):
-        return ()
-    body = text.strip("{}")
-    vecs = []
-    if "(" in body:
-        import re
-
-        for grp in re.findall(r"\(([^()]*)\)", body):
-            vecs.append(tuple(int(c) for c in grp.split(",") if c.strip()))
-    else:
-        vecs = [(int(tok),) for tok in body.split(",")]
-    return tuple(vecs)
 
 
 def _literal(v: VecSet) -> str:
@@ -108,9 +92,9 @@ def _spec_from_args(args):
         kind,
         params,
         a=args.a,
-        vbasis=_parse_vectors(args.vbasis) if args.vbasis is not None else None,
+        vbasis=parse_vectors(args.vbasis) if args.vbasis is not None else None,
         s=args.s,
-        pset=_parse_vectors(args.pset) if args.pset is not None else None,
+        pset=parse_vectors(args.pset) if args.pset is not None else None,
     )
 
 
@@ -294,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--l", type=int, required=True)
     pe.add_argument("--p", type=int, required=True)
     pe.add_argument("--level", choices=("max", "second"), default="max")
-    pe.add_argument("--limit", type=int, default=59)
+    pe.add_argument("--limit", type=int, default=DEFAULT_P_LIMIT)
     pe.add_argument("--csv", default=None)
     pe.set_defaults(fn=cmd_enumerate)
 

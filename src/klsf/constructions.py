@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .modmath import mod_inverse
-from .zpset import ZpSet, dilate, ed_profile
+from .modmath import GeneratorCheckError, dilation_masks, mod_inverse
+from .zpset import ZpSet, ed_profile
 from .vecset import (
     CriterionError,
     Params,
@@ -37,10 +37,6 @@ from .vecset import (
 
 class ParameterError(ValueError):
     """A generator was invoked with parameters outside its defining window."""
-
-
-class GeneratorCheckError(AssertionError):
-    """An emitted set failed its own verifier; indicates an implementation bug."""
 
 
 def subspace_span(p: int, dim: int, basis: tuple[tuple[int, ...], ...]) -> VecSet:
@@ -405,10 +401,9 @@ class TrivialityReport:
 
 def extremal_embedding(s: ZpSet, intervals: list[ZpSet]) -> tuple[int, int] | None:
     """The first (c, j), scanning c = 1..p-1, with c*S inside intervals[j]."""
-    for c in range(1, s.p):
-        img = dilate(s, c)
+    for c, img in enumerate(dilation_masks(s.p, s.mask), 1):
         for j, iv in enumerate(intervals):
-            if img.issubset(iv):
+            if img & ~iv.mask == 0:
                 return c, j
     return None
 
@@ -509,7 +504,7 @@ def certify_type_distinctness(params: Params) -> list[DistinctnessCertificate]:
                     raise GeneratorCheckError(
                         f"no obstruction separates {ka} and {kb} at {params}"
                     )
-                if any(dilate(sa, s) == sb for s in range(1, params.p)):
+                if sb.mask in dilation_masks(params.p, sa.mask):
                     raise GeneratorCheckError(
                         f"supports of {ka} and {kb} coincide up to dilation at {params}"
                     )

@@ -26,9 +26,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .constructions import GeneratorCheckError
-from .modmath import is_prime
-from .zpset import ZpSet, ZpSetError, min_ap_cover, sumset
+from .modmath import GeneratorCheckError, is_prime
+from .zpset import ZpSet, ZpSetError, ap_cover_scan, min_ap_cover, sumset
 from .search import canonical_form
 
 DEFAULT_EXHAUSTIVE_LIMIT = 31
@@ -164,21 +163,11 @@ def tau_scan(
 
 
 def _covers_within(elems: list[int], p: int, target: int) -> bool:
-    """Early-exit scan: does some AP of length <= target cover the set?"""
+    """Early exit: does some AP of length <= target cover the sorted residues?"""
     if len(elems) <= 2 or target >= p:
         return True
-    for d in range(1, (p - 1) // 2 + 1):
-        if d == 1:
-            img = elems
-        else:
-            inv = pow(d, -1, p)
-            img = sorted(e * inv % p for e in elems)
-        gap = img[0] + p - img[-1] - 1
-        for i in range(len(img) - 1):
-            g = img[i + 1] - img[i] - 1
-            if g > gap:
-                gap = g
-        if p - gap <= target:
+    for _, length, _ in ap_cover_scan(elems, p):
+        if length <= target:
             return True
     return False
 
@@ -191,7 +180,7 @@ def _record_violation(mask: int, doubling: int, p: int, grid, violations: dict) 
     """
     a = ZpSet.from_mask(p, mask)
     target = doubling - len(a) + 1
-    if _covers_within(sorted(a.elements()), p, target):
+    if _covers_within(a.elements(), p, target):
         return False
     canon = canonical_form(a)
     if canon.mask not in violations:

@@ -29,9 +29,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .modmath import GeneratorCheckError, dilation_masks
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params, VecSet
-from .constructions import GeneratorCheckError, extremal_embedding, extremal_intervals
+from .constructions import extremal_embedding, extremal_intervals
 from .classify import ClassReport, classify
 
 
@@ -77,23 +78,8 @@ def canonical_form(a: ZpSet) -> ZpSet:
 
 def _dilation_orbit(mask: int, p: int) -> tuple[int, int]:
     """(least mask, stabilizer size) over the p-1 dilations of a mask."""
-    elems = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        elems.append(low.bit_length() - 1)
-        rest ^= low
-    best = mask
-    stab = 0
-    for c in range(1, p):
-        image = 0
-        for x in elems:
-            image |= 1 << (c * x % p)
-        if image < best:
-            best = image
-        elif image == mask:
-            stab += 1
-    return best, stab
+    images = dilation_masks(p, mask)
+    return min(images), images.count(mask)
 
 
 def _orbit_stabilizers(hits: list[int], p: int) -> dict[int, int]:

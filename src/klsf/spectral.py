@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vecset import Decomposition, VecSet, VecSetError
+from .modmath import GeneratorCheckError, indicator_fft, indices_to_rows, rows_to_indices
+from .vecset import Decomposition, VecSet, VecSetError, vec_is_kl_sumfree
 
 SIZE_LIMIT = 1 << 20
 COEFF_ZERO_TOL = 1e-12
@@ -38,10 +39,7 @@ class Spectrum:
     alpha: float
 
     def coeff(self, t) -> complex:
-        idx = 0
-        for c in reversed(tuple(t)):
-            idx = idx * self.p + int(c) % self.p
-        return complex(self.values[idx])
+        return complex(self.values[int(rows_to_indices([[int(c) % self.p for c in t]], self.p)[0])])
 
     def max_nonzero_modulus(self) -> float:
         if len(self.values) == 1:
@@ -54,11 +52,12 @@ def spectrum(a: VecSet, size_limit: int = SIZE_LIMIT) -> Spectrum:
     cells = a.p**a.n
     if cells > size_limit:
         raise VecSetError(f"space of size {cells} exceeds the spectrum limit {size_limit}")
-    arr = a.bit_array().reshape((a.p,) * a.n).astype(np.float64)
-    values = (np.fft.fftn(arr) / cells).reshape(-1)
+    values = (indicator_fft(a.p, a.n, a.mask) / cells).reshape(-1)
     alpha = len(a) / cells
-    assert abs(values[0] - alpha) <= COEFF_ZERO_TOL, "zero coefficient drifted from the density"
-    assert abs(np.sum(np.abs(values) ** 2) - alpha) <= PLANCHEREL_TOL, "Plancherel identity drifted"
+    if not abs(values[0] - alpha) <= COEFF_ZERO_TOL:
+        raise GeneratorCheckError("zero coefficient drifted from the density")
+    if not abs(np.sum(np.abs(values) ** 2) - alpha) <= PLANCHEREL_TOL:
+        raise GeneratorCheckError("Plancherel identity drifted")
     return Spectrum(a.p, a.n, values, alpha)
 
 
@@ -68,11 +67,7 @@ def spectrum_direct(a: VecSet) -> np.ndarray:
     cells = p**n
     out = np.zeros(cells, dtype=np.complex128)
     elems = [list(v) for v in a.vectors()]
-    for idx in range(cells):
-        t, rem = [], idx
-        for _ in range(n):
-            t.append(rem % p)
-            rem //= p
+    for idx, t in enumerate(indices_to_rows(np.arange(cells), p, n).tolist()):
         acc = 0j
         for x in elems:
             acc += cmath.exp(-2j * cmath.pi * (sum(ti * xi for ti, xi in zip(t, x)) % p) / p)
@@ -122,8 +117,6 @@ def verify_spectral_lemma(a: VecSet, k: int, l: int) -> SpectralCheck:
 
     Not applicable (all checks skipped) when A is not (k,l)-sum-free.
     """
-    from .vecset import vec_is_kl_sumfree
-
     if a.is_empty() or not vec_is_kl_sumfree(a, k, l):
         return SpectralCheck(False, 0.0, 0.0, 0.0, False, 0j, False)
     spec = spectrum(a)

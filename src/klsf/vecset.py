@@ -2,8 +2,11 @@
 
 A subset of F_p^n is a bit mask over p^n cells indexed in little-endian mixed
 radix: index(x) = sum x_i * p^i, so coordinate 0 is the least significant
-digit.  Masks are therefore portable integers; the hex dump used in golden
-files is the little-endian byte string of that integer.
+digit.  That format is defined once, in `klsf.modmath`, whose kernel does
+every conversion between masks, indices, bit arrays and coordinate rows and
+every sumset, fold, sum-freeness test and stabilizer; VecSet is a typed view
+over it.  Masks are portable integers; the hex dump used in golden files is
+the little-endian byte string of that integer.
 
 A decomposition is a pair (v, K) with K a hyperplane (spanned by n-1 basis
 vectors) and v a transversal vector, so every x splits uniquely as
@@ -17,13 +20,18 @@ all inequality checks clear denominators).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .modmath import is_prime, mod_inverse
-from .zpset import ZpSet
+from .modmath import (
+    GeneratorCheckError, bits_to_mask, dilation_masks, fold_masks, indices_to_mask, indices_to_rows,
+    is_kl_sumfree_mask, is_prime, mask_to_bits, mask_to_indices, mod_inverse, rows_to_indices,
+    stabilizer_mask, sumset_mask,
+)
+from .zpset import ZpSet, parse_zpset
 
 
 class VecSetError(ValueError):
@@ -95,22 +103,19 @@ class VecSet:
             raise VecSetError("dimension must be >= 0")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-        mask = 0
-        for v in vectors:
-            mask |= 1 << self._index(v)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", indices_to_mask(rows_to_indices(self._rows(vectors), p)))
 
-    def _index(self, v) -> int:
-        v = tuple(v)
-        if len(v) != self.n:
-            raise VecSetError(f"vector {v} has wrong arity for dimension {self.n}")
-        idx = 0
-        for i in reversed(range(self.n)):
-            c = int(v[i])
-            if not 0 <= c < self.p:
-                raise VecSetError(f"coordinate {c} out of range mod {self.p}")
-            idx = idx * self.p + c
-        return idx
+    def _rows(self, vectors) -> np.ndarray:
+        """The vectors as coordinate rows, after checking arity and range."""
+        vecs = [tuple(v) for v in vectors]
+        for v in vecs:
+            if len(v) != self.n:
+                raise VecSetError(f"vector {v} has wrong arity for dimension {self.n}")
+        rows = np.array(vecs, dtype=np.int64).reshape(len(vecs), self.n)
+        bad = (rows < 0) | (rows >= self.p)
+        if bad.any():
+            raise VecSetError(f"coordinate {rows[bad][0]} out of range mod {self.p}")
+        return rows
 
     @classmethod
     def from_mask(cls, p: int, n: int, mask: int) -> "VecSet":
@@ -126,10 +131,10 @@ class VecSet:
 
     @classmethod
     def from_indices(cls, p: int, n: int, indices) -> "VecSet":
-        mask = 0
-        for i in indices:
-            mask |= 1 << int(i)
-        return cls.from_mask(p, n, mask)
+        indices = list(indices)
+        if indices and min(indices) < 0:
+            raise VecSetError("negative cell index")
+        return cls.from_mask(p, n, indices_to_mask(indices))
 
     @classmethod
     def from_zpset(cls, a: ZpSet) -> "VecSet":
@@ -159,43 +164,19 @@ class VecSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def is_empty(self) -> bool:
         return self.mask == 0
 
     def is_full(self) -> bool:
         return self.mask == (1 << self.p**self.n) - 1
 
-    def indices(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def vector(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
-
     def vectors(self):
-        p = self.p
-        for idx in self.indices():
-            v = []
-            for _ in range(self.n):
-                v.append(idx % p)
-                idx //= p
-            yield tuple(v)
+        return iter(map(tuple, indices_to_rows(self.index_array(), self.p, self.n).tolist()))
 
-    def __iter__(self):
-        return self.vectors()
+    __iter__ = vectors
 
     def __contains__(self, v) -> bool:
-        return (self.mask >> self._index(v)) & 1 == 1
+        return (self.mask >> int(rows_to_indices(self._rows([v]), self.p)[0])) & 1 == 1
 
     def __repr__(self) -> str:
         return f"VecSet(p={self.p}, n={self.n}, size={len(self)})"
@@ -216,24 +197,21 @@ class VecSet:
         return self.mask & ~other.mask == 0
 
     def translate(self, g) -> "VecSet":
-        g = tuple(g)
-        arr = self.index_array()
-        return VecSet.from_indices(self.p, self.n, _translate_indices(arr, g, self.p, self.n))
+        """A + g, as the sumset with {g}; coordinates of g are taken mod p."""
+        g = [int(c) % self.p for c in g]
+        return VecSet.from_mask(self.p, self.n, sumset_mask(
+            self.p, self.n, self.mask, indices_to_mask(rows_to_indices(self._rows([g]), self.p))))
 
     def index_array(self) -> np.ndarray:
-        return np.fromiter(self.indices(), dtype=np.int64, count=len(self))
+        return mask_to_indices(self.mask)
 
     def bit_array(self) -> np.ndarray:
         """Dense 0/1 array over the p^n cells, little-endian bit order."""
-        cells = self.p**self.n
-        raw = self.mask.to_bytes((cells + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return bits[:cells]
+        return mask_to_bits(self.mask, self.p**self.n)
 
     @classmethod
     def from_bit_array(cls, p: int, n: int, bits: np.ndarray) -> "VecSet":
-        raw = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
-        return cls.from_mask(p, n, int.from_bytes(raw, "little"))
+        return cls.from_mask(p, n, bits_to_mask(bits))
 
     def mask_hex(self) -> str:
         cells = self.p**self.n
@@ -245,78 +223,20 @@ def _check_same_space(a: VecSet, b: VecSet) -> None:
         raise VecSetError("incompatible spaces")
 
 
-def _digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
-    out = np.empty((idx.shape[0], n), dtype=np.int64)
-    cur = idx.copy()
-    for i in range(n):
-        out[:, i] = cur % p
-        cur //= p
-    return out
-
-
-def _indices_of(digits: np.ndarray, p: int, n: int) -> np.ndarray:
-    idx = np.zeros(digits.shape[0], dtype=np.int64)
-    for i in reversed(range(n)):
-        idx = idx * p + digits[:, i]
-    return idx
-
-
-def _translate_indices(idx: np.ndarray, g: tuple[int, ...], p: int, n: int) -> np.ndarray:
-    d = _digits(idx, p, n)
-    for i in range(n):
-        d[:, i] = (d[:, i] + g[i]) % p
-    return _indices_of(d, p, n)
-
-
 # ---------------------------------------------------------------------------
 # Sumsets over F_p^n
 
-_FFT_THRESHOLD = 64  # below this many shifts, roll-and-OR beats the FFT
-
 
 def vsumset(a: VecSet, b: VecSet) -> VecSet:
-    """Componentwise-mod-p sumset A + B."""
+    """Componentwise-mod-p sumset A + B, by the kernel's `sumset_mask`."""
     _check_same_space(a, b)
-    if a.is_empty() or b.is_empty():
-        return VecSet.from_mask(a.p, a.n, 0)
-    if a.n == 0:
-        return VecSet.from_mask(a.p, 0, 1)
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    if len(small) <= _FFT_THRESHOLD:
-        return _sumset_rolls(small, large)
-    return _sumset_fft(a, b)
-
-
-def _sumset_rolls(small: VecSet, large: VecSet) -> VecSet:
-    p, n = small.p, small.n
-    shape = (p,) * n
-    arr = large.bit_array().reshape(shape).astype(bool)
-    out = np.zeros(shape, dtype=bool)
-    # C-order reshape puts coordinate n-1-k on axis k, so shifts come reversed.
-    axes = tuple(range(n))
-    for v in small.vectors():
-        out |= np.roll(arr, tuple(reversed(v)), axis=axes)
-    return VecSet.from_bit_array(p, n, out.reshape(-1))
-
-
-def _sumset_fft(a: VecSet, b: VecSet) -> VecSet:
-    # Support of the cyclic convolution of the indicators.  Counts stay below
-    # p^n <= 2^20, far inside exact double range, so the 0.5 threshold is safe.
-    p, n = a.p, a.n
-    shape = (p,) * n
-    fa = np.fft.fftn(a.bit_array().reshape(shape).astype(np.float64))
-    fb = fa if b.mask == a.mask else np.fft.fftn(b.bit_array().reshape(shape).astype(np.float64))
-    counts = np.fft.ifftn(fa * fb).real
-    return VecSet.from_bit_array(p, n, (counts > 0.5).reshape(-1))
+    return VecSet.from_mask(a.p, a.n, sumset_mask(a.p, a.n, a.mask, b.mask))
 
 
 def vhfold(a: VecSet, h: int) -> VecSet:
     if h < 1:
         raise VecSetError("h must be positive")
-    out = a
-    for _ in range(h - 1):
-        out = vsumset(out, a)
-    return out
+    return VecSet.from_mask(a.p, a.n, fold_masks(a.p, a.n, a.mask, h)[-1])
 
 
 def vec_is_kl_sumfree(a: VecSet, k: int, l: int) -> bool:
@@ -324,13 +244,7 @@ def vec_is_kl_sumfree(a: VecSet, k: int, l: int) -> bool:
         raise VecSetError("require k > l")
     if a.is_empty():
         raise VecSetError("sum-freeness is defined for nonempty sets")
-    fold = a
-    lmask = a.mask if l == 1 else 0
-    for h in range(2, k + 1):
-        if h == l + 1:
-            lmask = fold.mask
-        fold = vsumset(fold, a)
-    return fold.mask & lmask == 0
+    return is_kl_sumfree_mask(a.p, a.n, a.mask, k, l)
 
 
 def apply_automorphism(a: VecSet, m: list[list[int]]) -> VecSet:
@@ -342,10 +256,8 @@ def apply_automorphism(a: VecSet, m: list[list[int]]) -> VecSet:
         raise VecSetError("not an automorphism")
     if a.is_empty():
         return a
-    d = _digits(a.index_array(), p, n)
-    mt = np.array(m, dtype=np.int64)
-    imaged = (d @ mt.T) % p
-    return VecSet.from_indices(p, n, _indices_of(imaged, p, n))
+    imaged = indices_to_rows(a.index_array(), p, n) @ np.array(m, dtype=np.int64).T % p
+    return VecSet.from_mask(p, n, indices_to_mask(rows_to_indices(imaged, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +381,15 @@ def decompose(a: VecSet, d: Decomposition) -> DecompProfile:
     if (d.p, d.n) != (p, n):
         raise VecSetError("decomposition does not match the ambient space")
     binv = mat_inverse(d.basis_matrix(), p)
-    part_masks = [0] * p
+    # One bit array over (i, index in K): row i is the mask of the part A_i.
+    bits = np.zeros((p, p ** (n - 1)), dtype=bool)
     if not a.is_empty():
-        digits = _digits(a.index_array(), p, n)
-        coords = (digits @ np.array(binv, dtype=np.int64).T) % p
-        if n >= 2:
-            rest = _indices_of(coords[:, 1:], p, n - 1)
-        else:
-            rest = np.zeros(coords.shape[0], dtype=np.int64)
-        for i, r in zip(coords[:, 0], rest):
-            part_masks[int(i)] |= 1 << int(r)
-    parts = tuple(VecSet.from_mask(p, n - 1, m) for m in part_masks)
+        coords = indices_to_rows(a.index_array(), p, n) @ np.array(binv, dtype=np.int64).T % p
+        bits[coords[:, 0], rows_to_indices(coords[:, 1:], p)] = True
+    parts = tuple(VecSet.from_mask(p, n - 1, m) for m in bits_to_mask(bits))
     sizes_by_i = [len(x) for x in parts]
-    assert sum(sizes_by_i) == len(a)
+    if sum(sizes_by_i) != len(a):
+        raise GeneratorCheckError(f"parts along {d.v} miss elements of A: implementation bug")
     support = ZpSet(p, [i for i in range(p) if sizes_by_i[i]])
     order = tuple(sorted(range(p), key=lambda i: (-sizes_by_i[i], i)))
     sizes = tuple(sizes_by_i[i] for i in order)
@@ -499,22 +407,7 @@ def sym_group(s: VecSet) -> VecSet:
     Convention: the whole space stabilizes the empty set, so sym_group of an
     empty input is the full space (callers that care should flag this).
     """
-    p, n = s.p, s.n
-    if s.is_empty():
-        return VecSet.full(p, n)
-    if n == 0:
-        return VecSet.from_mask(p, 0, 1)
-    idx = s.index_array()
-    base = _digits(idx[:1], p, n)[0]
-    elems = set(int(i) for i in idx)
-    members = []
-    digits = _digits(idx, p, n)
-    for row in digits:
-        g = tuple((row - base) % p)
-        shifted = _translate_indices(idx, g, p, n)
-        if set(int(i) for i in shifted) == elems:
-            members.append(g)
-    return VecSet(p, n, members)
+    return VecSet.from_mask(s.p, s.n, stabilizer_mask(s.p, s.n, s.mask))
 
 
 def kneser_gap(sets: list[VecSet]) -> tuple[int, int]:
@@ -533,7 +426,8 @@ def kneser_gap(sets: list[VecSet]) -> tuple[int, int]:
     h = sym_group(total)
     lhs = len(total)
     rhs = sum(len(vsumset(x, h)) for x in sets) - (len(sets) - 1) * len(h)
-    assert lhs >= rhs, "Kneser bound violated: implementation bug"
+    if lhs < rhs:
+        raise GeneratorCheckError(f"Kneser bound violated ({lhs} < {rhs}): implementation bug")
     return lhs, rhs
 
 
@@ -556,10 +450,8 @@ def support_contained(a_profile: DecompProfile, b_profile: DecompProfile):
     if b_profile.weight >= p:
         raise CriterionError("criterion needs a proper support on the right profile")
     sa, sb = a_profile.support, b_profile.support
-    from .zpset import dilate  # local import to avoid cycle noise
-
-    for s in range(1, p):
-        if dilate(sa, s).issubset(sb):
+    for s, image in enumerate(dilation_masks(p, sa.mask), 1):
+        if image & ~sb.mask == 0:
             return s
     return None
 
@@ -571,7 +463,7 @@ def support_contained(a_profile: DecompProfile, b_profile: DecompProfile):
 def parse_vecset(text: str) -> VecSet:
     parts = text.strip().split(";")
     if len(parts) == 2:
-        return VecSet.from_zpset(_parse_zp(text))
+        return VecSet.from_zpset(parse_zpset(text))
     if len(parts) != 3:
         raise VecSetError(f"malformed vector-set literal: {text!r}")
     p = _parse_kv(parts[0], "p")
@@ -579,22 +471,27 @@ def parse_vecset(text: str) -> VecSet:
     body = parts[2].strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise VecSetError(f"malformed vector-set literal: {text!r}")
-    inner = body[1:-1].strip()
-    vecs = []
-    if inner:
-        import re
-
-        if "(" in inner:
-            for grp in re.findall(r"\(([^()]*)\)", inner):
-                vecs.append(tuple(int(c) for c in grp.split(",") if c.strip()))
-        else:
-            vecs = [(int(tok),) for tok in inner.split(",")]
-    seen = set()
-    for v in vecs:
-        if v in seen:
-            raise VecSetError(f"duplicate vector {v} in literal")
-        seen.add(v)
+    vecs = parse_vectors(body)
+    if len(set(vecs)) != len(vecs):
+        dup = next(v for i, v in enumerate(vecs) if v in vecs[:i])
+        raise VecSetError(f"duplicate vector {dup} in literal")
     return VecSet(p, n, vecs)
+
+
+def parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
+    """A list of vectors: "(1,0);(0,1)" or "{(1,0),(0,1)}" (groups in
+    parentheses, any separators between them), or "1,5" / "{1,5}" for
+    one-coordinate vectors.  Blank text, "{}" and a bare "()" are no vectors."""
+    text = text.strip()
+    if text == "()":
+        return ()
+    body = text.strip("{}").strip()
+    if not body:
+        return ()
+    if "(" in body:
+        return tuple(tuple(int(c) for c in grp.split(",") if c.strip())
+                     for grp in re.findall(r"\(([^()]*)\)", body))
+    return tuple((int(tok),) for tok in body.split(","))
 
 
 def _parse_kv(tok: str, key: str) -> int:
@@ -602,12 +499,6 @@ def _parse_kv(tok: str, key: str) -> int:
     if k.strip() != key:
         raise VecSetError(f"expected {key}=<int>, got {tok!r}")
     return int(v)
-
-
-def _parse_zp(text: str):
-    from .zpset import parse_zpset
-
-    return parse_zpset(text)
 
 
 def format_vecset(a: VecSet) -> str:

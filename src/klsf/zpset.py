@@ -1,8 +1,10 @@
 """Value-semantic subsets of Z_p with sumset arithmetic and progression analysis.
 
 A subset of Z_p is stored as a p-bit mask (bit i set iff residue i belongs to
-the set).  All operations are pure: they return fresh values and never mutate
-their inputs, so values can be shared freely across threads.
+the set): the n = 1 case of the mask format of `klsf.modmath`, whose kernel
+does every conversion and every sumset, fold and sum-freeness test, so ZpSet
+is a typed view over it.  All operations are pure: they return fresh values
+and never mutate their inputs, so values can be shared freely across threads.
 
 Conventions used throughout:
   * hA is the h-fold sumset (all sums of h elements, repetition allowed),
@@ -20,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .modmath import is_prime, mod_inverse, rotate_mask
+from .modmath import (
+    fold_masks, indices_to_mask, is_kl_sumfree_mask, is_prime, mask_to_indices, rotate_mask, sumset_mask,
+)
 
 
 class ZpSetError(ValueError):
@@ -36,12 +40,11 @@ class ZpSet:
         if not is_prime(p):
             raise ZpSetError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
-        mask = 0
+        elements = list(elements)
         for e in elements:
             if not 0 <= e < p:
                 raise ZpSetError(f"residue {e} out of range for modulus {p}")
-            mask |= 1 << e
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", indices_to_mask(elements))
 
     @classmethod
     def from_mask(cls, p: int, mask: int) -> "ZpSet":
@@ -76,18 +79,11 @@ class ZpSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def __contains__(self, e: int) -> bool:
         return 0 <= e < self.p and (self.mask >> e) & 1 == 1
 
     def __iter__(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(mask_to_indices(self.mask).tolist())
 
     def elements(self) -> tuple[int, ...]:
         return tuple(self)
@@ -120,9 +116,6 @@ class ZpSet:
         """Translate by t: {a + t mod p}."""
         return ZpSet.from_mask(self.p, rotate_mask(self.mask, t, self.p))
 
-    def neg(self) -> "ZpSet":
-        return dilate(self, self.p - 1)
-
 
 def _check_same_modulus(a: ZpSet, b: ZpSet) -> None:
     if a.p != b.p:
@@ -134,32 +127,17 @@ def _check_same_modulus(a: ZpSet, b: ZpSet) -> None:
 
 
 def sumset(a: ZpSet, b: ZpSet) -> ZpSet:
-    """A + B = {x + y mod p}.
-
-    Kernel: OR of b's mask cyclically shifted by every element of a (the
-    smaller operand is used as the shift set).  A naive double loop over all
-    pairs serves as the independent test oracle.
-    """
+    """A + B = {x + y mod p}, by the kernel's `sumset_mask`.  A naive double
+    loop over all pairs serves as the independent test oracle."""
     _check_same_modulus(a, b)
-    if a.is_empty() or b.is_empty():
-        return ZpSet.from_mask(a.p, 0)
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    p = a.p
-    out = 0
-    lm = large.mask
-    for x in small:
-        out |= rotate_mask(lm, x, p)
-    return ZpSet.from_mask(p, out)
+    return ZpSet.from_mask(a.p, sumset_mask(a.p, 1, a.mask, b.mask))
 
 
 def hfold(a: ZpSet, h: int) -> ZpSet:
     """The h-fold sumset hA = (h-1)A + A; hA = A when h = 1."""
     if h < 1:
         raise ZpSetError("h must be positive")
-    out = a
-    for _ in range(h - 1):
-        out = sumset(out, a)
-    return out
+    return ZpSet.from_mask(a.p, fold_masks(a.p, 1, a.mask, h)[-1])
 
 
 def dilate(a: ZpSet, c: int) -> ZpSet:
@@ -170,10 +148,7 @@ def dilate(a: ZpSet, c: int) -> ZpSet:
         raise ZpSetError("dilation by zero")
     if c == 1:
         return a
-    out = 0
-    for x in a:
-        out |= 1 << (c * x % p)
-    return ZpSet.from_mask(p, out)
+    return ZpSet.from_mask(p, indices_to_mask([c * x % p for x in a]))
 
 
 def is_kl_sumfree(a: ZpSet, k: int, l: int) -> bool:
@@ -182,15 +157,7 @@ def is_kl_sumfree(a: ZpSet, k: int, l: int) -> bool:
         raise ZpSetError("require k > l")
     if a.is_empty():
         raise ZpSetError("sum-freeness is defined for nonempty sets")
-    fold = a
-    lmask = 0
-    for h in range(2, k + 1):
-        if h == l + 1:
-            lmask = fold.mask
-        fold = sumset(fold, a)
-    if l == 1:
-        lmask = a.mask
-    return fold.mask & lmask == 0
+    return is_kl_sumfree_mask(a.p, 1, a.mask, k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -266,54 +233,49 @@ class ApCover:
     def as_set(self) -> ZpSet:
         return ZpSet(self.p, self.positions())
 
-    def contains(self, a: ZpSet) -> bool:
-        return a.issubset(self.as_set())
+
+def ap_cover_scan(elems, p: int):
+    """Yield (d, length, start) for d = 1, 2, ..., (p-1)/2 (just d = 1 when
+    p = 2): the shortest AP of difference d containing the nonempty set of
+    sorted residues `elems`.
+
+    Per difference, one scan of the sorted image d^(-1)*A: the shortest
+    interval cover is the complement of the widest gap between cyclically
+    consecutive members, and ties go to the smallest start.  Lazy, so a
+    caller that only asks "is some cover short enough" stops early.
+    """
+    for d in range(1, max(2, (p + 1) // 2)):
+        if d == 1:
+            img = elems
+        else:
+            inv = pow(d, -1, p)
+            img = sorted(e * inv % p for e in elems)
+        gap, start, prev = img[0] + p - img[-1] - 1, img[0], img[0]
+        for x in img:
+            if x - prev - 1 > gap:
+                gap, start = x - prev - 1, x
+            prev = x
+        yield d, p - gap, d * start % p
 
 
 def min_interval_cover(a: ZpSet) -> ApCover:
     """Shortest cyclic interval containing A; ties go to the smallest start."""
-    p = a.p
     if a.is_empty():
         raise ZpSetError("empty set has no cover")
-    if a.is_full():
-        return ApCover(p, 0, 1, p)
-    # The shortest cover is the complement of the longest run of non-members.
-    best_len = -1
-    best_start = 0
-    comp = a.complement().mask
-    for s in range(p):
-        if not (comp >> s) & 1:
-            continue
-        if (comp >> ((s - 1) % p)) & 1:
-            continue  # not the head of a run
-        g = 1
-        while (comp >> ((s + g) % p)) & 1:
-            g += 1
-        start = (s + g) % p
-        length = p - g
-        if g > best_len or (g == best_len and start < best_start):
-            best_len = g
-            best_start = start
-    return ApCover(p, best_start, 1, p - best_len)
+    _, length, start = next(ap_cover_scan(a.elements(), a.p))
+    return ApCover(a.p, start, 1, length)
 
 
 def min_ap_cover(a: ZpSet) -> ApCover:
     """Shortest AP cover over all differences d in [1, (p-1)/2].
 
-    Realized as the shortest interval cover of d^{-1}*A mapped back through d.
-    Ties across differences go to the smallest d.
+    Ties across differences go to the smallest d, then (within d) to the
+    smallest start of the interval cover of d^(-1)*A.
     """
-    p = a.p
     if a.is_empty():
         raise ZpSetError("empty set has no cover")
-    diffs = range(1, (p - 1) // 2 + 1) if p > 2 else (1,)
-    best = None
-    for d in diffs:
-        cov = min_interval_cover(dilate(a, mod_inverse(d, p)))
-        cand = ApCover(p, d * cov.start % p, d, cov.length)
-        if best is None or cand.length < best.length:
-            best = cand
-    return best
+    d, length, start = min(ap_cover_scan(a.elements(), a.p), key=lambda c: (c[1], c[0]))
+    return ApCover(a.p, start, d, length)
 
 
 def holes(a: ZpSet, cover: ApCover) -> list[int]:

@@ -186,3 +186,21 @@ def test_grid_file_construct(tmp_path, capsys):
     assert code == 0
     sizes = [r["size"] for r in doc["results"]]
     assert sizes == [6, 5, 115]
+
+
+def test_vector_lists_parse_once():
+    # --vbasis/--pset and vector-set literals share one vector-list parser.
+    from klsf.vecset import VecSet, parse_vecset, parse_vectors
+
+    assert parse_vectors("(1,0);(0,1)") == ((1, 0), (0, 1))
+    assert parse_vectors("") == parse_vectors("{}") == parse_vectors("()") == ()
+    assert parse_vectors("{1,5}") == parse_vectors("{(1),(5)}") == ((1,), (5,))
+    assert parse_vecset("p=5;n=2;{(1,2),(0,0)}") == VecSet(5, 2, [(0, 0), (1, 2)])
+
+
+def test_enumerate_limit_defaults_to_the_search_limit():
+    from klsf.cli import build_parser
+    from klsf.search import DEFAULT_P_LIMIT
+
+    args = build_parser().parse_args(["enumerate", "--k", "2", "--l", "1", "--p", "11"])
+    assert args.limit == DEFAULT_P_LIMIT

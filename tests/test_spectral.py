@@ -1,7 +1,11 @@
 """Fourier checks: transform identities, the sum-free lower bound, kernels."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +163,34 @@ def test_balance_link_via_kernel_decomposition():
 def test_size_limit():
     with pytest.raises(VecSetError, match="exceeds the spectrum limit"):
         spectrum(VecSet(2, 1, [(0,)]), size_limit=1)
+
+
+def test_self_checks_survive_optimize():
+    # The density and Plancherel checks raise GeneratorCheckError, so they
+    # also run under python -O, and the CLI maps them to exit code 2.
+    script = """
+import sys
+from klsf import cli, spectral
+from klsf.modmath import GeneratorCheckError
+from klsf.vecset import VecSet
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+spectral.COEFF_ZERO_TOL = -1
+try:
+    spectral.spectrum(VecSet(5, 2, [(0, 0)]))
+    print("no error")
+except GeneratorCheckError as exc:
+    print("raised:", exc)
+print("exit", cli.main(["spectral", "--k", "2", "--l", "1", "--set", "p=11;[4,7]"]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "raised: zero coefficient drifted from the density"
+    assert lines[-1] == "exit 2"
+    assert "check failed" in run.stderr

@@ -23,7 +23,7 @@ from klsf.vecset import (
     vhfold,
     vsumset,
 )
-from klsf.vecset import _sumset_fft, _sumset_rolls
+from klsf.modmath import _sumset_fft, _sumset_rolls, _sumset_rotations
 
 
 def naive_vsumset(a, b):
@@ -52,8 +52,10 @@ def test_sumset_paths_agree_with_oracle():
         a = VecSet.from_indices(p, n, rng.sample(range(cells), rng.randrange(1, cells)))
         b = VecSet.from_indices(p, n, rng.sample(range(cells), rng.randrange(1, cells)))
         want = naive_vsumset(a, b)
-        assert _sumset_fft(a, b) == want
-        assert _sumset_rolls(a, b) == want
+        assert _sumset_fft(p, n, a.mask, b.mask) == want.mask
+        assert _sumset_rolls(p, n, a.mask, b.mask) == want.mask
+        if n == 1:
+            assert _sumset_rotations(p, a.mask, b.mask) == want.mask
         assert vsumset(a, b) == want
 
 
@@ -239,15 +241,14 @@ def test_vec_literals_and_hex():
 def test_sumset_dual_routes_at_medium_scale():
     # The large spot checks lean on the FFT route; pin it against the
     # roll-and-OR route on a structured 2575-element set over F_103^2.
-    from klsf.vecset import _sumset_fft, _sumset_rolls
     from klsf.constructions import TypeSpec, gen_type
 
-    out = gen_type(TypeSpec("type5", Params(3, 1, 103, 2), s=1, pset=((1,),)))
-    two_fft = _sumset_fft(out, out)
-    assert two_fft == _sumset_rolls(out, out)
-    three_fft = _sumset_fft(two_fft, out)
-    assert three_fft == _sumset_rolls(two_fft, out)
-    assert three_fft.mask & out.mask == 0
+    out = gen_type(TypeSpec("type5", Params(3, 1, 103, 2), s=1, pset=((1,),))).mask
+    two_fft = _sumset_fft(103, 2, out, out)
+    assert two_fft == _sumset_rolls(103, 2, out, out)
+    three_fft = _sumset_fft(103, 2, two_fft, out)
+    assert three_fft == _sumset_rolls(103, 2, two_fft, out)
+    assert three_fft & out == 0
 
 
 def test_golden_mask_hex():

@@ -4,7 +4,9 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, strategies as st
 
+from klsf import covering
 from klsf.zpset import (
     ApCover,
     ZpSet,
@@ -48,6 +50,22 @@ def naive_ed(a, d):
             if y not in a:
                 pairs += 1
     return pairs
+
+
+def naive_min_ap_cover(a):
+    """(length, d, start) of the shortest AP cover: ties go to the smallest d,
+    then to the smallest start of the shortest interval cover of d^(-1)*A."""
+    p = a.p
+    best = None
+    for d in range(1, (p - 1) // 2 + 1) if p > 2 else (1,):
+        img = [e * pow(d, -1, p) % p for e in a]
+        for length in range(1, p + 1):
+            starts = [s for s in range(p) if all((e - s) % p < length for e in img)]
+            if starts:
+                break
+        if best is None or length < best[0]:
+            best = (length, d, d * starts[0] % p)
+    return best
 
 
 def naive_min_cover_len(a):
@@ -282,3 +300,17 @@ def test_min_cover_against_oracle():
         assert apc.length <= cover.length
         assert a.issubset(apc.as_set())
         assert 1 <= apc.diff <= max(1, (p - 1) // 2)
+
+
+@given(st.sampled_from(primes_in(2, 19)), st.data())
+def test_min_ap_cover_tie_rules_and_early_exit(p, data):
+    # One gap scan serves min_ap_cover and the covering lab's early exit;
+    # both must agree with the brute-force cover, tie rules included.
+    elems = sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1)))
+    a = ZpSet(p, elems)
+    cover = min_ap_cover(a)
+    assert (cover.length, cover.diff, cover.start) == naive_min_ap_cover(a)
+    assert a.issubset(cover.as_set())
+    target = data.draw(st.integers(1, p))
+    want = len(elems) <= 2 or target >= p or cover.length <= target
+    assert covering._covers_within(elems, p, target) == want
