@@ -4,15 +4,25 @@ A set has the covering property when some arithmetic progression of length
 |2A| - |A| + 1 contains it.  For a density bound c, a slack tau is feasible
 when every A with |A| <= c*p and |2A| <= (2+tau)|A| - 3 has the covering
 property; the scan estimates the largest feasible tau on a grid empirically.
-All threshold comparisons run in exact rational arithmetic.
+The hypothesis bounds (2+tau)*s - 3 are exact: each is rounded down to an
+integer once per (size, grid point), so no per-set test uses fractions.
 
-Exhaustive mode enumerates every set up to dilation: apart from {0}, each
-dilation orbit has a representative containing the residue 1, and the
-covering verdict is dilation-invariant, so scanning supersets of {1} (with
-and without 0) is complete.  The tree is cut at subtrees that can no longer
-meet the loosest doubling hypothesis on the declared grid: 2A only grows
-along a branch, so |2A| > (2 + tau_top)*s - 3 for every reachable size s
-certifies that nothing below satisfies any grid hypothesis.
+Exhaustive mode (p <= 31) enumerates every set up to dilation: apart from
+{0}, each dilation orbit has a representative containing the residue 1, and
+the covering verdict is dilation-invariant, so scanning supersets of {1}
+(with and without 0) is complete.  Sets and their sumsets 2A are p-bit masks
+held in numpy uint64 words (a mask shifted by x < p stays below 2^(2p-1),
+which is what bounds p), and the tree is expanded a block at a time: up to
+_BLOCK_CHILDREN children of parents of one size are built, counted and
+pruned in a few array operations, deepest size first, so at most one block
+per size is pending.  The tree is cut at subtrees that can no longer meet
+the loosest doubling hypothesis on the declared grid: 2A only grows along a
+branch, so |2A| > (2 + tau_top)*s - 3 for every reachable size s certifies
+that nothing below satisfies any grid hypothesis.
+
+In both modes the sets meeting a hypothesis go, grouped by size, through one
+batched AP-cover test (`_uncovered`); only the sets it flags are reduced to
+their dilation orbit and re-checked one by one with `covering_verdict`.
 
 A scan violation is a first-class data point, not an assertion failure: the
 conjecture the scan explores is open, so violations are reported with stored
@@ -23,16 +33,27 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .modmath import GeneratorCheckError, is_prime
-from .zpset import ZpSet, ZpSetError, ap_cover_scan, min_ap_cover, sumset
+import numpy as np
+
+from .modmath import GeneratorCheckError, indices_to_mask, is_prime, sumset_mask
+from .zpset import ZpSet, ZpSetError, min_ap_cover, sumset
 from .search import canonical_form
 
-DEFAULT_EXHAUSTIVE_LIMIT = 31
+# uint64 masks: (mask << x) for x < p must stay below 2^64.
+EXHAUSTIVE_P_LIMIT = 31
 DEFAULT_SAMPLED_LIMIT = 10_000
 DEFAULT_GRID_STEP = Fraction(1, 20)
+# Children built per block expansion of the exhaustive tree, and rows per
+# batched cover test.  Each block costs about 25 numpy calls whatever its
+# size, so larger blocks run the tree faster (4096 about 4x faster than 256
+# on the p = 29 and p = 31 benchmark trees) but hold more memory; at 256 the
+# pending blocks (at most one per size) and one block's temporaries stay
+# below 100 KB.
+_BLOCK_CHILDREN = 256
 
 
 @dataclass(frozen=True)
@@ -117,19 +138,18 @@ class TauScan:
         }
 
 
-def _doubling_ok(doubling: int, size: int, tau: Fraction) -> bool:
-    return doubling <= (2 + tau) * size - 3
-
-
 def _finish_scan(p, c, grid, mode, violations, examined, hyp_hits, t0) -> TauScan:
     violations = tuple(sorted(violations, key=lambda v: (v.tau_star, v.verdict.set.mask)))
-    tau_feasible = None
-    for tau in grid:
-        if any(v.tau_star <= tau for v in violations):
-            break
-        tau_feasible = tau
+    # Compare grid positions, not fractions: v.tau_star <= grid[i] iff the
+    # first position of v.tau_star in the sorted grid is at most i.
+    first: dict[Fraction, int] = {}
+    for i, tau in enumerate(grid):
+        first.setdefault(tau, i)
+    ranks = [first[v.tau_star] for v in violations]
+    bad = min(ranks, default=len(grid))
+    tau_feasible = grid[bad - 1] if bad else None
     # Violation sets only gain members as tau grows; guard the report on it.
-    counts = [len([v for v in violations if v.tau_star <= tau]) for tau in grid]
+    counts = [sum(r <= i for r in ranks) for i in range(len(grid))]
     if counts != sorted(counts):
         raise GeneratorCheckError("violation monotonicity broken: implementation bug")
     return TauScan(p, c, grid, tau_feasible, violations, mode, examined, hyp_hits,
@@ -143,7 +163,6 @@ def tau_scan(
     grid: tuple[Fraction, ...] | None = None,
     seed: int = 0,
     trials: int = 100_000,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> TauScan:
     if not is_prime(p):
         raise ZpSetError(f"modulus {p} is not prime")
@@ -152,8 +171,8 @@ def tau_scan(
         raise ZpSetError("density bound c must lie in (0, 1)")
     grid = tuple(sorted(grid)) if grid else default_grid()
     if mode == "exhaustive":
-        if p > exhaustive_limit:
-            raise ZpSetError(f"exhaustive scan limited to p <= {exhaustive_limit}")
+        if p > EXHAUSTIVE_P_LIMIT:
+            raise ZpSetError(f"exhaustive scan limited to p <= {EXHAUSTIVE_P_LIMIT}")
         return _tau_scan_exhaustive(p, c, grid)
     if mode == "sampled":
         if p > DEFAULT_SAMPLED_LIMIT:
@@ -162,94 +181,138 @@ def tau_scan(
     raise ZpSetError(f"unknown mode {mode!r}")
 
 
-def _covers_within(elems: list[int], p: int, target: int) -> bool:
-    """Early exit: does some AP of length <= target cover the sorted residues?"""
-    if len(elems) <= 2 or target >= p:
-        return True
-    for _, length, _ in ap_cover_scan(elems, p):
-        if length <= target:
-            return True
-    return False
+def _max_doubling(size: int, tau: Fraction) -> int:
+    """Largest doubling measure |2A| meeting |2A| <= (2 + tau)*size - 3."""
+    bound = (2 + tau) * size - 3
+    return int(bound) if bound >= 0 else -1
 
 
-def _record_violation(mask: int, doubling: int, p: int, grid, violations: dict) -> bool:
-    """Covering-check a hypothesis-satisfying set; dedupe by dilation orbit.
+def _doubling_limits(smax: int, grid) -> list[list[int]]:
+    """limits[s][i] = _max_doubling(s, grid[i]) for s = 0..smax; each row is
+    nondecreasing because the grid is sorted, so its last entry is the
+    loosest hypothesis for size s."""
+    return [[_max_doubling(s, t) for t in grid] for s in range(smax + 1)]
 
-    Returns True when the set fails the covering property; the stored witness
-    is the orbit's canonical form (the verdict is dilation-invariant).
+
+def _uncovered(residues: np.ndarray, doubling: np.ndarray, p: int) -> np.ndarray:
+    """Which rows of an (N, s) array of sets of s distinct residues mod p no
+    AP of length |2A| - s + 1 covers, given |2A| per row (a bool array).
+
+    The shortest AP of difference d containing A is the complement of the
+    widest gap between cyclically consecutive members of d^(-1)*A (the scan
+    of `zpset.ap_cover_scan`, here one array operation per d over the rows
+    not yet covered); d and -d give the same length, so d <= (p-1)/2 will do.
     """
-    a = ZpSet.from_mask(p, mask)
-    target = doubling - len(a) + 1
-    if _covers_within(a.elements(), p, target):
-        return False
-    canon = canonical_form(a)
-    if canon.mask not in violations:
+    rows, size = residues.shape
+    left = np.arange(rows)
+    wide = p - (np.asarray(doubling, dtype=np.int64) - size + 1)  # covered iff a gap is this wide
+    for d in range(1, max(2, (p + 1) // 2)):
+        if not len(left):
+            break
+        img = np.sort(residues * pow(d, -1, p) % p, axis=1)
+        gap = np.diff(np.concatenate([img, img[:, :1] + p], axis=1), axis=1).max(axis=1) - 1
+        keep = gap < wide
+        left, residues, wide = left[keep], residues[keep], wide[keep]
+    out = np.zeros(rows, dtype=bool)
+    out[left] = True
+    return out
+
+
+def _record_violations(p: int, masks, limits, grid, violations: dict) -> None:
+    """Reduce sets the batched test found uncovered to their dilation orbits
+    and re-check each new orbit with the exact verdict; the stored witness is
+    the orbit's canonical form (the verdict is dilation-invariant)."""
+    for mask in masks:
+        canon = canonical_form(ZpSet.from_mask(p, mask))
+        if canon.mask in violations:
+            continue
         verdict = covering_verdict(canon)
         if verdict.covered:
             raise GeneratorCheckError(
-                f"early-exit scan and covering_verdict disagree on {sorted(canon.elements())}: "
+                f"batched cover test and covering_verdict disagree on {sorted(canon.elements())}: "
                 "implementation bug"
             )
-        tau_star = next(t for t in grid if _doubling_ok(verdict.doubling, len(verdict.set), t))
+        tau_star = grid[bisect_left(limits[len(canon)], verdict.doubling)]
         violations[canon.mask] = Violation(verdict, tau_star)
-    return True
+
+
+def _residues(masks: np.ndarray, size: int, p: int) -> np.ndarray:
+    """(N, size) ascending residues of N uint64 masks with `size` bits each."""
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")[:, :p]
+    return np.nonzero(bits)[1].reshape(-1, size)
 
 
 def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
     t0 = time.perf_counter()
     smax = int(c * p)  # |A| <= c*p with c*p never an integer for prime p
-    tau_top = grid[-1]
+    limits = _doubling_limits(smax, grid)
+    top = np.array([row[-1] for row in limits])
     full = (1 << p) - 1
-    violations: dict[int, Violation] = {}
     examined = 0
     hyp_hits = 0
-    hyp_sets: list[tuple[int, int]] = []  # (mask, doubling) for sizes >= 3
-    # Exact rational thresholds folded into an integer lookup per size.
-    top_doubling = [0] + [_max_doubling(s, tau_top) for s in range(1, smax + 1)]
+    found: dict[int, list] = {}  # size >= 3 -> [(masks, doublings)] meeting a hypothesis
+    # Pending parents per size, as arrays (largest member, mask, mask of 2A).
+    frontier: list[tuple | None] = [None] * (smax + 1)
 
     if smax >= 1:
         examined += 2  # {0} (the lone orbit without nonzero elements) and {1}
-        hyp_hits += 2 if 1 <= top_doubling[1] else 0
+        hyp_hits += 2 if 1 <= top[1] else 0
         # size 1: the 1-point AP always covers; never a violation
-    stack = []
     if smax >= 2:
-        stack.append((1, 0b11, 2, 0b111))               # {0,1}, 2A = {0,1,2}
-        stack.append((1, 0b10, 1, 0b100))               # {1},   2A = {2}
-        examined += 1
-        hyp_hits += 1 if 3 <= top_doubling[2] else 0
+        examined += 1  # {0, 1}
+        hyp_hits += 1 if 3 <= top[2] else 0
         # size 2: always a 2-term AP with target >= 2; never a violation
-    while stack:
-        last, amask, size, two = stack.pop()
-        if size >= smax:
+        frontier[1] = _block(1, 0b10, 0b100)       # {1},   2A = {2}
+        if smax > 2:
+            frontier[2] = _block(1, 0b11, 0b111)   # {0,1}, 2A = {0,1,2}
+    level = min(2, smax - 1)  # the deepest size with pending parents
+    while level >= 1:
+        if frontier[level] is None:
+            level -= 1
             continue
-        nsize = size + 1
-        top = top_doubling[nsize]
-        check = nsize >= 3
-        for x in range(last + 1, p):
-            nmask = amask | (1 << x)
-            ntwo = two | (((nmask << x) | (nmask >> (p - x))) & full)
-            examined += 1
-            ndoub = ntwo.bit_count()
-            if ndoub <= top:
-                hyp_hits += 1
-                if check:
-                    hyp_sets.append((nmask, ndoub))
-            reach = nsize + (p - 1 - x)
-            if reach > smax:
-                reach = smax
-            if ndoub <= top_doubling[reach]:
-                stack.append((x, nmask, nsize, ntwo))
-            # else: 2A only grows, so no descendant meets any grid hypothesis
-    for mask, doubling in hyp_sets:
-        _record_violation(mask, doubling, p, grid, violations)
+        last, masks, twos = frontier[level]
+        counts = (p - 1) - last
+        ends = np.cumsum(counts)
+        take = max(1, int(np.searchsorted(ends, _BLOCK_CHILDREN, side="right")))
+        frontier[level] = None if take == len(last) else (last[take:], masks[take:], twos[take:])
+        counts, total = counts[:take], int(ends[take - 1])
+        # The children of parent i add x = last[i] + 1, ..., p - 1 in turn.
+        x = np.arange(total) + np.repeat(last[:take] + 1 - (ends[:take] - counts), counts)
+        bit = x.astype(np.uint64)
+        nmasks = np.repeat(masks[:take], counts) | (np.uint64(1) << bit)
+        ntwos = np.repeat(twos[:take], counts) | (((nmasks << bit) | (nmasks >> (p - bit))) & full)
+        ndoub = np.bitwise_count(ntwos)
+        size = level + 1
+        examined += total
+        hit = ndoub <= top[size]
+        hits = int(np.count_nonzero(hit))
+        hyp_hits += hits
+        if hits and size >= 3:
+            found.setdefault(size, []).append((nmasks[hit], ndoub[hit]))
+        if size < smax:
+            # 2A only grows, so no descendant of a child that misses the
+            # loosest hypothesis at every reachable size meets any of them.
+            reach = np.minimum(size + (p - 1) - x, smax)
+            keep = (ndoub <= top[reach]) & (x < p - 1)
+            if keep.any():
+                frontier[size] = (x[keep], nmasks[keep], ntwos[keep])
+                level = size
+
+    violations: dict[int, Violation] = {}
+    for size, parts in found.items():
+        masks = np.concatenate([m for m, _ in parts])
+        doubling = np.concatenate([d for _, d in parts])
+        for lo in range(0, len(masks), _BLOCK_CHILDREN):
+            part = slice(lo, lo + _BLOCK_CHILDREN)
+            flagged = _uncovered(_residues(masks[part], size, p), doubling[part], p)
+            _record_violations(p, masks[part][flagged].tolist(), limits, grid, violations)
     mode = {"kind": "exhaustive", "normalization": "orbit representative contains 1"}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)
 
 
-def _max_doubling(size: int, tau: Fraction) -> int:
-    """Largest doubling measure |2A| meeting |2A| <= (2 + tau)*size - 3."""
-    bound = (2 + tau) * size - 3
-    return int(bound) if bound >= 0 else -1
+def _block(last: int, mask: int, two: int) -> tuple:
+    return (np.array([last]), np.array([mask], dtype=np.uint64), np.array([two], dtype=np.uint64))
 
 
 def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauScan:
@@ -258,21 +321,32 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
     if smax < 1:
         raise ZpSetError("density bound admits no nonempty sets")
     rng = random.Random(seed)
-    tau_top = grid[-1]
     violations: dict[int, Violation] = {}
     sizes = list(range(1, smax + 1))
     per = [trials // len(sizes)] * len(sizes)
     for i in range(trials - sum(per)):
         per[i] += 1
+    limits = _doubling_limits(min(smax, trials), grid)
+    population = range(p)
     examined = 0
     hyp_hits = 0
     for s, count in zip(sizes, per):
+        if not count:
+            continue
+        top = limits[s][-1]
+        hits, masks, doublings = [], [], []
         for _ in range(count):
-            a = ZpSet(p, rng.sample(range(p), s))
-            examined += 1
-            doubling = len(sumset(a, a))
-            if _doubling_ok(doubling, s, tau_top):
-                hyp_hits += 1
-                _record_violation(a.mask, doubling, p, grid, violations)
+            elems = rng.sample(population, s)
+            mask = indices_to_mask(elems)
+            doubling = sumset_mask(p, 1, mask, mask).bit_count()
+            if doubling <= top:
+                hits.append(elems)
+                masks.append(mask)
+                doublings.append(doubling)
+        examined += count
+        hyp_hits += len(hits)
+        if hits:
+            flagged = _uncovered(np.array(hits), np.array(doublings), p)
+            _record_violations(p, [m for m, f in zip(masks, flagged) if f], limits, grid, violations)
     mode = {"kind": "sampled", "seed": seed, "trials": trials}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)

@@ -159,7 +159,8 @@ def run_a4() -> CriterionResult:
     res = CriterionResult("A4", True)
     for k, l, p in A4_GRID:
         params = Params(k, l, p, 2)
-        assert params.m >= 5
+        if params.m < 5:
+            raise GeneratorCheckError(f"A4 grid point (k,l,p)=({k},{l},{p}) has m={params.m} < 5")
         certs = certify_type_distinctness(params)
         res.details.append(
             f"(k,l,p)=({k},{l},{p}) m={params.m}: "

@@ -241,8 +241,9 @@ def ap_cover_scan(elems, p: int):
 
     Per difference, one scan of the sorted image d^(-1)*A: the shortest
     interval cover is the complement of the widest gap between cyclically
-    consecutive members, and ties go to the smallest start.  Lazy, so a
-    caller that only asks "is some cover short enough" stops early.
+    consecutive members, and ties go to the smallest start.  Lazy, so
+    `min_interval_cover` computes d = 1 alone.  `covering._uncovered` runs
+    the same scan over an array of sets at once.
     """
     for d in range(1, max(2, (p + 1) // 2)):
         if d == 1:

@@ -5,7 +5,11 @@ are printed but only the criterion's own pass/fail assertions can fail the
 suite.  Stated time budgets are asserted where the criterion declares one.
 """
 
+import pytest
+
+from klsf import criteria
 from klsf.criteria import run_criterion
+from klsf.modmath import GeneratorCheckError
 
 TIME_BUDGETS_S = {"A1": 30, "A2": 300, "A5": 600}
 
@@ -41,6 +45,13 @@ def test_a3_generator_soundness():
 
 def test_a4_type_distinctness_certificates():
     _run("A4")
+
+
+def test_a4_grid_check_is_not_an_assert(monkeypatch):
+    # A grid point with m < 5 is refused by a check that also runs under -O.
+    monkeypatch.setattr(criteria, "A4_GRID", ((3, 1, 13),))
+    with pytest.raises(GeneratorCheckError, match="m=2 < 5"):
+        criteria.run_a4()
 
 
 def test_a5_second_level():

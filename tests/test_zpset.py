@@ -3,6 +3,7 @@
 import random
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -304,13 +305,22 @@ def test_min_cover_against_oracle():
 
 @given(st.sampled_from(primes_in(2, 19)), st.data())
 def test_min_ap_cover_tie_rules_and_early_exit(p, data):
-    # One gap scan serves min_ap_cover and the covering lab's early exit;
-    # both must agree with the brute-force cover, tie rules included.
-    elems = sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1)))
-    a = ZpSet(p, elems)
-    cover = min_ap_cover(a)
-    assert (cover.length, cover.diff, cover.start) == naive_min_ap_cover(a)
-    assert a.issubset(cover.as_set())
-    target = data.draw(st.integers(1, p))
-    want = len(elems) <= 2 or target >= p or cover.length <= target
-    assert covering._covers_within(elems, p, target) == want
+    # One gap scan serves min_ap_cover, and the covering lab's batched cover
+    # test reads the same gaps; both must agree with the brute-force cover,
+    # tie rules included.
+    size = data.draw(st.integers(1, p))
+    sets = data.draw(st.lists(st.sets(st.integers(0, p - 1), min_size=size, max_size=size),
+                              min_size=1, max_size=4))
+    lengths = []
+    for elems in sets:
+        a = ZpSet(p, elems)
+        cover = min_ap_cover(a)
+        assert (cover.length, cover.diff, cover.start) == naive_min_ap_cover(a)
+        assert a.issubset(cover.as_set())
+        lengths.append(cover.length)
+    # Rows in any order; target = doubling - size + 1 in [1, p].
+    residues = np.array([data.draw(st.permutations(sorted(elems))) for elems in sets])
+    targets = data.draw(st.lists(st.integers(1, p), min_size=len(sets), max_size=len(sets)))
+    doubling = np.array([t + size - 1 for t in targets])
+    want = [length > t for length, t in zip(lengths, targets)]
+    assert covering._uncovered(residues, doubling, p).tolist() == want
