@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .modmath import GeneratorCheckError, dilation_masks, mod_inverse
 from .zpset import ZpSet, dilate
 from .vecset import (
@@ -27,8 +29,11 @@ from .vecset import (
     VecSet,
     VecSetError,
     apply_automorphism,
+    beta_value,
     decompose,
     decompositions_2d,
+    line_decomposition,
+    line_part_sizes,
     mat_inverse,
     vec_is_kl_sumfree,
 )
@@ -38,7 +43,9 @@ from .constructions import (
     TYPE_KINDS,
     ParameterError,
     TypeSpec,
+    _nontriviality_2d,
     band_layout,
+    extremal_intervals,
     gen_type,
     nontriviality_check,
     reference_specs,
@@ -216,14 +223,20 @@ def _check_fibers(special, parts_by_target, c, u, s, p):
     return pset if pset is not None else ZpSet(p)
 
 
-def _classify_2d(a: VecSet, params: Params) -> ClassReport:
+def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
+    """Match every descriptor on every line of the part-size matrix `counts`.
+
+    A descriptor matches only a line whose support has exactly its number of
+    bands, so only proper, nonempty supports of such a weight are decomposed.
+    """
     p = params.p
     matches = []
     descriptors = _descriptors_2d(params)
-    for line, dec in enumerate(decompositions_2d(p)):
+    widths = {len(desc["bands"]) for desc in descriptors}
+    weights = (counts > 0).sum(axis=1)
+    for line in np.flatnonzero(np.isin(weights, list(widths - {0, p}))).tolist():
+        dec = line_decomposition(p, line)
         profile = decompose(a, dec)
-        if profile.weight >= p or profile.weight == 0:
-            continue
         for desc in descriptors:
             found = _match_descriptor_2d(desc, profile, params)
             if found is None:
@@ -264,6 +277,13 @@ def _block_matrix(dec: Decomposition, s: int, c: int, u: int, p: int) -> list[li
 
 
 def classify(a: VecSet, k: int, l: int) -> ClassReport:
+    """Label A (n <= 2) with a witness that regenerates it.
+
+    n = 2 works from one `line_part_sizes` matrix, built once and shared by
+    the triviality scan and the structure matcher: triviality reads every
+    line support off it, and the matcher decomposes only the lines whose
+    support weight some structure has.
+    """
     params = Params(k, l, a.p, a.n)
     if not params.lambda_in_range():
         raise ParameterError(
@@ -276,11 +296,14 @@ def classify(a: VecSet, k: int, l: int) -> ClassReport:
         return ClassReport("not-sum-free", params, None, [])
     if a.n > 2:
         raise VecSetError("classification is complete only for n <= 2")
-    triv = nontriviality_check(a, params)
+    if a.n == 1:
+        triv = nontriviality_check(a, params)
+    else:
+        counts = line_part_sizes(a)
+        triv = _nontriviality_2d(counts, extremal_intervals(params))
     if triv.status == "trivial":
         return ClassReport("trivial", params, triv.witness, [triv.detail])
-    report = _classify_1d(a.to_zpset(), params) if a.n == 1 else _classify_2d(a, params)
-    return report
+    return _classify_1d(a.to_zpset(), params) if a.n == 1 else _classify_2d(a, params, counts)
 
 
 @dataclass(frozen=True)
@@ -298,26 +321,36 @@ class WeightScanRow:
 def weight_scan(a: VecSet, k: int, l: int) -> list[WeightScanRow]:
     """Per-decomposition weight summary over all p+1 hyperplanes (n = 2).
 
-    Decompositions with omega <= m+2 are flagged; for those the shortest AP
-    cover of C_m (best dilation) and its hole profile are reported, since the
-    small-weight regime is where the structural case analysis lives.
+    A decomposition is flagged when m <= omega <= m+2; for those the
+    shortest AP cover of C_m (best dilation) and its hole profile are
+    reported, since the small-weight regime is where the structural case
+    analysis lives.  Every row is read off one `line_part_sizes` matrix.
     """
     from .zpset import holes, min_ap_cover
 
     params = Params(k, l, a.p, a.n)
     if a.n != 2:
         raise VecSetError("weight_scan needs n = 2")
+    p, m = params.p, params.m
+    counts = line_part_sizes(a)
+    # b_1..b_p of each line: residues by non-increasing part size, ties by residue.
+    orders = np.argsort(-counts, axis=1, kind="stable")
     rows = []
-    for line, dec in enumerate(decompositions_2d(params.p)):
-        profile = decompose(a, dec)
-        flag = params.m <= profile.weight <= params.m + 2
+    for line, dec in enumerate(decompositions_2d(p)):
+        sizes = counts[line]
+        order = orders[line].tolist()
+        weight = int(np.count_nonzero(sizes))
+        flag = m <= weight <= m + 2
         cover = hole_list = None
         if flag:
-            cm = profile.prefix(params.m)
+            if m < 1:
+                raise VecSetError("prefix index out of range")
+            cm = ZpSet(p, order[:m])
             cover = min_ap_cover(cm)
             hole_list = tuple(holes(cm, cover))
-        rows.append(WeightScanRow(line, dec.v, dec.kbasis, profile.weight,
-                                  tuple(profile.beta[:4]), flag, cover, hole_list))
+        beta_head = tuple(beta_value(int(sizes[i]), p, 2) for i in order[:4])
+        rows.append(WeightScanRow(line, dec.v, dec.kbasis, weight, beta_head, flag,
+                                  cover, hole_list))
     return rows
 
 

@@ -23,14 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, dilation_masks, mod_inverse
+from .modmath import GeneratorCheckError, bits_to_mask, dilation_masks, mod_inverse
 from .zpset import ZpSet, ed_profile
 from .vecset import (
     CriterionError,
     Params,
     VecSet,
-    decompose,
-    decompositions_2d,
+    line_decomposition,
+    line_part_sizes,
     vec_is_kl_sumfree,
 )
 
@@ -415,6 +415,8 @@ def nontriviality_check(a: VecSet, params: Params) -> TrivialityReport:
     n = 2: an automorphism carrying A into a cuboid forces the preimage of
     the cuboid's hyperplane to be one of the p+1 lines, and on the axis it
     acts as a dilation; scanning (line, dilation, j) is therefore complete.
+    Every line support is read off one `line_part_sizes` matrix, and only
+    lines whose support is no wider than an extremal interval are scanned.
     """
     intervals = extremal_intervals(params)
     if a.n == 1:
@@ -428,21 +430,35 @@ def nontriviality_check(a: VecSet, params: Params) -> TrivialityReport:
             "trivial", {"dilation": s, "j": j}, f"{s}*A lies in extremal interval j={j}"
         )
     if a.n == 2:
-        for line, dec in enumerate(decompositions_2d(params.p)):
-            hit = extremal_embedding(decompose(a, dec).support, intervals)
-            if hit is not None:
-                s, j = hit
-                return TrivialityReport(
-                    "trivial",
-                    {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis},
-                    f"axis support of line {line} embeds into extremal interval j={j}",
-                )
-        return TrivialityReport(
-            "nontrivial",
-            None,
-            "no hyperplane support embeds into an extremal interval (all p+1 lines scanned)",
-        )
+        return _nontriviality_2d(line_part_sizes(a), intervals)
     raise CriterionError("unsupported dimension for completeness; support obstruction only")
+
+
+def _nontriviality_2d(counts: np.ndarray, intervals: list[ZpSet]) -> TrivialityReport:
+    """The n = 2 (line, dilation, j) scan over the rows of a part-size matrix.
+
+    A line whose support has more points than the widest extremal interval
+    cannot dilate into one, so only the narrower lines reach the dilation
+    scan, in line order; the first hit is the witness.
+    """
+    p = counts.shape[1]
+    supports = counts > 0
+    widest = max(len(iv) for iv in intervals)
+    for line in np.flatnonzero(supports.sum(axis=1) <= widest).tolist():
+        hit = extremal_embedding(ZpSet.from_mask(p, bits_to_mask(supports[line])), intervals)
+        if hit is not None:
+            s, j = hit
+            dec = line_decomposition(p, line)
+            return TrivialityReport(
+                "trivial",
+                {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis},
+                f"axis support of line {line} embeds into extremal interval j={j}",
+            )
+    return TrivialityReport(
+        "nontrivial",
+        None,
+        "no hyperplane support embeds into an extremal interval (all p+1 lines scanned)",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -337,10 +338,51 @@ def decompositions_2d(p: int):
     K runs over span{(0,1)} then span{(1,t)} for t = 0..p-1; v is the least
     standard basis vector outside K.
     """
-    yield Decomposition(p, 2, (1, 0), ((0, 1),))
-    for t in range(p):
-        v = (0, 1) if t == 0 else (1, 0)
-        yield Decomposition(p, 2, v, ((1, t),))
+    return (line_decomposition(p, line) for line in range(p + 1))
+
+
+def line_decomposition(p: int, line: int) -> Decomposition:
+    """Decomposition number `line` of F_p^2, in `decompositions_2d` order."""
+    if line == 0:
+        return Decomposition(p, 2, (1, 0), ((0, 1),))
+    t = line - 1
+    return Decomposition(p, 2, (0, 1) if t == 0 else (1, 0), ((1, t),))
+
+
+@lru_cache(maxsize=16)
+def _line_functionals(p: int) -> np.ndarray:
+    """(p+1, 2) array: row l is row 0 of the inverse basis matrix of
+    decomposition l, the functional x -> i with x = i*v + (element of K).
+
+    In closed form: (1, 0) for K = span{(0,1)}, (0, 1) for span{(1,0)} and
+    (1, -1/t) for span{(1,t)}, t != 0, since i*(1,0) + (x1/t)*(1,t) = x.
+    """
+    f = np.zeros((p + 1, 2), dtype=np.int64)
+    f[0, 0] = f[1, 1] = 1
+    f[2:, 0] = 1
+    f[2:, 1] = [-mod_inverse(t, p) % p for t in range(1, p)]
+    f.setflags(write=False)
+    return f
+
+
+def line_part_sizes(a: VecSet) -> np.ndarray:
+    """(p+1, p) part-size matrix of A in F_p^2: entry (l, i) is |A_i| under
+    decomposition l of `decompositions_2d`, i.e. len(decompose(a, dec).part(i)).
+
+    One product of A's coordinate rows with every line functional and one
+    offset bincount give all p+1 line profiles at once.
+    """
+    p = a.p
+    if a.n != 2:
+        raise VecSetError("line part sizes need n = 2")
+    f = _line_functionals(p)
+    coords = indices_to_rows(a.index_array(), p, 2) @ f.T
+    coords %= p
+    coords += np.arange(len(f), dtype=np.int64) * p
+    counts = np.bincount(coords.ravel(), minlength=(p + 1) * p).reshape(p + 1, p)
+    if (counts.sum(axis=1) != len(a)).any():
+        raise GeneratorCheckError("line part sizes do not sum to |A|: implementation bug")
+    return counts
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,22 @@
 """Classifier: round-trips over the generator grid, invariance, balance."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from klsf.zpset import ZpSet
-from klsf.vecset import Decomposition, Params, VecSet, decompose, apply_automorphism, mat_det
+from klsf.zpset import ZpSet, holes, min_ap_cover
+from klsf.vecset import (
+    Decomposition, Params, VecSet, decompose, decompositions_2d, apply_automorphism, mat_det,
+)
 from klsf.classify import balance_deviation, check_balance_bound, classify, weight_scan
-from klsf.constructions import CuboidSpec, TypeSpec, gen_cuboid, gen_type, type1_a_values
+from klsf.constructions import (
+    CuboidSpec, TypeSpec, gen_cuboid, gen_type, reference_specs, type1_a_values,
+)
 
 
 def test_classify_1d_examples():
@@ -214,3 +223,132 @@ def test_balance_bound_on_big_weight_decompositions():
         chk = check_balance_bound(out, spec.params.k, spec.params.l, prof)
         if chk.applicable:
             assert chk.holds
+
+
+@st.composite
+def gl2(draw, p):
+    m = draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4)
+             .filter(lambda e: (e[0] * e[3] - e[1] * e[2]) % p))
+    return [m[:2], m[2:]]
+
+
+def reference_weight_scan(a, k, l):
+    """weight_scan rebuilt from one full decomposition per line."""
+    m = Params(k, l, a.p, 2).m
+    rows = []
+    for line, dec in enumerate(decompositions_2d(a.p)):
+        prof = decompose(a, dec)
+        flag = m <= prof.weight <= m + 2
+        cover = hole_list = None
+        if flag:
+            cm = prof.prefix(m)
+            cover = min_ap_cover(cm)
+            hole_list = tuple(holes(cm, cover))
+        rows.append((line, dec.v, dec.kbasis, prof.weight, tuple(prof.beta[:4]), flag,
+                     cover, hole_list))
+    return rows
+
+
+@st.composite
+def generated_images(draw):
+    """A cuboid or structure output in F_p^2 (p <= 29) under a random automorphism."""
+    k, l, p = draw(st.sampled_from([(k, l, p) for k, l in ((2, 1), (3, 1), (3, 2), (4, 1))
+                                    for p in (7, 11, 13, 17, 19, 23, 29)
+                                    if Params(k, l, p, 2).lambda_in_range()]))
+    kind, _, spec = draw(st.sampled_from(reference_specs(Params(k, l, p, 2))))
+    out = gen_cuboid(spec) if kind == "cuboid" else gen_type(spec)
+    return k, l, apply_automorphism(out, draw(gl2(p)))
+
+
+@given(generated_images())
+def test_weight_scan_matches_per_line_reference(case):
+    k, l, a = case
+    rows = weight_scan(a, k, l)
+    got = [(r.line, r.v, r.kbasis, r.omega, r.beta_head, r.small_weight, r.cm_cover, r.cm_holes)
+           for r in rows]
+    assert got == reference_weight_scan(a, k, l)
+    assert any(r.small_weight for r in rows)
+
+
+def nonzero_free_pset(h):
+    """Nonempty P in F_p^1 with 0 not in hP (h = 3 for type 5, 2 for rz)."""
+    def ok(p, xs):
+        sums = {0}
+        for _ in range(h):
+            sums = {(s + x) % p for s in sums for x in xs}
+        return 0 not in sums
+
+    return lambda p: st.sets(st.integers(1, p - 1), min_size=1, max_size=3).filter(
+        lambda xs: ok(p, xs)).map(lambda xs: tuple((x,) for x in sorted(xs)))
+
+
+@st.composite
+def structure_specs(draw):
+    """A type1/type2/type5/rz spec in F_p^2 with p <= 29 inside its window."""
+    kind = draw(st.sampled_from(("type1", "type2", "type5", "rz")))
+    if kind == "type5":
+        params = Params(3, 1, draw(st.sampled_from((11, 19, 23))), 2)
+        return TypeSpec("type5", params, s=1, pset=draw(nonzero_free_pset(3)(params.p)))
+    if kind == "rz":
+        params = Params(2, 1, draw(st.sampled_from((11, 17, 23, 29))), 2)
+        return TypeSpec("rz", params, s=1, pset=draw(nonzero_free_pset(2)(params.p)))
+    k, l, p = draw(st.sampled_from([(k, l, p) for k, l in ((2, 1), (3, 1), (4, 1))
+                                    for p in (11, 13, 17, 19, 23, 29)
+                                    if Params(k, l, p, 2).lambda_in_range()
+                                    and Params(k, l, p, 2).m >= 2]))
+    params = Params(k, l, p, 2)
+    if kind == "type1":
+        return TypeSpec("type1", params, a=draw(st.sampled_from(type1_a_values(params))))
+    return TypeSpec("type2", params, vbasis=())
+
+
+@given(st.data())
+def test_classify_label_and_witness_invariant_under_automorphisms(data):
+    spec = data.draw(structure_specs())
+    pr = spec.params
+    image = apply_automorphism(gen_type(spec), data.draw(gl2(pr.p)))
+    rep = classify(image, pr.k, pr.l)
+    if rep.label == "trivial" and spec.which == "type1" and pr.m == 2:
+        # At m = 2 a type-1 interval can dilate into an extremal interval
+        # ((3,1,11) and (4,1,13) here); the label must then not depend on
+        # the automorphism either.
+        assert classify(gen_type(spec), pr.k, pr.l).label == "trivial"
+        return
+    assert rep.label == spec.which
+    matrix = [list(r) for r in rep.witness["matrix"]]
+    assert apply_automorphism(image, matrix) == gen_type(rep.witness["spec"])
+
+
+def test_part_size_check_survives_optimize():
+    # The row-sum check on the line part-size matrix is an explicit raise:
+    # with one line functional lost it fires under python -O, and the CLI
+    # maps it to exit code 2.
+    script = """
+import sys
+from klsf import cli, vecset
+from klsf.classify import classify
+from klsf.constructions import GeneratorCheckError, TypeSpec, gen_type
+from klsf.vecset import Params
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+full = vecset._line_functionals
+vecset._line_functionals = lambda p: full(p)[:-1]
+out = gen_type(TypeSpec("type5", Params(3, 1, 11, 2), s=1, pset=((1,),)))
+try:
+    classify(out, 3, 1)
+    print("no error")
+except GeneratorCheckError as exc:
+    print("raised:", exc)
+print("exit", cli.main(["classify", "--k", "2", "--l", "1", "--set", "p=11;n=2;{(3,0),(4,1)}"]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("raised:") and "implementation bug" in lines[0]
+    assert lines[-1] == "exit 2"
+    assert "check failed" in run.stderr

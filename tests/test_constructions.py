@@ -3,11 +3,15 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, dilate, ed_profile, is_kl_sumfree
-from klsf.vecset import Params, VecSet, vec_is_kl_sumfree
+from klsf.vecset import (
+    Params, VecSet, apply_automorphism, decompose, decompositions_2d, vec_is_kl_sumfree,
+)
 from klsf.constructions import (
     CuboidSpec,
+    extremal_embedding,
     ParameterError,
     TypeSpec,
     available_kinds,
@@ -17,6 +21,8 @@ from klsf.constructions import (
     gen_cuboid,
     gen_type,
     nontriviality_check,
+    reference_specs,
+    TYPE_KINDS,
     type1_a_values,
     type3_a,
     type3_support_profile,
@@ -231,6 +237,61 @@ def test_nontriviality_of_generated_types():
     for spec in specs:
         out = gen_type(spec)
         assert nontriviality_check(out, spec.params).status == "nontrivial", spec.which
+
+
+def per_line_nontriviality(a, params):
+    """The n = 2 scan with one full decomposition per line: (status, witness)."""
+    intervals = extremal_intervals(params)
+    for line, dec in enumerate(decompositions_2d(params.p)):
+        hit = extremal_embedding(decompose(a, dec).support, intervals)
+        if hit is not None:
+            s, j = hit
+            return "trivial", {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis}
+    return "nontrivial", None
+
+
+# (k, l, p) at n = 2 inside the lambda window, p <= 29.
+WINDOW_2D = [(k, l, p) for k, l in ((2, 1), (3, 1), (3, 2), (4, 1))
+             for p in (5, 7, 11, 13, 17, 19, 23, 29) if Params(k, l, p, 2).lambda_in_range()]
+
+
+@st.composite
+def gl2(draw, p):
+    m = draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4)
+             .filter(lambda e: (e[0] * e[3] - e[1] * e[2]) % p))
+    return [m[:2], m[2:]]
+
+
+@st.composite
+def plane_sets(draw):
+    """A set in F_p^2 with its parameters: a subset of a cuboid or of a
+    generated structure under a random automorphism, or an arbitrary set,
+    each possibly with a few extra points."""
+    k, l, p = draw(st.sampled_from(WINDOW_2D))
+    params = Params(k, l, p, 2)
+    source = draw(st.sampled_from(("cuboid", "type", "random")))
+    if source == "random":
+        cells = draw(st.sets(st.integers(0, p * p - 1), max_size=3 * p))
+        return params, VecSet.from_indices(p, 2, cells)
+    if source == "cuboid":
+        base = gen_cuboid(CuboidSpec(params, draw(st.integers(0, params.extremal_orbit_count() - 1))))
+    else:
+        specs = [spec for _, _, spec in reference_specs(params, TYPE_KINDS)]
+        if not specs:
+            return params, VecSet(p, 2)
+        base = gen_type(draw(st.sampled_from(specs)))
+    image = apply_automorphism(base, draw(gl2(p)))
+    kept = draw(st.lists(st.booleans(), min_size=len(image), max_size=len(image)))
+    extra = draw(st.sets(st.integers(0, p * p - 1), max_size=2))
+    cells = [i for i, keep in zip(image.index_array().tolist(), kept) if keep]
+    return params, VecSet.from_indices(p, 2, set(cells) | extra)
+
+
+@given(plane_sets())
+def test_nontriviality_2d_matches_per_line_scan(case):
+    params, a = case
+    report = nontriviality_check(a, params)
+    assert (report.status, report.witness) == per_line_nontriviality(a, params)
 
 
 def test_distinctness_certificates():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, hfold
 from klsf.vecset import (
@@ -17,6 +18,8 @@ from klsf.vecset import (
     decompositions_2d,
     format_vecset,
     kneser_gap,
+    line_decomposition,
+    line_part_sizes,
     parse_vecset,
     support_contained,
     sym_group,
@@ -119,6 +122,34 @@ def test_decompose_partition_identity_and_order():
                 )
             if prof.weight:
                 assert prof.prefix(prof.weight) == prof.support
+
+
+def assert_part_sizes_match_decompose(a):
+    counts = line_part_sizes(a)
+    assert counts.shape == (a.p + 1, a.p)
+    for line, dec in enumerate(decompositions_2d(a.p)):
+        prof = decompose(a, dec)
+        assert counts[line].tolist() == [len(prof.part(i)) for i in range(a.p)], line
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11, 13)).flatmap(
+    lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p * p - 1)))))
+def test_line_part_sizes_match_decompose(case):
+    p, cells = case
+    assert_part_sizes_match_decompose(VecSet.from_indices(p, 2, cells))
+
+
+def test_line_part_sizes_edge_sets():
+    for p in (2, 5, 13):
+        assert_part_sizes_match_decompose(VecSet(p, 2))
+        assert_part_sizes_match_decompose(VecSet.full(p, 2))
+        for cell in range(p * p):
+            assert_part_sizes_match_decompose(VecSet.from_indices(p, 2, [cell]))
+    assert not line_part_sizes(VecSet(7, 2)).any()
+    assert (line_part_sizes(VecSet.full(7, 2)) == 7).all()
+    assert [line_decomposition(7, line) for line in range(8)] == list(decompositions_2d(7))
+    with pytest.raises(VecSetError, match="n = 2"):
+        line_part_sizes(VecSet(5, 3, [(1, 2, 3)]))
 
 
 def test_beta_normalization():
