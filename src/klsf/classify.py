@@ -6,21 +6,32 @@ Any label besides the last two carries a witness that regenerates the set:
 for n = 1 a dilation onto a generator output, for n = 2 a full automorphism
 matrix together with the matching TypeSpec.
 
-The n = 2 matcher only searches block-triangular automorphisms that fix a
-candidate hyperplane: f(i*v + w) = (s*i)*e0 + (c*w + i*u)*e1 in the basis of
-the flagged decomposition.  Every generator structure is axis-aligned, so
-this family is enough to recognize all of them while keeping the search at
-O(p^2) per decomposition; sets outside it fall through to the honest
-"nontrivial-unknown".
+The n = 2 matcher only searches automorphisms that fix a candidate
+hyperplane: f(i*v + w) = (s*i)*e0 + (w + i*u)*e1 in the basis of the flagged
+decomposition.  Every generator structure is axis bands times fibres in
+K = F_p, each fibre {0}, its complement, F_p or the open P of type 5 and rz,
+so this family recognizes all of them; sets outside it fall through to the
+honest "nontrivial-unknown".  A scalar w -> c*w on K needs no search: it
+fixes every fixed fibre and maps P to c*P, so (s, c, u) matches exactly when
+(s, 1, u/c) matches the same kind with P scaled by 1/c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, dilation_masks, mod_inverse
+from .modmath import (
+    GeneratorCheckError,
+    bits_to_mask,
+    dilation_masks,
+    mask_to_indices,
+    mod_inverse,
+    rotate_mask,
+)
 from .zpset import ZpSet, dilate
 from .vecset import (
     Decomposition,
@@ -39,6 +50,7 @@ from .vecset import (
 )
 from .constructions import (
     ANY_P,
+    CO_P,
     P,
     TYPE_KINDS,
     ParameterError,
@@ -117,110 +129,66 @@ def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
 
 
 # ---------------------------------------------------------------------------
-# n = 2: support match plus fiber solving on the axis decomposition
-
-_FIBER_FULL, _FIBER_ZERO, _FIBER_COZERO, _FIBER_P, _FIBER_COP = "full", "zero", "cozero", "P", "coP"
+# n = 2: support match plus fibre solving on the axis decomposition
 
 
-def _descriptors_2d(params: Params) -> list[dict]:
-    """Band descriptors of every structure variant, read off the table at n = 2.
+@lru_cache(maxsize=16)
+def _descriptors_2d(params: Params) -> tuple:
+    """(kind, bands, fields) of every structure variant, read off the table at n = 2.
 
-    Each descriptor maps target axis index -> fiber kind over K = F_p.  The
-    only proper subspace of F_p is {0}, so a fibre of size 1 is {0} and one
-    of size p-1 is its complement; empty fibres leave the support.
+    `bands` pairs each target axis index with its fibre over K = F_p: a p-bit
+    mask, or the table's symbol P / CO_P where P is left open.  Empty fibres
+    leave the support.  Cached values are tuples and read-only mappings.
     """
-    p = params.p
-    by_size = {1: _FIBER_ZERO, p - 1: _FIBER_COZERO, p: _FIBER_FULL}
     out = []
     for kind, fields, _ in reference_specs(params, TYPE_KINDS):
-        bands = {}
-        for x0, sym, fib in band_layout(kind, params, fields):
-            size = None if fib is None else int(fib.sum())
-            if size is None:
-                bands[x0] = _FIBER_P if sym == P else _FIBER_COP
-            elif size:
-                bands[x0] = by_size[size]
-        out.append({"kind": kind, "bands": bands, "fields": fields})
-    return out
+        bands = tuple((x0, sym if fib is None else bits_to_mask(fib))
+                      for x0, sym, fib in band_layout(kind, params, fields)
+                      if fib is None or fib.any())
+        out.append((kind, bands, MappingProxyType(fields)))
+    return tuple(out)
 
 
-def _fiber_sizes_ok(desc: dict, parts_by_target: dict, p: int) -> bool:
-    t = None
-    for j, fk in desc["bands"].items():
-        sz = len(parts_by_target[j])
-        if fk == _FIBER_FULL and sz != p:
-            return False
-        if fk == _FIBER_ZERO and sz != 1:
-            return False
-        if fk == _FIBER_COZERO and sz != p - 1:
-            return False
-        if fk == _FIBER_P:
-            t = sz
-    if t is not None:
-        cop = next(j for j, fk in desc["bands"].items() if fk == _FIBER_COP)
-        if len(parts_by_target[cop]) != p - t:
-            return False
-    return True
+def _match_descriptor_2d(desc: tuple, parts: list[int], support: int, p: int):
+    """Find (s, u, P) such that (i, x) -> (s*i, x + i*u) carries the part
+    masks `parts` (A_i by axis index i, support mask `support`) onto the
+    descriptor's bands; P is the image mask of an open P, else 0.
 
-
-def _match_descriptor_2d(desc: dict, profile: DecompProfile, params: Params):
-    """Find (s, c, u) mapping the profile onto the descriptor, plus recovered P."""
-    p = params.p
-    target_support = ZpSet(p, list(desc["bands"].keys()))
-    supp = profile.support
-    if len(supp) != len(target_support):
+    Dilations s are tried in ascending order.  For each, u is forced by the
+    first band whose fibre is one point or all but one (every u is tried if
+    that band sits at i = 0, and u = 0 if no band pins u).
+    """
+    _, bands, _ = desc
+    target = sum(1 << j for j, _ in bands)
+    if support.bit_count() != target.bit_count():
         return None
-    parts = [x.to_zpset() for x in profile.parts]
-    for s, image in enumerate(dilation_masks(p, supp.mask), 1):
-        if image != target_support.mask:
+    full = (1 << p) - 1
+    for s, image in enumerate(dilation_masks(p, support), 1):
+        if image != target:
             continue
         sinv = mod_inverse(s, p)
-        parts_by_target = {j: parts[sinv * j % p] for j in desc["bands"]}
-        if not _fiber_sizes_ok(desc, parts_by_target, p):
-            continue
-        special = [(j, fk) for j, fk in desc["bands"].items() if fk != _FIBER_FULL]
-        constrained = [(j, fk) for j, fk in special if fk in (_FIBER_ZERO, _FIBER_COZERO)]
-        for c in range(1, p):
-            for u in _u_candidates(constrained, parts_by_target, c, s, p):
-                got = _check_fibers(special, parts_by_target, c, u, s, p)
-                if got is not None:
-                    return {"s": s, "c": c, "u": u, "pset": got}
+        fibres = [(sinv * j % p, fib) for j, fib in bands]
+        pin = next(((i, fib) for i, fib in fibres if fib in (1, full ^ 1)), None)
+        if pin is None:
+            shears = (0,)
+        elif pin[0] == 0:
+            shears = range(p)
+        else:
+            i, fib = pin
+            x = (parts[i] if fib == 1 else full ^ parts[i]).bit_length() - 1
+            shears = (-x * mod_inverse(i, p) % p,)
+        for u in shears:
+            images = {}
+            for i, fib in fibres:
+                img = rotate_mask(parts[i], i * u, p)
+                if isinstance(fib, str):
+                    images[fib] = img
+                elif img != fib:
+                    break
+            else:
+                if not images or images[CO_P] == full ^ images[P]:
+                    return s, u, images.get(P, 0)
     return None
-
-
-def _u_candidates(constrained, parts_by_target, c: int, s: int, p: int):
-    if not constrained:
-        return (0,)
-    j, fk = constrained[0]
-    part = parts_by_target[j]
-    x = next(iter(part)) if fk == "zero" else next(iter(part.complement()))
-    i = mod_inverse(s, p) * j % p
-    # Solve c*x + i*u = 0 for u.
-    if i == 0:
-        return range(p) if c * x % p == 0 else ()
-    return ((-c * x % p) * mod_inverse(i, p) % p,)
-
-
-def _check_fibers(special, parts_by_target, c, u, s, p):
-    sinv = mod_inverse(s, p)
-    pset = None
-    images = {}
-    for j, fk in special:
-        i = sinv * j % p
-        img = dilate(parts_by_target[j], c).shift(i * u % p) if not parts_by_target[j].is_empty() \
-            else parts_by_target[j]
-        images[j] = img
-        if fk == "zero" and img != ZpSet(p, [0]):
-            return None
-        if fk == "cozero" and img != ZpSet(p, [x for x in range(1, p)]):
-            return None
-    pj = next((j for j, fk in special if fk == "P"), None)
-    if pj is not None:
-        pset = images[pj]
-        cop = next(j for j, fk in special if fk == "coP")
-        if images[cop] != pset.complement():
-            return None
-    return pset if pset is not None else ZpSet(p)
 
 
 def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
@@ -232,19 +200,21 @@ def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
     p = params.p
     matches = []
     descriptors = _descriptors_2d(params)
-    widths = {len(desc["bands"]) for desc in descriptors}
+    widths = {len(bands) for _, bands, _ in descriptors}
     weights = (counts > 0).sum(axis=1)
     for line in np.flatnonzero(np.isin(weights, list(widths - {0, p}))).tolist():
         dec = line_decomposition(p, line)
         profile = decompose(a, dec)
+        parts = [x.mask for x in profile.parts]
         for desc in descriptors:
-            found = _match_descriptor_2d(desc, profile, params)
+            found = _match_descriptor_2d(desc, parts, profile.support.mask, p)
             if found is None:
                 continue
-            spec = _build_spec(desc, found, params)
-            matrix = _block_matrix(dec, found["s"], found["c"], found["u"], p)
+            s, u, pset = found
+            spec = _build_spec(desc, pset, params)
+            matrix = _block_matrix(dec, s, u, p)
             if apply_automorphism(a, matrix) == gen_type(spec):
-                matches.append((desc["kind"], spec, line, matrix))
+                matches.append((desc[0], spec, line, matrix))
     if not matches:
         return ClassReport("nontrivial-unknown", params,
                            notes=[f"size {len(a)} vs m*p={params.m * p}; no generator matches"])
@@ -257,19 +227,18 @@ def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
                        notes)
 
 
-def _build_spec(desc: dict, found: dict, params: Params) -> TypeSpec:
-    fields = dict(desc["fields"])
+def _build_spec(desc: tuple, pset: int, params: Params) -> TypeSpec:
+    kind, _, fields = desc
+    fields = dict(fields)
     if fields.get("pset") is ANY_P:
-        fields["pset"] = tuple((x,) for x in found["pset"])
-    return TypeSpec(desc["kind"], params, **fields)
+        fields["pset"] = tuple((x,) for x in mask_to_indices(pset).tolist())
+    return TypeSpec(kind, params, **fields)
 
 
-def _block_matrix(dec: Decomposition, s: int, c: int, u: int, p: int) -> list[list[int]]:
-    """Matrix of f with f(v) = s*e0 + u*e1 and f(k1) = c*e1, in standard coordinates."""
-    binv = mat_inverse(dec.basis_matrix(), p)
-    tri = [[s, 0], [u, c]]
-    return [[sum(tri[r][t] * binv[t][col] for t in range(2)) % p for col in range(2)]
-            for r in range(2)]
+def _block_matrix(dec: Decomposition, s: int, u: int, p: int) -> list[list[int]]:
+    """Matrix of f with f(v) = s*e0 + u*e1 and f(k1) = e1, in standard coordinates."""
+    (a, b), (c, d) = mat_inverse(dec.basis_matrix(), p)
+    return [[s * a % p, s * b % p], [(u * a + c) % p, (u * b + d) % p]]
 
 
 # ---------------------------------------------------------------------------

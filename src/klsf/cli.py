@@ -72,30 +72,20 @@ def cmd_construct(args, argv) -> int:
     t0 = time.perf_counter()
     if args.grid:
         with open(args.grid) as fh:
-            items = json.load(fh)
-        records = [_construct_record(_spec_from_grid_item(item)) for item in items]
-        _emit({"command": argv, "results": records}, args.out, t0)
-        return EXIT_OK
-    spec = _spec_from_args(args)
-    record = _construct_record(spec)
-    _emit({"command": argv, "results": record}, args.out, t0)
+            results = [_construct_record(_spec_from_grid_item(item)) for item in json.load(fh)]
+    else:
+        results = _construct_record(_spec_from_grid_item(_grid_item_from_args(args)))
+    _emit({"command": argv, "results": results}, args.out, t0)
     return EXIT_OK
 
 
-def _spec_from_args(args):
-    params = Params(args.k, args.l, args.p, args.n)
-    kind = args.type.lower()
-    if kind == "cuboid":
-        return CuboidSpec(params, args.j)
-    kind = kind if kind.startswith(("type", "rz")) else f"type{kind}"
-    return TypeSpec(
-        kind,
-        params,
-        a=args.a,
-        vbasis=parse_vectors(args.vbasis) if args.vbasis is not None else None,
-        s=args.s,
-        pset=parse_vectors(args.pset) if args.pset is not None else None,
-    )
+def _grid_item_from_args(args) -> dict:
+    """The one-item --grid entry that the construct flags describe."""
+    extras = {"a": args.a, "s": args.s,
+              "vbasis": None if args.vbasis is None else parse_vectors(args.vbasis),
+              "pset": None if args.pset is None else parse_vectors(args.pset)}
+    return {"k": args.k, "l": args.l, "p": args.p, "n": args.n, "type": args.type, "j": args.j,
+            "extras": {key: v for key, v in extras.items() if v is not None}}
 
 
 def _spec_from_grid_item(item: dict):

@@ -394,10 +394,6 @@ class TrivialityReport:
     witness: dict | None
     detail: str
 
-    @property
-    def is_nontrivial(self) -> bool:
-        return self.status == "nontrivial"
-
 
 def extremal_embedding(s: ZpSet, intervals: list[ZpSet]) -> tuple[int, int] | None:
     """The first (c, j), scanning c = 1..p-1, with c*S inside intervals[j]."""

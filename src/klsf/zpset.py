@@ -335,11 +335,6 @@ def find_kl_sums(c: ZpSet, k: int, l: int, max_distinct: int) -> list[tuple[tupl
     return out
 
 
-def format_kl_sum(sol: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
-    left, right = sol
-    return "+".join(map(str, left)) + "=" + "+".join(map(str, right))
-
-
 # ---------------------------------------------------------------------------
 # Set-literal text format: p=<prime>;{e1,e2,...} or p=<prime>;[a,b] (cyclic)
 

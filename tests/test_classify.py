@@ -9,14 +9,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from klsf.zpset import ZpSet, holes, min_ap_cover
+from klsf.zpset import ZpSet, dilate, holes, min_ap_cover
 from klsf.vecset import (
     Decomposition, Params, VecSet, decompose, decompositions_2d, apply_automorphism, mat_det,
 )
-from klsf.classify import balance_deviation, check_balance_bound, classify, weight_scan
-from klsf.constructions import (
-    CuboidSpec, TypeSpec, gen_cuboid, gen_type, reference_specs, type1_a_values,
+from klsf.classify import (
+    _descriptors_2d, _match_descriptor_2d, balance_deviation, check_balance_bound, classify,
+    weight_scan,
 )
+from klsf.constructions import (
+    P, TYPE_KINDS, CuboidSpec, TypeSpec, band_layout, gen_cuboid, gen_type, reference_specs,
+    type1_a_values,
+)
+from klsf.modmath import dilation_masks, mod_inverse
 
 
 def test_classify_1d_examples():
@@ -352,3 +357,163 @@ print("exit", cli.main(["classify", "--k", "2", "--l", "1", "--set", "p=11;n=2;{
     assert lines[0].startswith("raised:") and "implementation bug" in lines[0]
     assert lines[-1] == "exit 2"
     assert "check failed" in run.stderr
+
+
+# ---------------------------------------------------------------------------
+# Reference for the n = 2 matcher: the block-triangular search
+# f(i*v + w) = s*i*e0 + (c*w + i*u)*e1 over every scalar c on K, with fibres
+# named by kind ("full", "zero", "cozero", "P", "coP") and compared as ZpSets.
+
+
+def reference_descriptors(params):
+    """Per table variant: target axis index -> fibre kind, read off by size."""
+    p = params.p
+    by_size = {1: "zero", p - 1: "cozero", p: "full"}
+    out = []
+    for kind, fields, _ in reference_specs(params, TYPE_KINDS):
+        bands = {}
+        for x0, sym, fib in band_layout(kind, params, fields):
+            if fib is None:
+                bands[x0] = "P" if sym == P else "coP"
+            elif fib.any():
+                bands[x0] = by_size[int(fib.sum())]
+        out.append({"kind": kind, "bands": bands})
+    return out
+
+
+def reference_fiber_sizes_ok(desc, parts_by_target, p):
+    t = None
+    for j, fk in desc["bands"].items():
+        sz = len(parts_by_target[j])
+        if fk == "full" and sz != p:
+            return False
+        if fk == "zero" and sz != 1:
+            return False
+        if fk == "cozero" and sz != p - 1:
+            return False
+        if fk == "P":
+            t = sz
+    if t is not None:
+        cop = next(j for j, fk in desc["bands"].items() if fk == "coP")
+        if len(parts_by_target[cop]) != p - t:
+            return False
+    return True
+
+
+def reference_u_candidates(constrained, parts_by_target, c, s, p):
+    if not constrained:
+        return (0,)
+    j, fk = constrained[0]
+    part = parts_by_target[j]
+    x = next(iter(part)) if fk == "zero" else next(iter(part.complement()))
+    i = mod_inverse(s, p) * j % p
+    # Solve c*x + i*u = 0 for u.
+    if i == 0:
+        return range(p) if c * x % p == 0 else ()
+    return ((-c * x % p) * mod_inverse(i, p) % p,)
+
+
+def reference_check_fibers(special, parts_by_target, c, u, s, p):
+    sinv = mod_inverse(s, p)
+    images = {}
+    for j, fk in special:
+        i = sinv * j % p
+        part = parts_by_target[j]
+        img = part if part.is_empty() else dilate(part, c).shift(i * u % p)
+        images[j] = img
+        if fk == "zero" and img != ZpSet(p, [0]):
+            return None
+        if fk == "cozero" and img != ZpSet(p, range(1, p)):
+            return None
+    pj = next((j for j, fk in special if fk == "P"), None)
+    if pj is None:
+        return ZpSet(p)
+    cop = next(j for j, fk in special if fk == "coP")
+    return images[pj] if images[cop] == images[pj].complement() else None
+
+
+def reference_match_descriptor(desc, profile, p):
+    """First (s, c, u) in scan order carrying the profile onto the descriptor, plus P."""
+    target_support = ZpSet(p, list(desc["bands"]))
+    supp = profile.support
+    if len(supp) != len(target_support):
+        return None
+    parts = [x.to_zpset() for x in profile.parts]
+    for s, image in enumerate(dilation_masks(p, supp.mask), 1):
+        if image != target_support.mask:
+            continue
+        sinv = mod_inverse(s, p)
+        parts_by_target = {j: parts[sinv * j % p] for j in desc["bands"]}
+        if not reference_fiber_sizes_ok(desc, parts_by_target, p):
+            continue
+        special = [(j, fk) for j, fk in desc["bands"].items() if fk != "full"]
+        constrained = [(j, fk) for j, fk in special if fk in ("zero", "cozero")]
+        for c in range(1, p):
+            for u in reference_u_candidates(constrained, parts_by_target, c, s, p):
+                got = reference_check_fibers(special, parts_by_target, c, u, s, p)
+                if got is not None:
+                    return {"s": s, "c": c, "u": u, "pset": got}
+    return None
+
+
+MATCHER_PARAMS = {
+    "type2": [(k, 1, p) for k in (2, 3, 4) for p in (11, 13, 17, 19, 23, 29)
+              if Params(k, 1, p, 2).lambda_in_range() and Params(k, 1, p, 2).m >= 2],
+    "type4": [(3, 2, 13), (3, 2, 23), (4, 1, 13), (4, 1, 23)],
+    "type5": [(3, 1, p) for p in (11, 19, 23)],
+    "rz": [(2, 1, p) for p in (11, 17, 23, 29)],
+}
+
+
+@st.composite
+def matcher_inputs(draw):
+    """(params, A, is_image): a type 2/4/5/rz output (random nonempty P) under a
+    random GL_2 map, the same with one band's fibre changed inside the
+    support, or a random set in F_p^2."""
+    kind = draw(st.sampled_from(sorted(MATCHER_PARAMS)))
+    params = Params(*draw(st.sampled_from(MATCHER_PARAMS[kind])), 2)
+    p = params.p
+    mode = draw(st.sampled_from(("image", "wrong fibre", "random")))
+    if mode == "random":
+        cells = draw(st.sets(st.integers(0, p * p - 1), min_size=1, max_size=4 * p))
+        return params, VecSet.from_indices(p, 2, cells), False
+    if kind in ("type5", "rz"):
+        pset = draw(nonzero_free_pset(3 if kind == "type5" else 2)(p))
+        spec = TypeSpec(kind, params, s=1, pset=pset)
+    else:
+        spec = TypeSpec(kind, params, vbasis=())
+    vectors = list(gen_type(spec).vectors())
+    if mode == "wrong fibre":
+        x0 = draw(st.sampled_from(sorted({v[0] for v in vectors})))
+        fibre = sorted(v[1] for v in vectors if v[0] == x0)
+        how = draw(st.sampled_from(("shift", "dilate", "any")))
+        if how == "any":
+            new = draw(st.sets(st.integers(0, p - 1), min_size=1))
+        else:
+            t = draw(st.integers(1, p - 1))
+            new = {(y + t) % p if how == "shift" else y * t % p for y in fibre}
+        vectors = [v for v in vectors if v[0] != x0] + [(x0, y) for y in new]
+    image = apply_automorphism(VecSet(p, 2, vectors), draw(gl2(p)))
+    return params, image, mode == "image"
+
+
+@given(matcher_inputs())
+def test_mask_matcher_matches_scalar_scan_reference(case):
+    params, a, is_image = case
+    p = params.p
+    pairs = list(zip(_descriptors_2d(params), reference_descriptors(params)))
+    assert [d[0] for d, _ in pairs] == [r["kind"] for _, r in pairs]
+    hits = 0
+    for dec in decompositions_2d(p):
+        profile = decompose(a, dec)
+        parts = [x.mask for x in profile.parts]
+        for desc, ref_desc in pairs:
+            ref = reference_match_descriptor(ref_desc, profile, p)
+            got = _match_descriptor_2d(desc, parts, profile.support.mask, p)
+            if ref is None:
+                assert got is None
+                continue
+            hits += 1
+            assert ref["c"] == 1
+            assert got == (ref["s"], ref["u"], ref["pset"].mask)
+    assert hits or not is_image

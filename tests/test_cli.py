@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from klsf.cli import main
 
 
@@ -186,6 +188,25 @@ def test_grid_file_construct(tmp_path, capsys):
     assert code == 0
     sizes = [r["size"] for r in doc["results"]]
     assert sizes == [6, 5, 115]
+
+
+@pytest.mark.parametrize("flags, item", [
+    (["--type", "cuboid", "--k", "3", "--l", "1", "--p", "23", "--j", "0"],
+     {"k": 3, "l": 1, "p": 23, "type": "cuboid", "j": 0}),
+    (["--type", "1", "--k", "3", "--l", "1", "--p", "23", "--a", "5"],
+     {"k": 3, "l": 1, "p": 23, "type": "1", "extras": {"a": 5}}),
+    (["--type", "5", "--k", "3", "--l", "1", "--p", "23", "--n", "2", "--s", "1",
+      "--pset", "{1,5}"],
+     {"k": 3, "l": 1, "p": 23, "n": 2, "type": "5", "extras": {"s": 1, "pset": [[1], [5]]}}),
+], ids=["cuboid", "type1", "type5"])
+def test_construct_flags_match_one_item_grid(tmp_path, capsys, flags, item):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([item]))
+    code, from_flags, _ = run_cli(["construct", *flags], capsys)
+    assert code == 0
+    code, from_grid, _ = run_cli(["construct", "--grid", str(path)], capsys)
+    assert code == 0
+    assert from_grid["results"] == [from_flags["results"]]
 
 
 def test_vector_lists_parse_once():
