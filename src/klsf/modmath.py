@@ -6,6 +6,13 @@ to the set (little-endian mixed radix; Z_p is the case n = 1).  The kernel
 converts masks to and from cell indices, bit arrays and coordinate rows, and
 computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations and
 translation stabilizers; each operation picks its route from its input.
+
+Over F_p^n, n >= 2, large sets take the FFT route: real-input transforms
+(`rfftn`/`irfftn`) of the 0/1 indicators.  Every inverse transform goes
+through `_inverse_fft` and `_exact_counts`, which rejects a count more than
+1/4 off an integer.  A fold chain transforms A once and each new support only
+when a later step needs it, and a (k,l) check compares (k-j)A with lA - jA,
+j = (k-l)//2, so a (3,1) check is one forward and two inverse transforms.
 """
 
 from __future__ import annotations
@@ -22,6 +29,12 @@ _SPARSE_POPCOUNT = 24
 # than this is one FFT convolution instead of one array roll per element.
 # Over Z_p an int rotation per element stays cheaper (at p = 1019, 128
 # rotations take 140 us against 360 us for the FFT), so n <= 1 never uses it.
+# The break-even grows with p^n.  With real transforms (two forward, one
+# inverse per sumset; half-full larger operand, same machine, NumPy 2.4) the
+# FFT already wins at 16 shifts at p = 13, n = 2 (about 0.1 ms against
+# 0.25 ms) and at p = 7, n = 3; the routes break even near 32 shifts at
+# p = 59 (0.5 ms), near 100 at p = 103 (2 ms) and near 800 at p = 503
+# (30 ms, where both axes fall back to Bluestein's algorithm).
 _FFT_THRESHOLD = 64
 # Up to this many (dilation, element) pairs, p-1 dilations are cheaper as
 # Python int loops than as one numpy scatter (break-even near p*|A| = 200:
@@ -187,35 +200,70 @@ def _sumset_rolls(p: int, n: int, small: int, large: int) -> int:
 
 def _sumset_fft(p: int, n: int, a: int, b: int) -> int:
     # Support of the cyclic convolution of the two indicators.
-    fa = indicator_fft(p, n, a)
-    fb = fa if b == a else indicator_fft(p, n, b)
-    return bits_to_mask(_exact_counts(fa * fb).reshape(-1) > 0)
+    bits = _indicator(p, n, a)
+    fa = _forward_fft(bits)
+    fb = fa if b == a else _forward_fft(_indicator(p, n, b))
+    return bits_to_mask(_exact_counts(fa * fb, bits.shape).reshape(-1) > 0)
+
+
+def _fft_route(n: int, a: int) -> bool:
+    # Every step jA + A of a fold chain has A as its smaller operand, so over
+    # F_p^n, n >= 2, the whole chain takes the FFT route exactly when A does.
+    return n >= 2 and a.bit_count() > _FFT_THRESHOLD
+
+
+def _indicator(p: int, n: int, mask: int) -> np.ndarray:
+    # The 0/1 indicator shaped (p,)*n; the one-cell space F_p^0 is shape (1,).
+    return mask_to_bits(mask, p**n).reshape((p,) * n if n else (1,))
 
 
 def indicator_fft(p: int, n: int, mask: int) -> np.ndarray:
-    """The n-dimensional DFT of the 0/1 indicator of a mask (unnormalized)."""
-    shape = (p,) * n if n else (1,)
-    return np.fft.fftn(mask_to_bits(mask, p**n).reshape(shape).astype(np.float64))
+    """The n-dimensional DFT of the 0/1 indicator of a mask (unnormalized),
+    the whole complex spectrum."""
+    return np.fft.fftn(_indicator(p, n, mask).astype(np.float64))
 
 
-def _inverse_fft(spectrum: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(spectrum).real
+def _forward_fft(bits: np.ndarray) -> np.ndarray:
+    # Real-input DFT of a 0/1 array: half the spectrum along the last axis,
+    # which determines the rest because the input is real.
+    return np.fft.rfftn(bits.astype(np.float64), s=bits.shape, axes=tuple(range(bits.ndim)))
 
 
-def _exact_counts(spectrum: np.ndarray) -> np.ndarray:
-    """The integer counts behind a product of indicator transforms.  A count
-    more than 1/4 off its nearest integer means the floating-point transform
-    is no longer exact at this size, and is a failed self-check."""
-    counts = _inverse_fft(spectrum)
+def _inverse_fft(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
+
+
+def _exact_counts(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+    """The integer counts, over cells of the given shape, behind a product of
+    half spectra.  A count more than 1/4 off its nearest integer means the
+    floating-point transform is no longer exact at this size, and is a failed
+    self-check."""
+    counts = _inverse_fft(spectrum, shape)
     rounded = np.rint(counts)
-    err = float(np.abs(counts - rounded).max())
+    err = float(np.abs(np.subtract(counts, rounded, out=counts), out=counts).max())
     if err > 0.25:
-        raise GeneratorCheckError(f"FFT count off an integer by {err:.3g} over {spectrum.size} cells")
+        raise GeneratorCheckError(f"FFT count off an integer by {err:.3g} over {counts.size} cells")
     return rounded
+
+
+def _fft_folds(p: int, n: int, a: int, h: int) -> tuple[list, list]:
+    """The supports of A, 2A, ..., hA as 0/1 arrays, and the half spectra
+    F(A), ..., F((h-1)A).  A is transformed once; each step jA -> (j+1)A is
+    one inverse transform of F(jA) F(A), and a new support is transformed
+    only when a later step needs it."""
+    supports = [_indicator(p, n, a)]
+    spectra = []
+    for _ in range(h - 1):
+        spectra.append(_forward_fft(supports[-1]))
+        supports.append(_exact_counts(spectra[-1] * spectra[0], supports[0].shape) > 0)
+    return supports, spectra
 
 
 def fold_masks(p: int, n: int, a: int, h: int) -> list[int]:
     """The h-fold chain [A, 2A, ..., hA], each step (j+1)A = jA + A."""
+    if _fft_route(n, a):
+        supports, _ = _fft_folds(p, n, a, h)
+        return [a] + [bits_to_mask(s.reshape(-1)) for s in supports[1:]]
     folds = [a]
     for _ in range(h - 1):
         folds.append(sumset_mask(p, n, folds[-1], a))
@@ -223,17 +271,35 @@ def fold_masks(p: int, n: int, a: int, h: int) -> list[int]:
 
 
 def is_kl_sumfree_mask(p: int, n: int, a: int, k: int, l: int) -> bool:
-    """True iff kA and lA are disjoint (k > l >= 1)."""
-    folds = fold_masks(p, n, a, k)
-    return folds[k - 1] & folds[l - 1] == 0
+    """True iff kA and lA are disjoint (k > l >= 1).
+
+    On the FFT route the two sides are balanced: a_1 + ... + a_k equals
+    b_1 + ... + b_l iff a_1 + ... + a_{k-j} equals
+    b_1 + ... + b_l - a_{k-j+1} - ... - a_k, so with j = (k-l)//2, kA and lA
+    are disjoint iff (k-j)A and lA - jA are.  lA - jA is read off
+    F(lA) conj(F(jA)), and lA - 0A = lA; a (3,1) check is 2A against A - A,
+    one forward and two inverse transforms.
+    """
+    if not _fft_route(n, a):
+        folds = fold_masks(p, n, a, k)
+        return folds[k - 1] & folds[l - 1] == 0
+    j = (k - l) // 2
+    supports, spectra = _fft_folds(p, n, a, k - j)
+    if j:
+        other = _exact_counts(spectra[l - 1] * spectra[j - 1].conj(), supports[0].shape) > 0
+    else:
+        other = supports[l - 1]
+    return not (supports[-1] & other).any()
 
 
 def stabilizer_mask(p: int, n: int, a: int) -> int:
     """{g : A + g = A}, read off the autocorrelation |A cap (A + g)| = |A|
-    (one FFT).  The whole space stabilizes the empty set."""
+    (one forward and one inverse transform).  The whole space stabilizes the
+    empty set."""
     cells = p**n
     if not a:
         return (1 << cells) - 1
-    fa = indicator_fft(p, n, a)
-    overlap = _exact_counts(fa * fa.conj()).reshape(-1)
+    bits = _indicator(p, n, a)
+    fa = _forward_fft(bits)
+    overlap = _exact_counts(fa * fa.conj(), bits.shape).reshape(-1)
     return bits_to_mask(overlap == a.bit_count())
