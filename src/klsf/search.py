@@ -9,8 +9,17 @@ updates new_h = old_h | ((new_(h-1)) + x), starting from the h-fold masks
 {h} of the root.  A branch dies as soon as the k-fold and l-fold masks meet
 (sumsets only grow) or when the residues left cannot reach the current
 target size.  The maximum search is warm-started with the longest sum-free
-interval, a legitimate lower bound computed by the tool itself.
-`node_count` counts the nodes of this rooted tree.
+interval, a legitimate lower bound computed by the tool itself.  When
+p | k-l nothing is sum-free, and the scan returns before any of this.
+
+The tree is expanded a block of up to _BLOCK_NODES same-size nodes at a
+time: every (node, candidate) pair of a block goes through the fold updates
+and both cuts in a few array operations, with no per-node Python loop.
+Masks are numpy uint64 words for p <= 61 and Python ints (object arrays)
+above, which only a raised p_limit reaches; the two differ only in how bits
+are unpacked and counted.  The tree is the same as a node-at-a-time scan's:
+`node_count` counts its nodes, and `prunes_collision` and `prunes_size` the
+pairs cut by each test.
 
 Each hit is reduced to its dilation orbit: one pass over its p-1 dilations
 gives both the canonical form (the least mask in the orbit) and the
@@ -20,7 +29,8 @@ exactly |A|/|Stab(A)| times; a different count raises GeneratorCheckError.
 `labeled_count`, the number of labelled sets, follows by orbit-stabilizer as
 the sum of (p-1)/|Stab(A)| over the orbits.  Orbits are reported in sorted
 canonical order, so output is deterministic.  A no-pruning brute force over
-all subsets of the target sizes backs the search in the test suite.
+all subsets of the target sizes backs the search in the test suite, as does
+the raw hit list against every sum-free set containing 1.
 """
 
 from __future__ import annotations
@@ -28,6 +38,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .modmath import GeneratorCheckError, dilation_masks
 from .zpset import ZpSet, is_kl_sumfree
@@ -41,6 +54,20 @@ class SearchLimitError(ValueError):
 
 
 DEFAULT_P_LIMIT = 59
+# The largest prime whose p-bit masks fit a uint64 word; above it (reached
+# only with a raised p_limit) the same scan runs on Python ints.
+_WORD_P_LIMIT = 61
+# Nodes per block of the scan.  An expansion costs about 5 numpy calls per
+# fold whatever the block's size; larger blocks run faster but hold more
+# temporaries (2048 rows add about 2 MB to the benchmark's peak memory).
+_BLOCK_NODES = 256
+
+
+class ScanCounts(NamedTuple):
+    """Work counters of one scan, each a SearchResult field of the same name."""
+    node_count: int
+    prunes_collision: int   # (node, candidate) pairs whose k-fold and l-fold masks meet
+    prunes_size: int        # children cut because their candidates cannot reach `best`
 
 
 @dataclass(frozen=True)
@@ -53,6 +80,8 @@ class SearchResult:
     findings: tuple[str, ...] = ()
     labeled_count: int = 0
     node_count: int = 0
+    prunes_collision: int = 0
+    prunes_size: int = 0
     wall_time: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
@@ -68,6 +97,8 @@ class SearchResult:
             "findings": list(self.findings),
             "labeled_count": self.labeled_count,
             "node_count": self.node_count,
+            "prunes_collision": self.prunes_collision,
+            "prunes_size": self.prunes_size,
         }
 
 
@@ -120,10 +151,27 @@ def _longest_sumfree_interval(p: int, k: int, l: int) -> int:
     return best
 
 
+def _bits(masks: np.ndarray, p: int) -> np.ndarray:
+    """(N, p) 0/1 array whose row i holds the p low bits of masks[i]."""
+    if masks.dtype == object:
+        width = (p + 7) // 8
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    else:
+        width, raw = 8, masks.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")[:, :p]
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    if masks.dtype == object:
+        return np.fromiter((m.bit_count() for m in masks), dtype=np.int64, count=len(masks))
+    return np.bitwise_count(masks)
+
+
 def _scan(p: int, k: int, l: int, target: int | None):
     """Core DFS over the tree rooted at {1}.  target=None: find the maximum
     size and all sets containing 1 attaining it.  target=t: emit every
     sum-free set of size exactly t containing 1 (no deeper descent).
+    Returns (best, hit masks, ScanCounts).
 
     Each node carries the mask of residues still individually compatible:
     sumsets only grow along a branch, so a residue that collides once is dead
@@ -131,51 +179,62 @@ def _scan(p: int, k: int, l: int, target: int | None):
     reachable-size bound.  (A subset of a sum-free set is sum-free, so every
     element of a surviving extension stays individually compatible at every
     ancestor; dropping dead residues never loses a set.)
+
+    The stack holds blocks of at most _BLOCK_NODES nodes of one size: arrays
+    of set masks, candidate masks and (N, k+1) fold masks, folds[:, h] the
+    mask of the h-fold sumset (column 0 is {0}).  One expansion builds every
+    (node, candidate x) pair of a block, runs the fold updates on all pairs
+    at once and keeps the children whose k-fold and l-fold masks stay apart.
+    A child may only add the feasible residues of its parent above x (every
+    set is met once, in increasing order), and is cut when those cannot
+    lift it to `best`.  Children are pushed so that the lowest-x block pops
+    first.
     """
-    full = (1 << p) - 1
-    best = target if target is not None else max(1, _longest_sumfree_interval(p, k, l))
     if (k - l) % p == 0:
-        return best, [], 0  # k*1 = l*1: the root {1}, and so every set, fails
+        # k*1 = l*1: the root {1}, and so every set, fails
+        return (0 if target is None else target), [], ScanCounts(0, 0, 0)
+    best = target if target is not None else max(1, _longest_sumfree_interval(p, k, l))
+    word = np.uint64 if p <= _WORD_P_LIMIT else object
+    full = (1 << p) - 1
     hits: list[int] = []
-    node_count = 0
-    root_folds = [1 << (h % p) for h in range(k + 1)]  # folds[h] = mask of h*{1} = {h}
-    stack = [(0b10, 1, full & ~0b11, root_folds)]
+    nodes = collisions = cuts = 0
+    root_folds = [[1 << (h % p) for h in range(k + 1)]]  # folds[h] = mask of h*{1} = {h}
+    stack = [(1, np.array([0b10], dtype=word), np.array([full & ~0b11], dtype=word),
+              np.array(root_folds, dtype=word))]
     while stack:
-        amask, size, cand, folds = stack.pop()
-        node_count += 1
+        size, amask, cand, folds = stack.pop()
+        nodes += len(amask)
         if size == best:
-            hits.append(amask)
+            hits.extend(amask.tolist())
             if target is not None:
                 continue
         elif size > best and target is None:
             best = size
-            hits = [amask]
+            hits = amask.tolist()
         if target is not None and size >= target:
             continue
-        # One pass over the candidates: fold updates decide which survive.
-        feasible = []
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            x = low.bit_length() - 1
-            nf = [1]
-            prev = 1
-            for h in range(1, k + 1):
-                prev = folds[h] | (((prev << x) | (prev >> (p - x))) & full)
-                nf.append(prev)
-            if not nf[k] & nf[l]:
-                feasible.append((low, nf))
-        # Suffix candidate masks: child at position i may only use later bits.
-        suffix = 0
-        pushes = []
-        for i in range(len(feasible) - 1, -1, -1):
-            low, nf = feasible[i]
-            if size + 1 + suffix.bit_count() >= best:
-                pushes.append((amask | low, size + 1, suffix, nf))
-            suffix |= low
-        stack.extend(pushes)  # LIFO: smallest residue explored first
-    return best, hits, node_count
+        parent, x = np.nonzero(_bits(cand, p))
+        x = x.astype(word)
+        nf = [folds[parent, 0]]  # the child's fold masks, h = 0..k
+        for h in range(1, k + 1):
+            prev = nf[-1]
+            nf.append(folds[parent, h] | (((prev << x) | (prev >> (p - x))) & full))
+        ok = np.flatnonzero((nf[k] & nf[l]) == 0)
+        collisions += len(x) - len(ok)
+        parent, x = parent[ok], x[ok]
+        bit = 1 << x
+        feasible = np.zeros(len(amask), dtype=word)
+        np.bitwise_or.at(feasible, parent, bit)
+        suffix = (feasible[parent] >> (x + 1)) << (x + 1)
+        keep = np.flatnonzero(size + 1 + _popcount(suffix) >= best)
+        cuts += len(ok) - len(keep)
+        child_masks = amask[parent[keep]] | bit[keep]
+        child_cand = suffix[keep]
+        child_folds = np.stack([f[ok[keep]] for f in nf], axis=1)
+        for lo in reversed(range(0, len(keep), _BLOCK_NODES)):
+            part = slice(lo, lo + _BLOCK_NODES)
+            stack.append((size + 1, child_masks[part], child_cand[part], child_folds[part]))
+    return best, hits, ScanCounts(nodes, collisions, cuts)
 
 
 def _check_p_limit(p: int, p_limit: int) -> None:
@@ -192,14 +251,12 @@ def enumerate_max(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> SearchResul
     p, k, l = params.p, params.k, params.l
     _check_p_limit(p, p_limit)
     t0 = time.perf_counter()
-    best, hits, nodes = _scan(p, k, l, target=None)
-    if not hits:
-        best = 0  # p | k-l makes kx = lx for every x: nothing is sum-free
+    best, hits, counts = _scan(p, k, l, target=None)
     stabs = _orbit_stabilizers(hits, p)
     return SearchResult(
         params, "max", best,
         tuple(ZpSet.from_mask(p, m) for m in sorted(stabs)),
-        labeled_count=_labeled_count(stabs.values(), p), node_count=nodes,
+        labeled_count=_labeled_count(stabs.values(), p), **counts._asdict(),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -213,7 +270,7 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
         raise SearchLimitError("second-level search needs m >= 1")
     intervals = extremal_intervals(params)  # raises ParameterError outside the lam window
     t0 = time.perf_counter()
-    _, hits, nodes = _scan(p, k, l, target=m)
+    _, hits, counts = _scan(p, k, l, target=m)
     stabs = _orbit_stabilizers(hits, p)
     # Triviality is dilation-invariant, so one test per orbit decides it.
     nontrivial = {om: stab for om, stab in stabs.items()
@@ -233,6 +290,6 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
         params, "second", m, (),
         second_level_orbits=tuple(labeled_orbits),
         findings=tuple(findings),
-        labeled_count=_labeled_count(nontrivial.values(), p), node_count=nodes,
+        labeled_count=_labeled_count(nontrivial.values(), p), **counts._asdict(),
         wall_time=time.perf_counter() - t0,
     )

@@ -1,5 +1,6 @@
 """Search: canonical forms, completeness vs a no-pruning brute force, determinism."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, dilate, is_kl_sumfree
 from klsf import search
+from klsf.modmath import primes_in
 from klsf.constructions import GeneratorCheckError, ParameterError, extremal_intervals
 from klsf.vecset import Params
 from klsf.search import (
@@ -204,3 +206,122 @@ def test_self_check_catches_a_dropped_hit(monkeypatch):
     # rooted at {1} must emit it twice
     with pytest.raises(GeneratorCheckError, match="1 times, expected"):
         enumerate_max(Params(2, 1, 11))
+
+
+def reference_scan(p, k, l, target):
+    """The node-at-a-time DFS that `search._scan` replaced, kept as the
+    reference for its tree: (best, hit masks, node count).  Apart from
+    testing p | k-l first (and then reporting 0 as the maximum), this is the
+    earlier module's code."""
+    if (k - l) % p == 0:
+        return (0 if target is None else target), [], 0
+    full = (1 << p) - 1
+    best = target if target is not None else max(1, search._longest_sumfree_interval(p, k, l))
+    hits = []
+    node_count = 0
+    root_folds = [1 << (h % p) for h in range(k + 1)]
+    stack = [(0b10, 1, full & ~0b11, root_folds)]
+    while stack:
+        amask, size, cand, folds = stack.pop()
+        node_count += 1
+        if size == best:
+            hits.append(amask)
+            if target is not None:
+                continue
+        elif size > best and target is None:
+            best = size
+            hits = [amask]
+        if target is not None and size >= target:
+            continue
+        feasible = []
+        c = cand
+        while c:
+            low = c & -c
+            c ^= low
+            x = low.bit_length() - 1
+            nf = [1]
+            prev = 1
+            for h in range(1, k + 1):
+                prev = folds[h] | (((prev << x) | (prev >> (p - x))) & full)
+                nf.append(prev)
+            if not nf[k] & nf[l]:
+                feasible.append((low, nf))
+        suffix = 0
+        pushes = []
+        for i in range(len(feasible) - 1, -1, -1):
+            low, nf = feasible[i]
+            if size + 1 + suffix.bit_count() >= best:
+                pushes.append((amask | low, size + 1, suffix, nf))
+            suffix |= low
+        stack.extend(pushes)
+    return best, hits, node_count
+
+
+def assert_same_tree(p, k, l, target):
+    best, hits, counts = search._scan(p, k, l, target)
+    want_best, want_hits, want_nodes = reference_scan(p, k, l, target)
+    assert (best, Counter(hits), counts.node_count) == (want_best, Counter(want_hits), want_nodes), \
+        (k, l, p, target)
+    return counts
+
+
+def test_block_scan_matches_reference_on_small_cases():
+    for k, l, p in SMALL_CASES:
+        for target in (None, 2, 3, Params(k, l, p).m):
+            assert_same_tree(p, k, l, target)
+
+
+# The jobs of the benchmark's enumerate workload: maxima near the search
+# limit and second-level searches (target m).
+ENUM_MAX_LIMITS = {(2, 1): 41, (3, 1): 47, (3, 2): 59, (4, 1): 53}
+ENUM_SECOND = ((2, 1, 11), (2, 1, 17), (2, 1, 23), (2, 1, 29), (3, 1, 23), (3, 1, 31), (3, 2, 23))
+ENUM_CASES = [(k, l, p, None) for (k, l), limit in ENUM_MAX_LIMITS.items()
+              for p in primes_in(13, limit)
+              if Params(k, l, p).m >= 1 and Params(k, l, p).lambda_in_range()]
+ENUM_CASES += [(k, l, p, Params(k, l, p).m) for k, l, p in ENUM_SECOND]
+
+
+def test_block_scan_matches_reference_on_enumerate_workload():
+    for k, l, p, target in ENUM_CASES:
+        assert_same_tree(p, k, l, target)
+
+
+def test_block_scan_matches_reference_above_the_word_limit():
+    # p = 67 > 61 runs the scan on Python-int masks
+    counts = assert_same_tree(67, 4, 1, None)
+    run = enumerate_max(Params(4, 1, 67), p_limit=67)
+    assert run.max_size == Params(4, 1, 67).m + 1
+    assert run.node_count == counts.node_count
+    assert (run.prunes_collision, run.prunes_size) == (counts.prunes_collision, counts.prunes_size)
+
+
+@given(st.integers(2, 7).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k - 1))),
+       st.sampled_from(primes_in(2, 31)), st.integers(0, 4))
+def test_block_scan_matches_reference_property(kl, p, t):
+    k, l = kl
+    assert_same_tree(p, k, l, None if t == 0 else t)
+
+
+def brute_force_hits(p, k, l, size):
+    """Masks of every (k,l)-sum-free size-`size` subset of Z_p containing 1."""
+    sets = (ZpSet(p, (1,) + rest) for rest in combinations(range(2, p), size - 1))
+    return sorted(a.mask for a in sets if is_kl_sumfree(a, k, l))
+
+
+def test_scan_hits_are_every_sumfree_set_containing_1():
+    # The orbit self-check cannot see a lost orbit with |A| = |Stab(A)|
+    # (met once by the tree), so the raw hit list is checked as a whole.
+    # Fixed targets go first: they stop at their depth even if a wrong
+    # candidate mask lets a set repeat a residue.
+    for k, l, p in SMALL_CASES:
+        for target in (2, 3, Params(k, l, p).m, None):
+            best, hits, _ = search._scan(p, k, l, target)
+            want = brute_force_hits(p, k, l, best) if best else []
+            assert sorted(hits) == want, (k, l, p, target)
+
+
+def test_prune_counters():
+    run = enumerate_max(Params(2, 1, 11))
+    assert run.to_dict()["prunes_collision"] == run.prunes_collision > 0
+    assert run.to_dict()["prunes_size"] == run.prunes_size > 0
+    assert enumerate_max(Params(6, 1, 5)).prunes_collision == 0  # no tree at all
