@@ -7,7 +7,17 @@ converts masks to and from cell indices, bit arrays and coordinate rows, and
 computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations and
 translation stabilizers; each operation picks its route from its input.
 
-Over F_p^n, n >= 2, large sets take the FFT route: real-input transforms
+Over F_p^n, n >= 2, sets above the roll route's size take one of two
+routes.  A row is the p^(n-1)-bit block of one last coordinate, and a set
+with few distinct rows is a disjoint union of products T x F, F a row and T
+the last coordinates that carry it.  Since (T x F) + (U x G) =
+(T + U) x (F + G), the row-class route sums such sets pair by pair, a Z_p
+sumset times a sumset over F_p^(n-1), in exact bit arithmetic, while the
+pairs stay within a budget measured against the FFT route.  The paper's
+structures are unions of bands I x F over one axis and have one to three
+row classes.
+
+Every other large set takes the FFT route: real-input transforms
 (`rfftn`/`irfftn`) of the 0/1 indicators.  Every inverse transform goes
 through `_inverse_fft` and `_exact_counts`, which rejects a count more than
 1/4 off an integer.  A fold chain transforms A once and each new support only
@@ -16,6 +26,8 @@ j = (k-l)//2, so a (3,1) check is one forward and two inverse transforms.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,7 +38,8 @@ import numpy as np
 # unpacked.
 _SPARSE_POPCOUNT = 24
 # Over F_p^n with n >= 2, a sumset whose smaller operand has more elements
-# than this is one FFT convolution instead of one array roll per element.
+# than this takes the row-class or the FFT route instead of one array roll
+# per element (the break-even below is against the FFT route).
 # Over Z_p an int rotation per element stays cheaper (at p = 1019, 128
 # rotations take 140 us against 360 us for the FFT), so n <= 1 never uses it.
 # The break-even grows with p^n.  With real transforms (two forward, one
@@ -172,9 +185,13 @@ def sumset_mask(p: int, n: int, a: int, b: int) -> int:
         a, b = b, a
     if n <= 1:
         return _sumset_rotations(p**n, a, b)
-    if a.bit_count() > _FFT_THRESHOLD:
+    if a.bit_count() <= _FFT_THRESHOLD:
+        return _sumset_rolls(p, n, a, b)
+    xs = _row_classes(p, n, a)
+    ys = xs if xs is None or b == a else _row_classes(p, n, b)
+    if ys is None:
         return _sumset_fft(p, n, a, b)
-    return _sumset_rolls(p, n, a, b)
+    return _terms_to_mask(p, n, _row_sum(p, n, xs, ys))
 
 
 def _sumset_rotations(cells: int, small: int, large: int) -> int:
@@ -210,6 +227,87 @@ def _fft_route(n: int, a: int) -> bool:
     # Every step jA + A of a fold chain has A as its smaller operand, so over
     # F_p^n, n >= 2, the whole chain takes the FFT route exactly when A does.
     return n >= 2 and a.bit_count() > _FFT_THRESHOLD
+
+
+def _row_pair_budget(p: int, n: int) -> int:
+    """How many (term, class) pairs the row-class route may sum, each a Z_p
+    sumset times a sumset over F_p^(n-1), before the FFT route is cheaper.
+
+    Timed on a 2-vCPU Xeon (CPython 3.11, NumPy 2.4), best of 5, with (3,1)
+    checks of the generated structures and of sets of c random half-full row
+    classes.  At n = 2 the FFT route takes 0.07 ms at p = 19, 0.28 ms at
+    p = 59, 0.9 ms at p = 103 and 50 ms at p = 503, and the routes break
+    even near 13, 19, 30 and 300 pairs; p * log2(p) / 16 stays below
+    that.  At n >= 3 a pair is a whole sumset over F_p^(n-1), often on the
+    roll route: one class beats the FFT route from p = 17 (0.1-0.2 ms
+    against 0.35 ms at n = 3) but loses at p = 11 (1.2 ms against 0.15 ms).
+    """
+    if n == 2:
+        return p * p.bit_length() // 16
+    return 2 * (p // 16)
+
+
+def _row_classes(p: int, n: int, a: int) -> list | None:
+    """A over F_p^n, n >= 2, as disjoint products T x F: one term (T, F) per
+    distinct nonempty row (the p^(n-1)-bit block of one last coordinate),
+    F the row and T the p-bit mask of the last coordinates that carry it.
+    None when A has so many classes that A + A alone would pass the pair
+    budget."""
+    bound = math.isqrt(_row_pair_budget(p, n))
+    packed = np.packbits(mask_to_bits(a, p**n).reshape(p, -1), axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    empty = bytes(width)
+    classes: dict[bytes, int] = {}
+    for t in range(p):
+        row = raw[t * width:(t + 1) * width]
+        if row == empty:
+            continue
+        if row not in classes:
+            if len(classes) == bound:
+                return None
+            classes[row] = 0
+        classes[row] |= 1 << t
+    return [(t, int.from_bytes(row, "little")) for row, t in classes.items()]
+
+
+def _row_sum(p: int, n: int, xs: list, ys: list) -> list:
+    # (T x F) + (U x G) = (T + U) x (F + G); terms with equal F + G merge.
+    out: dict[int, int] = {}
+    for t, f in xs:
+        for u, g in ys:
+            fg = sumset_mask(p, n - 1, f, g)
+            out[fg] = out.get(fg, 0) | sumset_mask(p, 1, t, u)
+    return [(t, f) for f, t in out.items()]
+
+
+def _row_folds(p: int, n: int, a: int, h: int) -> list | None:
+    """The terms of A, 2A, ..., hA, or None when the chain would pass the
+    pair budget.  The terms of jA merge on F, so the chain of a structured
+    set with c classes gains about c - 1 terms a step (3, 5 and 7 for a
+    p = 503 type-5 set) and jA + A costs about (j(c-1) + 1) c pairs.  A
+    chain whose estimate passes the budget is refused before any pair is
+    summed; one that grows faster is left as soon as it passes."""
+    classes = _row_classes(p, n, a)
+    if classes is None:
+        return None
+    c, budget = len(classes), _row_pair_budget(p, n)
+    if sum((j * (c - 1) + 1) * c for j in range(1, h)) > budget:
+        return None
+    chain, spent = [classes], 0
+    for _ in range(h - 1):
+        spent += len(chain[-1]) * c
+        if spent > budget:
+            return None
+        chain.append(_row_sum(p, n, chain[-1], classes))
+    return chain
+
+
+def _terms_to_mask(p: int, n: int, terms: list) -> int:
+    # The union of the products T x F, one row array over all of F_p^n.
+    rows = np.zeros((p, p ** (n - 1)), dtype=np.uint8)
+    for t, f in terms:
+        rows[mask_to_indices(t)] |= mask_to_bits(f, rows.shape[1])
+    return bits_to_mask(rows.reshape(-1))
 
 
 def _indicator(p: int, n: int, mask: int) -> np.ndarray:
@@ -262,6 +360,9 @@ def _fft_folds(p: int, n: int, a: int, h: int) -> tuple[list, list]:
 def fold_masks(p: int, n: int, a: int, h: int) -> list[int]:
     """The h-fold chain [A, 2A, ..., hA], each step (j+1)A = jA + A."""
     if _fft_route(n, a):
+        chain = _row_folds(p, n, a, h)
+        if chain is not None:
+            return [a] + [_terms_to_mask(p, n, terms) for terms in chain[1:]]
         supports, _ = _fft_folds(p, n, a, h)
         return [a] + [bits_to_mask(s.reshape(-1)) for s in supports[1:]]
     folds = [a]
@@ -278,11 +379,16 @@ def is_kl_sumfree_mask(p: int, n: int, a: int, k: int, l: int) -> bool:
     b_1 + ... + b_l - a_{k-j+1} - ... - a_k, so with j = (k-l)//2, kA and lA
     are disjoint iff (k-j)A and lA - jA are.  lA - jA is read off
     F(lA) conj(F(jA)), and lA - 0A = lA; a (3,1) check is 2A against A - A,
-    one forward and two inverse transforms.
+    one forward and two inverse transforms.  On the row-class route kA and
+    lA are unions of products, and they meet iff some product of each does,
+    in its T and in its F.
     """
     if not _fft_route(n, a):
         folds = fold_masks(p, n, a, k)
         return folds[k - 1] & folds[l - 1] == 0
+    chain = _row_folds(p, n, a, k)
+    if chain is not None:
+        return not any(t & u and f & g for t, f in chain[k - 1] for u, g in chain[l - 1])
     j = (k - l) // 2
     supports, spectra = _fft_folds(p, n, a, k - j)
     if j:

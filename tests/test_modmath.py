@@ -4,16 +4,21 @@ Every property is checked against an oracle written here from the
 definitions (cells as digit tuples, sums digit by digit), sharing no code
 with the kernel.  Masks are drawn on both sides of the kernel's cut-overs:
 the popcount above which mask -> indices stops peeling bits, and the
-smaller-operand size above which a sumset takes the FFT route.  Large sets
+smaller-operand size above which a sumset leaves the roll route.  Large sets
 in F_p^2 (generated structures, cuboids and random sets under random GL_2
-maps) also pin the FFT route to the roll route and count its transforms.
+maps or left unmoved) also pin the row-class and FFT routes to the roll
+route, and the FFT route's transforms are counted.  Unions of products
+T x F in F_p^2 and F_p^3 check the row-class route against pair sums under
+drawn pair budgets.
 """
 
+import math
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -178,6 +183,139 @@ def test_vsumset_n1_takes_the_rotation_route(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The row-class route: unions of products T x F
+
+# Spaces with enough cells for the FFT-route domain (more than 64 elements).
+ROW_SPACES = ((11, 2), (13, 2), (5, 3), (7, 3), (11, 3), (13, 3))
+
+
+def pair_sum(a, b, p, n):
+    """A + B from every pair of cells, digit by digit, as naive_sum does, with
+    the loop over B done by numpy so that sets of 13^3 cells stay quick."""
+    weights = p ** np.arange(n)
+    other = np.array([digits(j, p, n) for j in cells_of(b)]).reshape(-1, n)
+    hit = np.zeros(p**n, dtype=bool)
+    for i in cells_of(a):
+        hit[(other + digits(i, p, n)) % p @ weights] = True
+    return sum(1 << int(c) for c in np.flatnonzero(hit))
+
+
+def rows_of(a, p, n):
+    """The p rows of A: row x is the p^(n-1)-bit block of last coordinate x."""
+    width = p ** (n - 1)
+    return [a >> (x * width) & ((1 << width) - 1) for x in range(p)]
+
+
+def products_mask(terms, p, n):
+    """The union of the products T x F."""
+    width = p ** (n - 1)
+    return sum_masks(f << (x * width) for t, f in terms for x in range(p) if t >> x & 1)
+
+
+def sum_masks(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+@st.composite
+def product_union(draw, p, n):
+    """A nonempty union of up to three products T x F over F_p^n, T a set of
+    last coordinates and F a subset of F_p^(n-1): rows outside every T are
+    empty, and overlapping T's give extra classes.  Also a single product,
+    and the whole space."""
+    shape = draw(st.sampled_from(("union", "single", "full")))
+    if shape == "full":
+        return (1 << p**n) - 1
+    rng = draw(st.randoms(use_true_random=False))
+
+    def subset(cells):
+        return sum_masks(1 << i for i in rng.sample(range(cells), draw(st.integers(1, cells))))
+
+    count = 1 if shape == "single" else draw(st.integers(1, 3))
+    return products_mask([(subset(p), subset(p ** (n - 1))) for _ in range(count)], p, n)
+
+
+@given(st.data(), st.integers(0, 40))
+def test_row_route_matches_pair_sums(data, budget):
+    # The pair budget is drawn, so at every p and n here the route is taken,
+    # refused at A's class count or at the chain's estimate, or left
+    # mid-chain.
+    p, n = data.draw(st.sampled_from(ROW_SPACES))
+    a, b = data.draw(product_union(p, n)), data.draw(product_union(p, n))
+    want = [a]
+    for _ in range(2):
+        want.append(pair_sum(want[-1], a, p, n))
+    with patch.object(modmath, "_row_pair_budget", lambda *_: budget):
+        assert sumset_mask(p, n, a, b) == pair_sum(a, b, p, n)
+        assert fold_masks(p, n, a, 3) == want
+        for k, l in ((2, 1), (3, 1), (3, 2)):
+            assert is_kl_sumfree_mask(p, n, a, k, l) == (want[k - 1] & want[l - 1] == 0)
+        classes = modmath._row_classes(p, n, a)
+        chain = modmath._row_folds(p, n, a, 3)
+    rows = rows_of(a, p, n)
+    distinct = {row for row in rows if row}
+    assert (classes is None) == (len(distinct) > math.isqrt(budget))
+    if classes is not None:
+        assert sorted(f for _, f in classes) == sorted(distinct)
+        for t, f in classes:
+            assert t == sum_masks(1 << x for x, row in enumerate(rows) if row == f)
+    if chain is not None:
+        assert [products_mask(terms, p, n) for terms in chain] == want
+
+
+def test_row_route_edge_cases(monkeypatch):
+    inverses = []
+    exact = modmath._inverse_fft
+    monkeypatch.setattr(modmath, "_inverse_fft", lambda *args: inverses.append(1) or exact(*args))
+    p, width = 13, 13
+    # The whole space is one class, and so is every sum of it.
+    full = (1 << p * p) - 1
+    assert modmath._row_classes(p, 2, full) == [((1 << p) - 1, (1 << width) - 1)]
+    assert fold_masks(p, 2, full, 3) == [full] * 3 and sumset_mask(p, 2, full, full) == full
+    assert not is_kl_sumfree_mask(p, 2, full, 2, 1)
+    # A band {0..5} x F_p in a p x p grid: empty rows carry no class.
+    band = products_mask([((1 << p) - 1, 0b111111)], p, 2)
+    assert modmath._row_classes(p, 2, band) == [((1 << p) - 1, 0b111111)]
+    # A single class: rows 0..5 equal, rows 6..12 empty.
+    single = products_mask([(0b111111, (1 << 12) - 1)], p, 2)
+    assert modmath._row_classes(p, 2, single) == [(0b111111, (1 << 12) - 1)]
+    for a in (band, single):
+        want = [a, pair_sum(a, a, p, 2)]
+        want.append(pair_sum(want[-1], a, p, 2))
+        assert fold_masks(p, 2, a, 3) == want
+        assert is_kl_sumfree_mask(p, 2, a, 3, 1) == (want[2] & a == 0)
+    assert not inverses
+    # Two classes whose 2A has three terms: under a budget of 4 pairs, 2A
+    # (2 x 2 pairs) is summed by rows, while 3A is expected to cost 3 x 2
+    # more and goes to the FFT route before any pair is summed.
+    a = products_mask([(0b1111111, 0b111111), (0b111111 << 7, 0b10101010101)], p, 2)
+    assert a.bit_count() > modmath._FFT_THRESHOLD
+    monkeypatch.setattr(modmath, "_row_pair_budget", lambda *_: 4)
+    assert [len(terms) for terms in modmath._row_folds(p, 2, a, 2)] == [2, 3]
+    assert modmath._row_folds(p, 2, a, 3) is None
+    want = [a, pair_sum(a, a, p, 2)]
+    want.append(pair_sum(want[-1], a, p, 2))
+    assert fold_masks(p, 2, a, 2) == want[:2] and not inverses
+    assert fold_masks(p, 2, a, 3) == want and inverses
+    # Three classes whose six pair sums all differ, one more than the
+    # estimate: under a budget of 24 pairs the chain to 3A is started
+    # (9 + 5 x 3 expected) and left at 2A (9 + 6 x 3 needed).
+    p = 29
+    a = products_mask([((1 << 10) - 1, 0b11111), (((1 << 10) - 1) << 10, 0b101010101),
+                       (((1 << 9) - 1) << 20, 0b1001001001001)], p, 2)
+    monkeypatch.setattr(modmath, "_row_pair_budget", lambda *_: 24)
+    assert [len(terms) for terms in modmath._row_folds(p, 2, a, 2)] == [3, 6]
+    assert modmath._row_folds(p, 2, a, 3) is None
+    want = [a, pair_sum(a, a, p, 2)]
+    want.append(pair_sum(want[-1], a, p, 2))
+    inverses.clear()
+    assert fold_masks(p, 2, a, 3) == want and inverses
+    assert is_kl_sumfree_mask(p, 2, a, 3, 1) == (want[2] & a == 0)
+
+
+# ---------------------------------------------------------------------------
 # Stabilizers
 
 
@@ -245,16 +383,22 @@ def large_plane_set(draw):
     """(p, mask) for a subset of F_p^2 above the FFT cut-over, under a random
     GL_2 map: a generated structure (sum-free for its own (k,l)), possibly
     with a few points dropped; a cuboid I x F_p over a random interval I of
-    Z_p, p in {11, 13, 17}; or a random set of any size past the cut-over."""
-    source = draw(st.sampled_from(("structure", "cuboid", "random")))
+    Z_p, p in {11, 13, 17}; or a random set of any size past the cut-over.
+    An unmoved source is a whole structure or cuboid under the identity map:
+    it has at most three row classes, so it takes the row-class route."""
+    source = draw(st.sampled_from(("structure", "cuboid", "random", "unmoved")))
+    unmoved = source == "unmoved"
+    if unmoved:
+        source = draw(st.sampled_from(("structure", "cuboid")))
     if source == "structure":
         kind, spec = draw(st.sampled_from(LARGE_SPECS))
         p = spec.params.p
         if kind in ("type5", "rz") and spec.pset:
             spec = TypeSpec(kind, spec.params, s=spec.s, pset=((draw(st.integers(1, p - 1)),),))
         cells = cells_of(generate(kind, spec).mask)
-        drop = draw(st.integers(0, len(cells) - modmath._FFT_THRESHOLD - 1))
-        cells = draw(st.permutations(cells))[drop:]
+        if not unmoved:
+            drop = draw(st.integers(0, len(cells) - modmath._FFT_THRESHOLD - 1))
+            cells = draw(st.permutations(cells))[drop:]
     else:
         p = draw(st.sampled_from((11, 13, 17)))
         lo = modmath._FFT_THRESHOLD // p + 1
@@ -264,8 +408,8 @@ def large_plane_set(draw):
         else:
             size = draw(st.integers(modmath._FFT_THRESHOLD + 1, p * p))
             cells = draw(st.permutations(range(p * p)))[:size]
-    image = apply_automorphism(VecSet.from_indices(p, 2, cells), draw(gl2(p)))
-    return p, image.mask
+    matrix = [[1, 0], [0, 1]] if unmoved else draw(gl2(p))
+    return p, apply_automorphism(VecSet.from_indices(p, 2, cells), matrix).mask
 
 
 def rolled_stabilizer(a, p):
@@ -336,8 +480,9 @@ def test_fft_route_transform_counts(monkeypatch):
         assert spent(fold_masks, p, 2, a, h) == (h - 1, h - 1)
     assert spent(stabilizer_mask, p, 2, a) == (1, 1)
     assert spent(modmath._sumset_fft, p, 2, a, a) == (1, 1)
-    # The p = 503 type-5 generator's own (3,1) check.
-    assert spent(gen_type, big) == (1, 2)
+    # The p = 503 type-5 generator's own (3,1) check: three row classes, so
+    # it takes the row-class route and no transform at all.
+    assert spent(gen_type, big) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +491,8 @@ def test_fft_route_transform_counts(monkeypatch):
 
 def test_fft_counts_off_an_integer_raise(monkeypatch):
     exact = modmath._inverse_fft
-    a = VecSet.from_indices(11, 2, list(range(0, 121, 2)) + [1, 3, 5, 7, 9])
-    assert len(a) > modmath._FFT_THRESHOLD
+    a = VecSet.from_indices(11, 2, random.Random(11).sample(range(121), 70))
+    assert len(a) > modmath._FFT_THRESHOLD and modmath._row_classes(11, 2, a.mask) is None
     want_sum, want_stab = vsumset(a, a), sym_group(a)
     want_free, want_fold = vec_is_kl_sumfree(a, 3, 1), vhfold(a, 3)
     monkeypatch.setattr(modmath, "_inverse_fft", lambda spectrum, shape: exact(spectrum, shape) + 0.3)
@@ -366,14 +511,19 @@ def test_fft_counts_off_an_integer_raise(monkeypatch):
 
 def test_fft_exactness_check_survives_optimize():
     # The check is an explicit raise: with every inverse transform off by
-    # 0.3 it fires under python -O, and `klsf verify` exits 2.
+    # 0.3 it fires under python -O, and `klsf verify` exits 2.  The set is
+    # the band {3..8} x F_11 sheared by (x, y) -> (x + y, y), so each of its
+    # 11 rows is a different interval and it stays on the FFT route.
     script = """
 import sys
 from klsf import cli, modmath
+from klsf.vecset import parse_vecset
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-literal = "p=11;n=2;{" + ",".join(f"({x},{y})" for x in range(3, 9) for y in range(11)) + "}"
+literal = "p=11;n=2;{" + ",".join(f"({(x + y) % 11},{y})" for x in range(3, 9) for y in range(11)) + "}"
+if modmath._row_classes(11, 2, parse_vecset(literal).mask) is not None:
+    sys.exit("the set takes the row-class route")
 argv = ["verify", "--k", "3", "--l", "1", "--set", literal]
 print("exit", cli.main(argv))
 exact = modmath._inverse_fft
