@@ -269,16 +269,16 @@ def test_row_route_edge_cases(monkeypatch):
     inverses = []
     exact = modmath._inverse_fft
     monkeypatch.setattr(modmath, "_inverse_fft", lambda *args: inverses.append(1) or exact(*args))
-    p, width = 13, 13
+    p = 13
     # The whole space is one class, and so is every sum of it.
     full = (1 << p * p) - 1
-    assert modmath._row_classes(p, 2, full) == [((1 << p) - 1, (1 << width) - 1)]
+    assert modmath._row_classes(p, 2, full) == [((1 << p) - 1, (1 << p) - 1)]
     assert fold_masks(p, 2, full, 3) == [full] * 3 and sumset_mask(p, 2, full, full) == full
     assert not is_kl_sumfree_mask(p, 2, full, 2, 1)
-    # A band {0..5} x F_p in a p x p grid: empty rows carry no class.
+    # The band {0..5} x F_p: every row is {0..5}.
     band = products_mask([((1 << p) - 1, 0b111111)], p, 2)
     assert modmath._row_classes(p, 2, band) == [((1 << p) - 1, 0b111111)]
-    # A single class: rows 0..5 equal, rows 6..12 empty.
+    # Rows 0..5 carry {0..11}; the empty rows 6..12 carry no class.
     single = products_mask([(0b111111, (1 << 12) - 1)], p, 2)
     assert modmath._row_classes(p, 2, single) == [(0b111111, (1 << 12) - 1)]
     for a in (band, single):
