@@ -7,22 +7,22 @@ converts masks to and from cell indices, bit arrays and coordinate rows, and
 computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations and
 translation stabilizers; each operation picks its route from its input.
 
-Over F_p^n, n >= 2, sets above the roll route's size take one of two
-routes.  A row is the p^(n-1)-bit block of one last coordinate, and a set
+Over F_p^n, n >= 2, sets above the roll route's size take the FFT route,
+except for the fold chains and (k,l) checks of a set in F_p^2 with few row
+classes.  A row is the p^(n-1)-bit block of one last coordinate, and a set
 with few distinct rows is a disjoint union of products T x F, F a row and T
 the last coordinates that carry it.  Since (T x F) + (U x G) =
-(T + U) x (F + G), the row-class route sums such sets pair by pair, a Z_p
-sumset times a sumset over F_p^(n-1), in exact bit arithmetic, while the
-pairs stay within a budget measured against the FFT route.  The paper's
-structures are unions of bands I x F over one axis and have one to three
-row classes.
+(T + U) x (F + G), the row-class route sums such a set's chain pair by
+pair, two Z_p sumsets each, in exact bit arithmetic, while the pairs stay
+within a budget measured against the FFT route.  The paper's structures are
+unions of bands I x F over one axis and have one to three row classes.
 
-Every other large set takes the FFT route: real-input transforms
-(`rfftn`/`irfftn`) of the 0/1 indicators.  Every inverse transform goes
-through `_inverse_fft` and `_exact_counts`, which rejects a count more than
-1/4 off an integer.  A fold chain transforms A once and each new support only
-when a later step needs it, and a (k,l) check compares (k-j)A with lA - jA,
-j = (k-l)//2, so a (3,1) check is one forward and two inverse transforms.
+The FFT route uses real-input transforms (`rfftn`/`irfftn`) of the 0/1
+indicators.  Every inverse transform goes through `_inverse_fft` and
+`_exact_counts`, which rejects a count more than 1/4 off an integer.  A fold
+chain transforms A once and each new support only when a later step needs
+it, and a (k,l) check compares (k-j)A with lA - jA, j = (k-l)//2, so a
+(3,1) check is one forward and two inverse transforms.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ import numpy as np
 # unpacked.
 _SPARSE_POPCOUNT = 24
 # Over F_p^n with n >= 2, a sumset whose smaller operand has more elements
-# than this takes the row-class or the FFT route instead of one array roll
-# per element (the break-even below is against the FFT route).
+# than this is one FFT convolution instead of one array roll per element.
 # Over Z_p an int rotation per element stays cheaper (at p = 1019, 128
 # rotations take 140 us against 360 us for the FFT), so n <= 1 never uses it.
 # The break-even grows with p^n.  With real transforms (two forward, one
@@ -185,13 +184,9 @@ def sumset_mask(p: int, n: int, a: int, b: int) -> int:
         a, b = b, a
     if n <= 1:
         return _sumset_rotations(p**n, a, b)
-    if a.bit_count() <= _FFT_THRESHOLD:
-        return _sumset_rolls(p, n, a, b)
-    xs = _row_classes(p, n, a)
-    ys = xs if xs is None or b == a else _row_classes(p, n, b)
-    if ys is None:
+    if a.bit_count() > _FFT_THRESHOLD:
         return _sumset_fft(p, n, a, b)
-    return _terms_to_mask(p, n, _row_sum(p, n, xs, ys))
+    return _sumset_rolls(p, n, a, b)
 
 
 def _sumset_rotations(cells: int, small: int, large: int) -> int:
@@ -234,17 +229,24 @@ def _row_pair_budget(p: int, n: int) -> int:
     sumset times a sumset over F_p^(n-1), before the FFT route is cheaper.
 
     Timed on a 2-vCPU Xeon (CPython 3.11, NumPy 2.4), best of 5, with (3,1)
-    checks of the generated structures and of sets of c random half-full row
-    classes.  At n = 2 the FFT route takes 0.07 ms at p = 19, 0.28 ms at
-    p = 59, 0.9 ms at p = 103 and 50 ms at p = 503, and the routes break
-    even near 13, 19, 30 and 300 pairs; p * log2(p) / 16 stays below
-    that.  At n >= 3 a pair is a whole sumset over F_p^(n-1), often on the
-    roll route: one class beats the FFT route from p = 17 (0.1-0.2 ms
-    against 0.35 ms at n = 3) but loses at p = 11 (1.2 ms against 0.15 ms).
+    checks of sets whose c row classes are random half-full rows over a
+    random partition of Z_p, c = 1..8.  At n = 2 the FFT route takes
+    0.1-0.2 ms up to p = 41, 0.35-0.45 ms at p = 53 and 59, 1.5-2 ms at
+    p = 103, 8.3 ms at p = 211 and 38-50 ms at p = 503, and the routes break
+    even near 18 pairs at p = 13, 10-12 at p = 17-41, 14-15 at p = 53 and
+    59, 40 at p = 103, 80 at p = 211 and 140 at p = 503.  max(9, p // 4)
+    stays at or below each.  The generated structures, whose rows are
+    intervals or a few points, break even later: their 9-pair (2,1) checks
+    win at p = 17-53 (0.05 against 0.07 ms at p = 17, 0.18 against
+    0.26 ms at p = 53), and their 24-pair (3,1) checks tie at p = 19-47 and
+    win at p = 503 (3.2 against 50 ms).
+
+    At n >= 3 the budget is 0 and the route is not taken: no benchmark
+    workload builds sets there.  A pair is then a whole sumset over
+    F_p^(n-1); one class beat the FFT route at p = 17, n = 3 (0.1-0.2 ms
+    against 0.35 ms) but lost at p = 11 (1.2 ms against 0.15 ms).
     """
-    if n == 2:
-        return p * p.bit_length() // 16
-    return 2 * (p // 16)
+    return max(9, p // 4) if n == 2 else 0
 
 
 def _row_classes(p: int, n: int, a: int) -> list | None:
@@ -254,6 +256,8 @@ def _row_classes(p: int, n: int, a: int) -> list | None:
     None when A has so many classes that A + A alone would pass the pair
     budget."""
     bound = math.isqrt(_row_pair_budget(p, n))
+    if not bound:
+        return None
     packed = np.packbits(mask_to_bits(a, p**n).reshape(p, -1), axis=1, bitorder="little")
     raw, width = packed.tobytes(), packed.shape[1]
     empty = bytes(width)

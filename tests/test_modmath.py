@@ -8,8 +8,8 @@ smaller-operand size above which a sumset leaves the roll route.  Large sets
 in F_p^2 (generated structures, cuboids and random sets under random GL_2
 maps or left unmoved) also pin the row-class and FFT routes to the roll
 route, and the FFT route's transforms are counted.  Unions of products
-T x F in F_p^2 and F_p^3 check the row-class route against pair sums under
-drawn pair budgets.
+T x F in F_p^2 and F_p^3 check the sumsets, and the row-class route under
+drawn pair budgets, against pair sums.
 """
 
 import math
@@ -239,16 +239,17 @@ def product_union(draw, p, n):
 
 @given(st.data(), st.integers(0, 40))
 def test_row_route_matches_pair_sums(data, budget):
-    # The pair budget is drawn, so at every p and n here the route is taken,
-    # refused at A's class count or at the chain's estimate, or left
-    # mid-chain.
+    # Sumsets take the roll or FFT route.  The pair budget is drawn, so at
+    # every p and n here the chains are summed by rows, refused at A's class
+    # count or at the chain's estimate, or left mid-chain; at n = 3 only a
+    # drawn budget opens the route.
     p, n = data.draw(st.sampled_from(ROW_SPACES))
     a, b = data.draw(product_union(p, n)), data.draw(product_union(p, n))
     want = [a]
     for _ in range(2):
         want.append(pair_sum(want[-1], a, p, n))
+    assert sumset_mask(p, n, a, b) == pair_sum(a, b, p, n)
     with patch.object(modmath, "_row_pair_budget", lambda *_: budget):
-        assert sumset_mask(p, n, a, b) == pair_sum(a, b, p, n)
         assert fold_masks(p, n, a, 3) == want
         for k, l in ((2, 1), (3, 1), (3, 2)):
             assert is_kl_sumfree_mask(p, n, a, k, l) == (want[k - 1] & want[l - 1] == 0)
@@ -273,7 +274,7 @@ def test_row_route_edge_cases(monkeypatch):
     # The whole space is one class, and so is every sum of it.
     full = (1 << p * p) - 1
     assert modmath._row_classes(p, 2, full) == [((1 << p) - 1, (1 << p) - 1)]
-    assert fold_masks(p, 2, full, 3) == [full] * 3 and sumset_mask(p, 2, full, full) == full
+    assert fold_masks(p, 2, full, 3) == [full] * 3
     assert not is_kl_sumfree_mask(p, 2, full, 2, 1)
     # The band {0..5} x F_p: every row is {0..5}.
     band = products_mask([((1 << p) - 1, 0b111111)], p, 2)
@@ -313,6 +314,11 @@ def test_row_route_edge_cases(monkeypatch):
     inverses.clear()
     assert fold_masks(p, 2, a, 3) == want and inverses
     assert is_kl_sumfree_mask(p, 2, a, 3, 1) == (want[2] & a == 0)
+    # Over F_p^3 the kernel's budget is 0: even the whole space, one class,
+    # takes the FFT route.
+    monkeypatch.undo()
+    full = (1 << 7**3) - 1
+    assert modmath._row_pair_budget(7, 3) == 0 and modmath._row_folds(7, 3, full, 3) is None
 
 
 # ---------------------------------------------------------------------------

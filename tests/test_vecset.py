@@ -272,7 +272,7 @@ def test_vec_literals_and_hex():
 def test_sumset_dual_routes_at_medium_scale():
     # The large spot checks lean on the row-class and FFT routes; pin both
     # against the roll-and-OR route on a structured 2575-element set over
-    # F_103^2 (three row classes, so `sumset_mask` sums it by rows).
+    # F_103^2 (three row classes, so `fold_masks` sums it by rows).
     from klsf import modmath
     from klsf.constructions import TypeSpec, gen_type
 
@@ -284,7 +284,6 @@ def test_sumset_dual_routes_at_medium_scale():
     assert three_fft & out == 0
     assert modmath._row_folds(103, 2, out, 3) is not None
     assert modmath.fold_masks(103, 2, out, 3) == [out, two_fft, three_fft]
-    assert modmath.sumset_mask(103, 2, out, out) == two_fft
 
 
 def test_golden_mask_hex():
