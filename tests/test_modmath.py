@@ -391,7 +391,8 @@ def large_plane_set(draw):
     with a few points dropped; a cuboid I x F_p over a random interval I of
     Z_p, p in {11, 13, 17}; or a random set of any size past the cut-over.
     An unmoved source is a whole structure or cuboid under the identity map:
-    it has at most three row classes, so it takes the row-class route."""
+    it has at most three row classes, so its fold chains and (k,l) checks
+    take the row-class route while they stay within the pair budget."""
     source = draw(st.sampled_from(("structure", "cuboid", "random", "unmoved")))
     unmoved = source == "unmoved"
     if unmoved:
