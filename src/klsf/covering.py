@@ -23,8 +23,9 @@ branch, so |2A| > (2 + tau_top)*s - 3 for every reachable size s certifies
 that nothing below satisfies any grid hypothesis.
 
 In both modes the sets meeting a hypothesis go, grouped by size, through one
-batched AP-cover test (`_uncovered`); only the sets it flags are reduced to
-their dilation orbit and re-checked one by one with `covering_verdict`.
+batched AP-cover test (`_uncovered`).  The sets it flags in a block are
+reduced to their dilation orbits by one `modmath.dilation_orbits` call, and
+each orbit not seen before is re-checked with `covering_verdict`.
 
 A scan violation is a first-class data point, not an assertion failure: the
 conjecture the scan explores is open, so violations are reported with stored
@@ -41,9 +42,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, indices_to_mask, is_prime, sumset_mask
+from .modmath import GeneratorCheckError, dilation_orbits, indices_to_mask, is_prime, sumset_mask
 from .zpset import ZpSet, ZpSetError, min_ap_cover, sumset
-from .search import canonical_form
 
 # Run time, not the uint64 word (masks rotate within p bits), sets this limit.
 EXHAUSTIVE_P_LIMIT = 31
@@ -217,13 +217,14 @@ def _uncovered(residues: np.ndarray, doubling: np.ndarray, p: int) -> np.ndarray
 
 
 def _record_violations(p: int, masks, limits, grid, violations: dict) -> None:
-    """Reduce sets the batched test found uncovered to their dilation orbits
-    and re-check each new orbit with the exact verdict; the stored witness is
-    the orbit's canonical form (the verdict is dilation-invariant)."""
-    for mask in masks:
-        canon = canonical_form(ZpSet.from_mask(p, mask))
-        if canon.mask in violations:
+    """Reduce sets of one size that the batched test found uncovered to their
+    dilation orbits and re-check each new orbit with the exact verdict; the
+    stored witness is the orbit's canonical form (the verdict is
+    dilation-invariant)."""
+    for canon_mask in dict.fromkeys(dilation_orbits(p, masks)[0]):
+        if canon_mask in violations:
             continue
+        canon = ZpSet.from_mask(p, canon_mask)
         verdict = covering_verdict(canon)
         if verdict.covered:
             raise GeneratorCheckError(

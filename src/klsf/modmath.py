@@ -4,8 +4,9 @@ The mask format lives here and nowhere else.  A subset of F_p^n is a Python
 int of p^n bits, bit i set iff the cell with index i = sum x_j * p^j belongs
 to the set (little-endian mixed radix; Z_p is the case n = 1).  The kernel
 converts masks to and from cell indices, bit arrays and coordinate rows, and
-computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations and
-translation stabilizers; each operation picks its route from its input.
+computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations, dilation
+orbits and translation stabilizers; each operation picks its route from its
+input.
 
 Over F_p^n, n >= 2, sets above the roll route's size take the FFT route,
 except for the fold chains and (k,l) checks of a set in F_p^2 with few row
@@ -49,10 +50,17 @@ _SPARSE_POPCOUNT = 24
 # (30 ms, where both axes fall back to Bluestein's algorithm).
 _FFT_THRESHOLD = 64
 # Up to this many (dilation, element) pairs, p-1 dilations are cheaper as
-# Python int loops than as one numpy scatter (break-even near p*|A| = 200:
-# 12 us against 20 us at p = 13, |A| = 6; 110 us against 34 us at p = 53,
-# |A| = 18).
-_DILATION_LOOP_PAIRS = 200
+# Python int loops than as one `_dilation_images` call (break-even near
+# p*|A| = 100 on uint64 words: 13 us against 14 us at p = 13, |A| = 6; 19 us
+# against 15 us at p = 23, |A| = 5; 174 us against 29 us at p = 53, |A| = 18).
+_DILATION_LOOP_PAIRS = 100
+# The largest prime whose p-bit masks fit a uint64 word.  Batched Z_p mask
+# work (the search tree, dilation images) runs on uint64 arrays up to it and
+# on object arrays of Python ints above.
+WORD_P_LIMIT = 61
+# Dilation orbits are computed over chunks of at most this many (mask, c,
+# element) triples, which bounds the int64 image array at 2 MB.
+_ORBIT_CELLS = 1 << 18
 
 
 class GeneratorCheckError(AssertionError):
@@ -166,10 +174,51 @@ def dilation_masks(p: int, mask: int) -> list[int]:
                 image |= 1 << (c * x % p)
             images.append(image)
         return images
-    factors = np.arange(1, p, dtype=np.int64)[:, None]
-    images = np.zeros((p - 1, p), dtype=bool)    # row c-1 is the indicator of c*A
-    images[factors - 1, factors * elems % p] = True
-    return bits_to_mask(images)
+    return _dilation_images(p, elems[None, :])[0].tolist()
+
+
+def _dilation_images(p: int, residues: np.ndarray) -> np.ndarray:
+    """(N, p-1) array whose entry (i, c-1) is the mask of c*A_i, c = 1..p-1,
+    for the rows A_i of an (N, s) array of residues: uint64 words up to
+    WORD_P_LIMIT, Python ints (an object array) above."""
+    rows, size = residues.shape
+    images = residues[:, None, :] * np.arange(1, p, dtype=np.int64)[:, None] % p  # (N, p-1, s)
+    if p <= WORD_P_LIMIT:
+        # c is invertible, so the s bits of an image are distinct and their
+        # sum is their union.
+        return (np.uint64(1) << images.astype(np.uint64)).sum(axis=2, dtype=np.uint64)
+    bits = np.zeros((rows * (p - 1), p), dtype=bool)
+    bits[np.arange(len(bits))[:, None], images.reshape(len(bits), size)] = True
+    return np.array(bits_to_mask(bits), dtype=object).reshape(rows, p - 1)
+
+
+def dilation_orbits(p: int, masks: list[int]) -> tuple[list[int], list[int]]:
+    """For each of a batch of equal-size subsets A of Z_p (p-bit masks), the
+    least mask among its dilates cA, c = 1..p-1 (the canonical form of its
+    dilation orbit), and |Stab(A)| = #{c : cA = A}.  Both lists follow the
+    order of `masks`.
+
+    All images come from one residue array per chunk: the (N, s) residues of
+    the sets, their products c*x mod p, the packed masks, then a row minimum
+    and a count of the images equal to column c = 1 (A itself).
+    """
+    least: list[int] = []
+    stabs: list[int] = []
+    if not masks:
+        return least, stabs
+    size = masks[0].bit_count()
+    width = (p + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")[:, :p]
+    if (np.count_nonzero(bits, axis=1) != size).any():
+        raise ValueError(f"dilation_orbits needs p-bit masks of one size ({size} set bits)")
+    residues = np.nonzero(bits)[1].reshape(len(masks), size)
+    chunk = max(1, _ORBIT_CELLS // ((p - 1) * max(size, 1)))
+    for lo in range(0, len(masks), chunk):
+        images = _dilation_images(p, residues[lo:lo + chunk])
+        least += images.min(axis=1).tolist()
+        stabs += np.count_nonzero(images == images[:, :1], axis=1).tolist()
+    return least, stabs
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ maintains the h-fold sumset masks for h <= k incrementally: inserting x
 updates new_h = old_h | ((new_(h-1)) + x), starting from the h-fold masks
 {h} of the root.  A branch dies as soon as the k-fold and l-fold masks meet
 (sumsets only grow) or when the residues left cannot reach the current
-target size.  The maximum search is warm-started with the longest sum-free
-interval, a legitimate lower bound computed by the tool itself.  When
-p | k-l nothing is sum-free, and the scan returns before any of this.
+target size.  The maximum search is warm-started with the size of the
+longest sum-free interval, a lower bound read off a closed form: the
+interval [a, a+L-1] is (k,l)-sum-free iff (k+l)(L-1) <= p-2 and
+(l-k)a mod p lies in [k(L-1)+1, p-1-l(L-1)] (the gap between the arcs kI
+and lI), so the longest has L = m+1, m = (p-2)//(k+l), and starts at
+a = (km+1)(l-k)^(-1).  That interval is built and checked with
+`is_kl_sumfree` before the bound is used.  When p | k-l nothing is
+sum-free, and the scan returns before any of this.
 
 The tree is expanded a block of up to _BLOCK_NODES same-size nodes at a
 time: every (node, candidate) pair of a block goes through the fold updates
@@ -21,9 +26,10 @@ are unpacked and counted.  The tree is the same as a node-at-a-time scan's:
 `node_count` counts its nodes, and `prunes_collision` and `prunes_size` the
 pairs cut by each test.
 
-Each hit is reduced to its dilation orbit: one pass over its p-1 dilations
-gives both the canonical form (the least mask in the orbit) and the
-stabilizer size |Stab(A)| = #{c : cA = A}.  The members of an orbit that
+The hits are reduced to their dilation orbits in one batched
+`modmath.dilation_orbits` call, which gives each hit's canonical form (the
+least mask in its orbit) and stabilizer size |Stab(A)| = #{c : cA = A}
+from its p-1 dilates.  The members of an orbit that
 contain 1 are the sets a^(-1)A for a in A, so the tree must emit each orbit
 exactly |A|/|Stab(A)| times; a different count raises GeneratorCheckError.
 `labeled_count`, the number of labelled sets, follows by orbit-stabilizer as
@@ -42,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, dilation_masks
+from .modmath import WORD_P_LIMIT, GeneratorCheckError, dilation_orbits
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params, VecSet
 from .constructions import extremal_embedding, extremal_intervals
@@ -54,9 +60,6 @@ class SearchLimitError(ValueError):
 
 
 DEFAULT_P_LIMIT = 59
-# The largest prime whose p-bit masks fit a uint64 word; above it (reached
-# only with a raised p_limit) the same scan runs on Python ints.
-_WORD_P_LIMIT = 61
 # Nodes per block of the scan.  An expansion costs about 5 numpy calls per
 # fold whatever the block's size; larger blocks run faster but hold more
 # temporaries (2048 rows add about 2 MB to the benchmark's peak memory).
@@ -104,25 +107,17 @@ class SearchResult:
 
 def canonical_form(a: ZpSet) -> ZpSet:
     """The least bit mask among all dilations of A; constant on orbits."""
-    return ZpSet.from_mask(a.p, _dilation_orbit(a.mask, a.p)[0])
-
-
-def _dilation_orbit(mask: int, p: int) -> tuple[int, int]:
-    """(least mask, stabilizer size) over the p-1 dilations of a mask."""
-    images = dilation_masks(p, mask)
-    return min(images), images.count(mask)
+    return ZpSet.from_mask(a.p, dilation_orbits(a.p, [a.mask])[0][0])
 
 
 def _orbit_stabilizers(hits: list[int], p: int) -> dict[int, int]:
     """Canonical mask -> |Stab(A)| for the orbits of the hits of the tree
-    rooted at {1}, after checking that each orbit was emitted |A|/|Stab(A)|
+    rooted at {1}, all of one size, from one `dilation_orbits` call over the
+    whole hit list, after checking that each orbit was emitted |A|/|Stab(A)|
     times (once per member containing 1)."""
-    stabs: dict[int, int] = {}
-    emitted: Counter[int] = Counter()
-    for mask in hits:
-        canon, stab = _dilation_orbit(mask, p)
-        stabs[canon] = stab
-        emitted[canon] += 1
+    least, stab_sizes = dilation_orbits(p, hits)
+    stabs = dict(zip(least, stab_sizes))
+    emitted = Counter(least)
     for canon, stab in stabs.items():
         if emitted[canon] * stab != canon.bit_count():
             raise GeneratorCheckError(
@@ -138,17 +133,18 @@ def _labeled_count(stabs, p: int) -> int:
     return sum((p - 1) // stab for stab in stabs)
 
 
-def _longest_sumfree_interval(p: int, k: int, l: int) -> int:
-    best = 0
-    for start in range(p):
-        length = best  # only try to beat the record
-        while length < p:
-            cand = ZpSet.interval(p, start, length + 1)
-            if not is_kl_sumfree(cand, k, l):
-                break
-            length += 1
-            best = length
-    return best
+def _warm_start(p: int, k: int, l: int) -> int:
+    """The size m+1 of the longest (k,l)-sum-free interval of Z_p (p not
+    dividing k-l), after checking the interval the closed form names."""
+    m = (p - 2) // (k + l)
+    start = (k * m + 1) * pow(l - k, -1, p) % p
+    interval = ZpSet.interval(p, start, m + 1)
+    if not is_kl_sumfree(interval, k, l):
+        raise GeneratorCheckError(
+            f"warm-start interval {sorted(interval.elements())} of Z_{p} is not "
+            f"({k},{l})-sum-free: implementation bug"
+        )
+    return m + 1
 
 
 def _bits(masks: np.ndarray, p: int) -> np.ndarray:
@@ -193,8 +189,8 @@ def _scan(p: int, k: int, l: int, target: int | None):
     if (k - l) % p == 0:
         # k*1 = l*1: the root {1}, and so every set, fails
         return (0 if target is None else target), [], ScanCounts(0, 0, 0)
-    best = target if target is not None else max(1, _longest_sumfree_interval(p, k, l))
-    word = np.uint64 if p <= _WORD_P_LIMIT else object
+    best = target if target is not None else _warm_start(p, k, l)
+    word = np.uint64 if p <= WORD_P_LIMIT else object
     full = (1 << p) - 1
     hits: list[int] = []
     nodes = collisions = cuts = 0
@@ -266,9 +262,7 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
     labeled by the classifier; unexpected labels surface as findings."""
     p, k, l, m = params.p, params.k, params.l, params.m
     _check_p_limit(p, p_limit)
-    if m < 1:
-        raise SearchLimitError("second-level search needs m >= 1")
-    intervals = extremal_intervals(params)  # raises ParameterError outside the lam window
+    intervals = extremal_intervals(params)  # raises ParameterError for m < 1 or outside the lam window
     t0 = time.perf_counter()
     _, hits, counts = _scan(p, k, l, target=m)
     stabs = _orbit_stabilizers(hits, p)

@@ -1,4 +1,5 @@
-"""The bit-mask kernel: conversions, sumsets, folds, sum-freeness, stabilizers.
+"""The bit-mask kernel: conversions, sumsets, folds, sum-freeness, stabilizers,
+dilation orbits.
 
 Every property is checked against an oracle written here from the
 definitions (cells as digit tuples, sums digit by digit), sharing no code
@@ -9,7 +10,9 @@ in F_p^2 (generated structures, cuboids and random sets under random GL_2
 maps or left unmoved) also pin the row-class and FFT routes to the roll
 route, and the FFT route's transforms are counted.  Unions of products
 T x F in F_p^2 and F_p^3 check the sumsets, and the row-class route under
-drawn pair budgets, against pair sums.
+drawn pair budgets, against pair sums.  Batched dilation orbits are checked
+against `zpset.dilate` one dilate at a time, on uint64 words and on Python
+ints, with cosets of multiplicative subgroups for nontrivial stabilizers.
 """
 
 import math
@@ -32,6 +35,7 @@ from klsf.modmath import (
     indices_to_mask,
     indices_to_rows,
     is_kl_sumfree_mask,
+    is_prime,
     mask_to_bits,
     mask_to_indices,
     rows_to_indices,
@@ -39,6 +43,7 @@ from klsf.modmath import (
     sumset_mask,
 )
 from klsf.constructions import TypeSpec, gen_cuboid, gen_type, reference_specs
+from klsf.zpset import ZpSet, dilate
 from klsf.vecset import (
     Params, VecSet, apply_automorphism, sym_group, vec_is_kl_sumfree, vhfold, vsumset,
 )
@@ -354,6 +359,83 @@ def test_stabilizer_of_empty_and_full_sets():
     assert stabilizer_mask(5, 2, 0) == (1 << 25) - 1
     assert stabilizer_mask(5, 2, (1 << 25) - 1) == (1 << 25) - 1
     assert stabilizer_mask(7, 0, 1) == 1
+
+
+# ---------------------------------------------------------------------------
+# Dilation orbits over Z_p
+
+# Every prime up to 31 takes uint64 words; 67 and 101 take Python ints.
+ORBIT_PRIMES = [p for p in range(2, 32) if is_prime(p)] + [67, 101]
+
+
+def naive_orbit(p, mask):
+    """(least dilate, |Stab(A)|) of a subset of Z_p, from zpset.dilate."""
+    a = ZpSet.from_mask(p, mask)
+    images = [dilate(a, c).mask for c in range(1, p)]
+    return min(images), images.count(mask)
+
+
+def primitive_root(p):
+    return next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+
+
+@st.composite
+def orbit_batch(draw):
+    """A prime and a batch of equal-size subsets of Z_p: unions of j cosets of
+    the order-d subgroup H of Z_p^* (each stabilized by H), and random sets
+    of the same size, with or without 0.  j = 0 gives empty sets or {0}."""
+    p = draw(st.sampled_from(ORBIT_PRIMES))
+    d = draw(st.sampled_from([d for d in range(1, p) if (p - 1) % d == 0]))
+    g = primitive_root(p)
+    cosets = [{pow(g, i + e * ((p - 1) // d), p) for e in range(d)} for i in range((p - 1) // d)]
+    j = draw(st.integers(0, min(len(cosets), max(1, 12 // d))))
+    zero = draw(st.booleans())
+    size = j * d + zero
+    masks = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            picked = draw(st.lists(st.sampled_from(range(len(cosets))), min_size=j, max_size=j,
+                                   unique=True))
+            elems = set().union(*(cosets[i] for i in picked)) | ({0} if zero else set())
+        else:
+            elems = draw(st.sets(st.integers(0, p - 1), min_size=size, max_size=size))
+        masks.append(indices_to_mask(sorted(elems)))
+    return p, masks
+
+
+@given(orbit_batch())
+def test_dilation_orbits_match_brute_force(case):
+    p, masks = case
+    least, stabs = modmath.dilation_orbits(p, masks)
+    assert list(zip(least, stabs)) == [naive_orbit(p, m) for m in masks]
+    assert modmath.dilation_masks(p, masks[0]) == [
+        dilate(ZpSet.from_mask(p, masks[0]), c).mask for c in range(1, p)]
+
+
+def test_dilation_orbits_edge_cases(monkeypatch):
+    assert modmath.dilation_orbits(7, []) == ([], [])
+    assert modmath.dilation_orbits(2, [0b10, 0b01]) == ([0b10, 0b01], [1, 1])
+    assert modmath.dilation_orbits(3, [0b100, 0b010]) == ([0b010, 0b010], [1, 1])
+    assert modmath.dilation_orbits(3, [0b110, 0b011]) == ([0b110, 0b011], [2, 1])
+    assert modmath.dilation_orbits(3, [0b111]) == ([0b111], [2])
+    assert modmath.dilation_orbits(11, [0, 0]) == ([0, 0], [10, 10])
+    assert modmath.dilation_orbits(101, [1]) == ([1], [100])
+    # the quadratic residues mod 13 are the subgroup of order 6, and its
+    # orbit is it and the nonresidues
+    squares = indices_to_mask(sorted({x * x % 13 for x in range(1, 13)}))
+    nonsquares = (1 << 13) - 2 - squares
+    assert modmath.dilation_orbits(13, [squares, nonsquares]) == ([min(squares, nonsquares)] * 2, [6, 6])
+    with pytest.raises(ValueError, match="one size"):
+        modmath.dilation_orbits(13, [0b11, 0b111])
+    # a batch split over several chunks gives the same lists
+    rng = random.Random(5)
+    for p in (29, 67):
+        masks = [indices_to_mask(sorted(rng.sample(range(p), 6))) for _ in range(40)]
+        want = modmath.dilation_orbits(p, masks)
+        monkeypatch.setattr(modmath, "_ORBIT_CELLS", 7 * (p - 1) * 6)
+        assert modmath.dilation_orbits(p, masks) == want
+        assert want == tuple(map(list, zip(*(naive_orbit(p, m) for m in masks))))
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Search: canonical forms, completeness vs a no-pruning brute force, determinism."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, dilate, is_kl_sumfree
-from klsf import search
+from klsf import cli, search
 from klsf.modmath import primes_in
 from klsf.constructions import GeneratorCheckError, ParameterError, extremal_intervals
 from klsf.vecset import Params
@@ -154,6 +158,19 @@ def test_second_level_checks_lambda_before_the_search(monkeypatch):
         enumerate_second_level(Params(2, 1, 43))  # lam = 2 > k+l-3 = 0
 
 
+def test_second_level_needs_m_at_least_1(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("_scan ran for m < 1")
+
+    monkeypatch.setattr(search, "_scan", no_scan)
+    for k, l, p in ((4, 1, 5), (2, 1, 3), (3, 1, 5)):
+        assert Params(k, l, p).m == 0
+        with pytest.raises(ParameterError, match=f"\\(k,l,p,n\\)=\\({k},{l},{p},1\\) has m=0"):
+            enumerate_second_level(Params(k, l, p))
+        assert cli.main(["enumerate", "--k", str(k), "--l", str(l), "--p", str(p),
+                         "--level", "second"]) == 1
+
+
 def brute_force_labeled(p, k, l, size):
     """Every (k,l)-sum-free size-`size` subset of Z_p, not only those containing 1."""
     return [a for a in (ZpSet(p, combo) for combo in combinations(range(1, p), size))
@@ -208,6 +225,65 @@ def test_self_check_catches_a_dropped_hit(monkeypatch):
         enumerate_max(Params(2, 1, 11))
 
 
+def reference_warm_start(p, k, l):
+    """The scan over every interval that `search._warm_start` replaced, kept
+    as the reference for it: the length of the longest (k,l)-sum-free
+    interval of Z_p.  This is the earlier module's code."""
+    best = 0
+    for start in range(p):
+        length = best  # only try to beat the record
+        while length < p:
+            cand = ZpSet.interval(p, start, length + 1)
+            if not is_kl_sumfree(cand, k, l):
+                break
+            length += 1
+            best = length
+    return best
+
+
+# 2 <= k <= 8, 1 <= l < k, prime p <= 61 not dividing k-l
+WARM_START_CASES = [(k, l, p) for k in range(2, 9) for l in range(1, k)
+                    for p in primes_in(2, 61) if (k - l) % p]
+
+
+def test_warm_start_closed_form_matches_interval_scan():
+    assert len(WARM_START_CASES) == 481
+    for k, l, p in WARM_START_CASES:
+        assert search._warm_start(p, k, l) == reference_warm_start(p, k, l) == Params(k, l, p).m + 1, \
+            (k, l, p)
+
+
+def test_warm_start_check_survives_optimize():
+    # The check on the closed-form interval is an explicit raise: with the
+    # sum-freeness test forced to fail it fires under python -O, and
+    # `klsf enumerate` exits 2.
+    script = """
+import sys
+from klsf import cli, search
+from klsf.modmath import GeneratorCheckError
+from klsf.vecset import Params
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+search.is_kl_sumfree = lambda a, k, l: False
+try:
+    search.enumerate_max(Params(3, 1, 23))
+except GeneratorCheckError as exc:
+    print("raised:", exc)
+print("exit", cli.main(["enumerate", "--k", "3", "--l", "1", "--p", "23"]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("raised: warm-start interval") and "implementation bug" in lines[0]
+    assert lines[-1] == "exit 2"
+    assert "check failed" in run.stderr
+
+
 def reference_scan(p, k, l, target):
     """The node-at-a-time DFS that `search._scan` replaced, kept as the
     reference for its tree: (best, hit masks, node count).  Apart from
@@ -216,7 +292,7 @@ def reference_scan(p, k, l, target):
     if (k - l) % p == 0:
         return (0 if target is None else target), [], 0
     full = (1 << p) - 1
-    best = target if target is not None else max(1, search._longest_sumfree_interval(p, k, l))
+    best = target if target is not None else max(1, reference_warm_start(p, k, l))
     hits = []
     node_count = 0
     root_folds = [1 << (h % p) for h in range(k + 1)]
