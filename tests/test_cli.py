@@ -1,6 +1,10 @@
 """CLI: verbs, exit-code taxonomy, manifest reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,25 @@ def test_covering_scan_and_exit_codes(tmp_path, capsys):
     code, doc, _ = run_cli(["covering", "--p", "13", "--c", "1/3"], capsys)
     assert code == 3
     assert doc["results"]["violations"]
+    for trials in ("0", "-5"):
+        code, doc, err = run_cli(["covering", "--p", "101", "--c", "10/107", "--mode", "sampled",
+                                  "--trials", trials], capsys)
+        assert (code, doc) == (1, None)
+        assert "parameter error" in err and "at least one trial" in err
+
+
+def test_covering_nonpositive_tau_step_exit_1():
+    # In a subprocess with a timeout: a grid loop that never ends must fail
+    # the test, not hang the suite.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for step in ("0", "-1/20"):
+        run = subprocess.run([sys.executable, "-m", "klsf.cli", "covering", "--p", "19", "--c", "1/3",
+                              f"--tau-step={step}"], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1, run.stderr
+        assert run.stdout == ""
+        assert "parameter error" in run.stderr and "grid step must be positive" in run.stderr
 
 
 def test_spectral_verb(tmp_path, capsys):

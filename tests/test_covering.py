@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klsf import covering
-from klsf.modmath import primes_in
+from klsf.modmath import dilation_orbits, primes_in
 from klsf.zpset import ZpSet, ZpSetError, dilate, sumset
 from klsf.covering import covering_verdict, default_grid, tau_scan
 
@@ -127,11 +127,14 @@ def test_exhaustive_scan_matches_direct_enumeration():
 
 @settings(max_examples=30)
 @given(st.sampled_from(primes_in(2, 19)), st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)]),
-       st.integers(1, 20), st.sampled_from([3, covering._BLOCK_CHILDREN]))
-def test_scan_matches_scalar_scan_and_brute_force(p, c, top, block):
-    # Small blocks force every frontier to be split across expansions.
+       st.integers(1, 20), st.sampled_from([3, covering._BLOCK_CHILDREN]),
+       st.sampled_from([1, covering._COVER_ROWS]))
+def test_scan_matches_scalar_scan_and_brute_force(p, c, top, block, rows):
+    # Small blocks force every frontier to be split across expansions, and
+    # one-row chunks split every size's hypothesis sets in the cover test.
     grid = tuple(t for t in default_grid() if t <= Fraction(top, 20))
-    with mock.patch.object(covering, "_BLOCK_CHILDREN", block):
+    with mock.patch.object(covering, "_BLOCK_CHILDREN", block), \
+            mock.patch.object(covering, "_COVER_ROWS", rows):
         scan = tau_scan(p, c, grid=grid)
     got = {v.verdict.set.mask: v.tau_star for v in scan.violations}
     violations, feasible, examined, hits = scalar_tau_scan(p, c, grid)
@@ -159,6 +162,22 @@ def test_benchmark_exhaustive_counters(case):
             scan.tau_feasible) == BENCHMARK_EXHAUSTIVE_CASES[case]
 
 
+def test_cover_test_hands_dilation_orbits_at_most_one_chunk():
+    # dilation_orbits builds a (rows, p-1, s) image array, so the cover test
+    # must not pass it a whole tree block's worth of flagged sets.
+    calls = []
+
+    def counted(p, masks):
+        calls.append(len(masks))
+        return dilation_orbits(p, masks)
+
+    p, c, top = 29, Fraction(1, 5), Fraction(1)
+    with mock.patch.object(covering, "dilation_orbits", counted):
+        scan = tau_scan(p, c, grid=tuple(t for t in default_grid() if t <= top))
+    assert len(scan.violations) == BENCHMARK_EXHAUSTIVE_CASES[(p, c, top)][2]
+    assert calls and max(calls) <= covering._COVER_ROWS
+
+
 def test_scan_reports_are_monotone_and_flag_small_tau_clean():
     for p in (13, 19, 23):
         scan = tau_scan(p, Fraction(1, 4), mode="exhaustive")
@@ -175,6 +194,12 @@ def test_scan_mode_and_parameter_errors():
         tau_scan(37, Fraction(1, 4))
     with pytest.raises(ZpSetError, match="unknown mode"):
         tau_scan(13, Fraction(1, 4), mode="guess")
+    for trials in (0, -5):
+        with pytest.raises(ZpSetError, match="at least one trial"):
+            tau_scan(101, Fraction(10, 107), mode="sampled", trials=trials)
+    for step in (Fraction(0), Fraction(-1, 20)):
+        with pytest.raises(ZpSetError, match="grid step must be positive"):
+            default_grid(step)
 
 
 def test_sampled_scan_is_seeded_and_reproducible():
