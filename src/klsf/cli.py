@@ -92,6 +92,8 @@ def _spec_from_grid_item(item: dict):
     params = Params(item["k"], item["l"], item["p"], item.get("n", 1))
     kind = str(item["type"]).lower()
     if kind == "cuboid":
+        if item.get("extras"):
+            raise ParameterError(f"cuboid does not read {', '.join(item['extras'])}")
         return CuboidSpec(params, item.get("j", 0))
     kind = kind if kind.startswith(("type", "rz")) else f"type{kind}"
     extras = item.get("extras", {})

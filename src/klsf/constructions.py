@@ -306,6 +306,13 @@ class TypeSpec:
         object.__setattr__(self, "notes", tuple(validate_type_spec(self)))
 
 
+# The TypeSpec fields that each kind never reads; validate_type_spec refuses them.
+_UNREAD_FIELDS = {
+    "type1": ("vbasis", "s", "pset"), "type2": ("a", "s", "pset"), "type3": ("a", "vbasis", "s", "pset"),
+    "type4": ("a", "s", "pset"), "type5": ("a", "vbasis"), "rz": ("a", "vbasis"),
+}
+
+
 def validate_type_spec(spec: TypeSpec) -> list[str]:
     """Check the table window and the per-kind fields; returns advisory notes."""
     pr = spec.params
@@ -313,6 +320,9 @@ def validate_type_spec(spec: TypeSpec) -> list[str]:
     notes: list[str] = []
     if which not in TYPE_KINDS:
         raise ParameterError(f"unknown structure kind {which!r}")
+    unread = [f for f in _UNREAD_FIELDS[which] if getattr(spec, f) is not None]
+    if unread:
+        raise ParameterError(f"{which} does not read {', '.join(unread)}")
     _check_window(which, pr)
     if which == "type1":
         if spec.a is None:

@@ -11,10 +11,10 @@ Exhaustive mode (p <= 31) enumerates every set up to dilation: apart from
 {0}, each dilation orbit has a representative containing the residue 1, and
 the covering verdict is dilation-invariant, so scanning supersets of {1}
 (with and without 0) is complete.  Sets and their sumsets 2A are p-bit masks
-held in numpy uint64 words.  2A grows by rotations within p bits, so a word
-would hold any p <= 63; the limit p <= 31 bounds the run time instead (from
-p = 29 to 31 the node count grows up to 7.2x, and no larger p has been
-checked against an oracle).  The tree is expanded a block at a time: up to
+held in `klsf.modmath` word arrays, rotated and counted by its word
+helpers.  The limit p <= 31 bounds the run time, not the word (from p = 29
+to 31 the node count grows up to 7.2x, and no larger p has been checked
+against an oracle).  The tree is expanded a block at a time: up to
 _BLOCK_CHILDREN children of parents of one size are built, counted and
 pruned in a few array operations, deepest size first, so at most one block
 per size is pending.  The tree is cut at subtrees that can no longer meet
@@ -23,8 +23,9 @@ branch, so |2A| > (2 + tau_top)*s - 3 for every reachable size s certifies
 that nothing below satisfies any grid hypothesis.
 
 In both modes the sets meeting a hypothesis go, grouped by size, through one
-batched AP-cover test (`_uncovered`); the exhaustive scan feeds it chunks
-of _COVER_ROWS sets, smaller than the tree blocks.  The sets it flags in a
+batched AP-cover test (`_uncovered`) on their residue rows
+(`modmath.words_to_residues`); the exhaustive scan feeds it chunks of
+_COVER_ROWS sets, smaller than the tree blocks.  The sets it flags in a
 chunk are reduced to their dilation orbits by one `modmath.dilation_orbits`
 call, and each orbit not seen before is re-checked with `covering_verdict`.
 
@@ -43,10 +44,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, dilation_orbits, indices_to_mask, is_prime, sumset_mask
+from .modmath import (
+    GeneratorCheckError, dilation_orbits, indices_to_mask, is_prime, rotate_words, sumset_mask,
+    word_array, words_popcount, words_to_residues,
+)
 from .zpset import ZpSet, ZpSetError, min_ap_cover, sumset
 
-# Run time, not the uint64 word (masks rotate within p bits), sets this limit.
+# Run time, not the word size, sets this limit.
 EXHAUSTIVE_P_LIMIT = 31
 DEFAULT_SAMPLED_LIMIT = 10_000
 DEFAULT_GRID_STEP = Fraction(1, 20)
@@ -177,7 +181,9 @@ def tau_scan(
         raise ZpSetError("density bound c must lie in (0, 1)")
     if mode == "sampled" and trials < 1:
         raise ZpSetError(f"sampled scan needs at least one trial, got {trials}")
-    grid = tuple(sorted(grid)) if grid else default_grid()
+    grid = default_grid() if grid is None else tuple(sorted(grid))
+    if not grid:
+        raise ZpSetError("tau grid is empty")
     if mode == "exhaustive":
         if p > EXHAUSTIVE_P_LIMIT:
             raise ZpSetError(f"exhaustive scan limited to p <= {EXHAUSTIVE_P_LIMIT}")
@@ -245,19 +251,11 @@ def _record_violations(p: int, masks, limits, grid, violations: dict) -> None:
         violations[canon.mask] = Violation(verdict, tau_star)
 
 
-def _residues(masks: np.ndarray, size: int, p: int) -> np.ndarray:
-    """(N, size) ascending residues of N uint64 masks with `size` bits each."""
-    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
-                         bitorder="little")[:, :p]
-    return np.nonzero(bits)[1].reshape(-1, size)
-
-
 def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
     t0 = time.perf_counter()
     smax = int(c * p)  # |A| <= c*p with c*p never an integer for prime p
     limits = _doubling_limits(smax, grid)
     top = np.array([row[-1] for row in limits])
-    full = (1 << p) - 1
     examined = 0
     hyp_hits = 0
     found: dict[int, list] = {}  # size >= 3 -> [(masks, doublings)] meeting a hypothesis
@@ -272,9 +270,9 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
         examined += 1  # {0, 1}
         hyp_hits += 1 if 3 <= top[2] else 0
         # size 2: always a 2-term AP with target >= 2; never a violation
-        frontier[1] = _block(1, 0b10, 0b100)       # {1},   2A = {2}
-        if smax > 2:
-            frontier[2] = _block(1, 0b11, 0b111)   # {0,1}, 2A = {0,1,2}
+        frontier[1] = (np.array([1]), word_array(p, [0b10]), word_array(p, [0b100]))  # {1}, 2A = {2}
+        if smax > 2:  # {0, 1}, 2A = {0, 1, 2}
+            frontier[2] = (np.array([1]), word_array(p, [0b11]), word_array(p, [0b111]))
     level = min(2, smax - 1)  # the deepest size with pending parents
     while level >= 1:
         if frontier[level] is None:
@@ -288,10 +286,10 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
         counts, total = counts[:take], int(ends[take - 1])
         # The children of parent i add x = last[i] + 1, ..., p - 1 in turn.
         x = np.arange(total) + np.repeat(last[:take] + 1 - (ends[:take] - counts), counts)
-        bit = x.astype(np.uint64)
-        nmasks = np.repeat(masks[:take], counts) | (np.uint64(1) << bit)
-        ntwos = np.repeat(twos[:take], counts) | (((nmasks << bit) | (nmasks >> (p - bit))) & full)
-        ndoub = np.bitwise_count(ntwos)
+        bit = x.astype(masks.dtype)
+        nmasks = np.repeat(masks[:take], counts) | (1 << bit)
+        ntwos = np.repeat(twos[:take], counts) | rotate_words(nmasks, bit, p)
+        ndoub = words_popcount(ntwos)
         size = level + 1
         examined += total
         hit = ndoub <= top[size]
@@ -314,14 +312,10 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
         doubling = np.concatenate([d for _, d in parts])
         for lo in range(0, len(masks), _COVER_ROWS):
             part = slice(lo, lo + _COVER_ROWS)
-            flagged = _uncovered(_residues(masks[part], size, p), doubling[part], p)
-            _record_violations(p, masks[part][flagged].tolist(), limits, grid, violations)
+            flagged = _uncovered(words_to_residues(masks[part], p), doubling[part], p)
+            _record_violations(p, masks[part][flagged], limits, grid, violations)
     mode = {"kind": "exhaustive", "normalization": "orbit representative contains 1"}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)
-
-
-def _block(last: int, mask: int, two: int) -> tuple:
-    return (np.array([last]), np.array([mask], dtype=np.uint64), np.array([two], dtype=np.uint64))
 
 
 def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauScan:

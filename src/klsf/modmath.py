@@ -6,7 +6,9 @@ to the set (little-endian mixed radix; Z_p is the case n = 1).  The kernel
 converts masks to and from cell indices, bit arrays and coordinate rows, and
 computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations, dilation
 orbits and translation stabilizers; each operation picks its route from its
-input.
+input.  `MaskSet` is the set algebra that ZpSet and VecSet share.  Batches
+of p-bit masks of Z_p are arrays of words (`word_array`), which the word
+helpers unpack, count and rotate whatever their dtype.
 
 Over F_p^n, n >= 2, sets above the roll route's size take the FFT route,
 except for the fold chains and (k,l) checks of a set in F_p^2 with few row
@@ -55,8 +57,8 @@ _FFT_THRESHOLD = 64
 # against 15 us at p = 23, |A| = 5; 174 us against 29 us at p = 53, |A| = 18).
 _DILATION_LOOP_PAIRS = 100
 # The largest prime whose p-bit masks fit a uint64 word.  Batched Z_p mask
-# work (the search tree, dilation images) runs on uint64 arrays up to it and
-# on object arrays of Python ints above.
+# work (the search tree, the covering tree, dilation images) runs on uint64
+# arrays up to it and on object arrays of Python ints above.
 WORD_P_LIMIT = 61
 # Dilation orbits are computed over chunks of at most this many (mask, c,
 # element) triples, which bounds the int64 image array at 2 MB.
@@ -104,6 +106,55 @@ def rotate_mask(mask: int, shift: int, p: int) -> int:
         return mask
     full = (1 << p) - 1
     return ((mask << shift) | (mask >> (p - shift))) & full
+
+
+class MaskSet:
+    """An immutable subset of F_p^n backed by its p^n-bit `mask`: the algebra
+    that ZpSet (n = 1) and VecSet share.  A subclass has `p`, `n` and `mask`,
+    defines `_with_mask(mask)`, the set of that mask in the same space, and
+    names its `_error` type and `_mismatch` message.  Sets of different
+    classes are never equal."""
+
+    __slots__ = ()
+    _mismatch = "incompatible spaces"
+
+    def _check_space(self, other) -> None:
+        if self.p != other.p or self.n != other.n:
+            raise self._error(self._mismatch)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.mask == other.mask
+                and self.p == other.p and self.n == other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, self.mask))
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def is_empty(self) -> bool:
+        return self.mask == 0
+
+    def is_full(self) -> bool:
+        return self.mask == (1 << self.p**self.n) - 1
+
+    def complement(self):
+        return self._with_mask(self.mask ^ ((1 << self.p**self.n) - 1))
+
+    def union(self, other):
+        self._check_space(other)
+        return self._with_mask(self.mask | other.mask)
+
+    def intersection(self, other):
+        self._check_space(other)
+        return self._with_mask(self.mask & other.mask)
+
+    def issubset(self, other) -> bool:
+        self._check_space(other)
+        return self.mask & ~other.mask == 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +213,44 @@ def rows_to_indices(rows: np.ndarray, p: int) -> np.ndarray:
     return rows @ p ** np.arange(rows.shape[1], dtype=np.int64)
 
 
+def word_array(p: int, masks) -> np.ndarray:
+    """p-bit masks as words: uint64 up to WORD_P_LIMIT, Python ints (an object
+    array) above.  An array already in that dtype is not copied."""
+    return np.asarray(masks, dtype=np.uint64 if p <= WORD_P_LIMIT else object)
+
+
+def words_to_bits(words: np.ndarray, p: int) -> np.ndarray:
+    """(N, p) 0/1 uint8 array whose row i holds the p low bits of words[i]."""
+    if words.dtype == object:
+        width = (p + 7) // 8
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in words), dtype=np.uint8)
+    else:
+        width, raw = 8, words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")[:, :p]
+
+
+def words_to_residues(words: np.ndarray, p: int) -> np.ndarray:
+    """(N, s) ascending residues of N words with s set bits each."""
+    bits = words_to_bits(words, p)
+    counts = np.count_nonzero(bits, axis=1)
+    size = int(counts[0]) if len(counts) else 0
+    if (counts != size).any():
+        raise ValueError(f"residue rows need p-bit masks of one size ({size} set bits)")
+    return np.nonzero(bits)[1].reshape(len(words), size)
+
+
+def words_popcount(words: np.ndarray) -> np.ndarray:
+    """The number of set bits of each word."""
+    if words.dtype == object:
+        return np.fromiter((m.bit_count() for m in words), dtype=np.int64, count=len(words))
+    return np.bitwise_count(words)
+
+
+def rotate_words(words: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:
+    """`rotate_mask` over arrays: word i rotated left by shifts[i] in [0, p), of the words' dtype."""
+    return ((words << shifts) | (words >> (p - shifts))) & ((1 << p) - 1)
+
+
 def dilation_masks(p: int, mask: int) -> list[int]:
     """The masks of c*A for c = 1, ..., p-1 (entry c-1), A a subset of Z_p."""
     elems = mask_to_indices(mask)
@@ -179,8 +268,7 @@ def dilation_masks(p: int, mask: int) -> list[int]:
 
 def _dilation_images(p: int, residues: np.ndarray) -> np.ndarray:
     """(N, p-1) array whose entry (i, c-1) is the mask of c*A_i, c = 1..p-1,
-    for the rows A_i of an (N, s) array of residues: uint64 words up to
-    WORD_P_LIMIT, Python ints (an object array) above."""
+    for the rows A_i of an (N, s) array of residues, as words (`word_array`)."""
     rows, size = residues.shape
     images = residues[:, None, :] * np.arange(1, p, dtype=np.int64)[:, None] % p  # (N, p-1, s)
     if p <= WORD_P_LIMIT:
@@ -189,32 +277,23 @@ def _dilation_images(p: int, residues: np.ndarray) -> np.ndarray:
         return (np.uint64(1) << images.astype(np.uint64)).sum(axis=2, dtype=np.uint64)
     bits = np.zeros((rows * (p - 1), p), dtype=bool)
     bits[np.arange(len(bits))[:, None], images.reshape(len(bits), size)] = True
-    return np.array(bits_to_mask(bits), dtype=object).reshape(rows, p - 1)
+    return word_array(p, bits_to_mask(bits)).reshape(rows, p - 1)
 
 
-def dilation_orbits(p: int, masks: list[int]) -> tuple[list[int], list[int]]:
-    """For each of a batch of equal-size subsets A of Z_p (p-bit masks), the
-    least mask among its dilates cA, c = 1..p-1 (the canonical form of its
-    dilation orbit), and |Stab(A)| = #{c : cA = A}.  Both lists follow the
-    order of `masks`.
+def dilation_orbits(p: int, masks) -> tuple[list[int], list[int]]:
+    """For each of a batch of equal-size subsets A of Z_p (p-bit masks, as a
+    list or a word array), the least mask among its dilates cA, c = 1..p-1
+    (the canonical form of its dilation orbit), and |Stab(A)| = #{c : cA = A}.
+    Both lists follow the order of `masks`.
 
     All images come from one residue array per chunk: the (N, s) residues of
     the sets, their products c*x mod p, the packed masks, then a row minimum
     and a count of the images equal to column c = 1 (A itself).
     """
-    least: list[int] = []
-    stabs: list[int] = []
-    if not masks:
-        return least, stabs
-    size = masks[0].bit_count()
-    width = (p + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")[:, :p]
-    if (np.count_nonzero(bits, axis=1) != size).any():
-        raise ValueError(f"dilation_orbits needs p-bit masks of one size ({size} set bits)")
-    residues = np.nonzero(bits)[1].reshape(len(masks), size)
-    chunk = max(1, _ORBIT_CELLS // ((p - 1) * max(size, 1)))
-    for lo in range(0, len(masks), chunk):
+    residues = words_to_residues(word_array(p, masks), p)
+    least, stabs = [], []
+    chunk = max(1, _ORBIT_CELLS // ((p - 1) * max(residues.shape[1], 1)))
+    for lo in range(0, len(residues), chunk):
         images = _dilation_images(p, residues[lo:lo + chunk])
         least += images.min(axis=1).tolist()
         stabs += np.count_nonzero(images == images[:, :1], axis=1).tolist()

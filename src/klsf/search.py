@@ -20,11 +20,11 @@ sum-free, and the scan returns before any of this.
 The tree is expanded a block of up to _BLOCK_NODES same-size nodes at a
 time: every (node, candidate) pair of a block goes through the fold updates
 and both cuts in a few array operations, with no per-node Python loop.
-Masks are numpy uint64 words for p <= 61 and Python ints (object arrays)
-above, which only a raised p_limit reaches; the two differ only in how bits
-are unpacked and counted.  The tree is the same as a node-at-a-time scan's:
-`node_count` counts its nodes, and `prunes_collision` and `prunes_size` the
-pairs cut by each test.
+Masks are the word arrays of `klsf.modmath` (uint64 words for p <= 61,
+Python ints above, which only a raised p_limit reaches), unpacked, counted
+and rotated by its word helpers.  The tree is the same as a node-at-a-time
+scan's: `node_count` counts its nodes, and `prunes_collision` and
+`prunes_size` the pairs cut by each test.
 
 The hits are reduced to their dilation orbits in one batched
 `modmath.dilation_orbits` call, which gives each hit's canonical form (the
@@ -48,7 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modmath import WORD_P_LIMIT, GeneratorCheckError, dilation_orbits
+from .modmath import (
+    GeneratorCheckError, dilation_orbits, rotate_words, word_array, words_popcount, words_to_bits,
+)
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params, VecSet
 from .constructions import extremal_embedding, extremal_intervals
@@ -147,22 +149,6 @@ def _warm_start(p: int, k: int, l: int) -> int:
     return m + 1
 
 
-def _bits(masks: np.ndarray, p: int) -> np.ndarray:
-    """(N, p) 0/1 array whose row i holds the p low bits of masks[i]."""
-    if masks.dtype == object:
-        width = (p + 7) // 8
-        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    else:
-        width, raw = 8, masks.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")[:, :p]
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    if masks.dtype == object:
-        return np.fromiter((m.bit_count() for m in masks), dtype=np.int64, count=len(masks))
-    return np.bitwise_count(masks)
-
-
 def _scan(p: int, k: int, l: int, target: int | None):
     """Core DFS over the tree rooted at {1}.  target=None: find the maximum
     size and all sets containing 1 attaining it.  target=t: emit every
@@ -190,13 +176,10 @@ def _scan(p: int, k: int, l: int, target: int | None):
         # k*1 = l*1: the root {1}, and so every set, fails
         return (0 if target is None else target), [], ScanCounts(0, 0, 0)
     best = target if target is not None else _warm_start(p, k, l)
-    word = np.uint64 if p <= WORD_P_LIMIT else object
-    full = (1 << p) - 1
     hits: list[int] = []
     nodes = collisions = cuts = 0
     root_folds = [[1 << (h % p) for h in range(k + 1)]]  # folds[h] = mask of h*{1} = {h}
-    stack = [(1, np.array([0b10], dtype=word), np.array([full & ~0b11], dtype=word),
-              np.array(root_folds, dtype=word))]
+    stack = [(1, word_array(p, [0b10]), word_array(p, [(1 << p) - 4]), word_array(p, root_folds))]
     while stack:
         size, amask, cand, folds = stack.pop()
         nodes += len(amask)
@@ -209,20 +192,20 @@ def _scan(p: int, k: int, l: int, target: int | None):
             hits = amask.tolist()
         if target is not None and size >= target:
             continue
-        parent, x = np.nonzero(_bits(cand, p))
-        x = x.astype(word)
+        parent, x = np.nonzero(words_to_bits(cand, p))
+        x = x.astype(amask.dtype)
         nf = [folds[parent, 0]]  # the child's fold masks, h = 0..k
         for h in range(1, k + 1):
             prev = nf[-1]
-            nf.append(folds[parent, h] | (((prev << x) | (prev >> (p - x))) & full))
+            nf.append(folds[parent, h] | rotate_words(prev, x, p))
         ok = np.flatnonzero((nf[k] & nf[l]) == 0)
         collisions += len(x) - len(ok)
         parent, x = parent[ok], x[ok]
         bit = 1 << x
-        feasible = np.zeros(len(amask), dtype=word)
+        feasible = np.zeros(len(amask), dtype=amask.dtype)
         np.bitwise_or.at(feasible, parent, bit)
         suffix = (feasible[parent] >> (x + 1)) << (x + 1)
-        keep = np.flatnonzero(size + 1 + _popcount(suffix) >= best)
+        keep = np.flatnonzero(size + 1 + words_popcount(suffix) >= best)
         cuts += len(ok) - len(keep)
         child_masks = amask[parent[keep]] | bit[keep]
         child_cand = suffix[keep]

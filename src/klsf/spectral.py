@@ -47,11 +47,11 @@ class Spectrum:
         return float(np.abs(self.values[1:]).max())
 
 
-def spectrum(a: VecSet, size_limit: int = SIZE_LIMIT) -> Spectrum:
-    """Full coefficient table via the FFT; refuses spaces above `size_limit`."""
+def spectrum(a: VecSet) -> Spectrum:
+    """Full coefficient table via the FFT; refuses spaces above SIZE_LIMIT."""
     cells = a.p**a.n
-    if cells > size_limit:
-        raise VecSetError(f"space of size {cells} exceeds the spectrum limit {size_limit}")
+    if cells > SIZE_LIMIT:
+        raise VecSetError(f"space of size {cells} exceeds the spectrum limit {SIZE_LIMIT}")
     values = (indicator_fft(a.p, a.n, a.mask) / cells).reshape(-1)
     alpha = len(a) / cells
     if not abs(values[0] - alpha) <= COEFF_ZERO_TOL:

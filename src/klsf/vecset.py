@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, bits_to_mask, dilation_masks, fold_masks, indices_to_mask, indices_to_rows,
+    GeneratorCheckError, MaskSet, bits_to_mask, dilation_masks, fold_masks, indices_to_mask, indices_to_rows,
     is_kl_sumfree_mask, is_prime, mask_to_bits, mask_to_indices, mod_inverse, rows_to_indices,
     stabilizer_mask, sumset_mask,
 )
@@ -92,10 +92,11 @@ def mat_vec(m: list[list[int]], x: tuple[int, ...], p: int) -> tuple[int, ...]:
 # VecSet
 
 
-class VecSet:
-    """An immutable subset of F_p^n (n >= 0) backed by a p^n-bit mask."""
+class VecSet(MaskSet):
+    """An immutable subset of F_p^n (n >= 0) backed by a p^n-bit mask (set algebra: MaskSet)."""
 
     __slots__ = ("p", "n", "mask")
+    _error = VecSetError
 
     def __init__(self, p: int, n: int, vectors=()):
         if not is_prime(p):
@@ -150,26 +151,8 @@ class VecSet:
             raise VecSetError("only 1-dimensional sets round-trip to ZpSet")
         return ZpSet.from_mask(self.p, self.mask)
 
-    def __setattr__(self, *_):
-        raise AttributeError("VecSet is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VecSet)
-            and (self.p, self.n, self.mask) == (other.p, other.n, other.mask)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.mask))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def is_full(self) -> bool:
-        return self.mask == (1 << self.p**self.n) - 1
+    def _with_mask(self, mask: int) -> "VecSet":
+        return VecSet.from_mask(self.p, self.n, mask)
 
     def vectors(self):
         return iter(map(tuple, indices_to_rows(self.index_array(), self.p, self.n).tolist()))
@@ -181,21 +164,6 @@ class VecSet:
 
     def __repr__(self) -> str:
         return f"VecSet(p={self.p}, n={self.n}, size={len(self)})"
-
-    def complement(self) -> "VecSet":
-        return VecSet.from_mask(self.p, self.n, self.mask ^ ((1 << self.p**self.n) - 1))
-
-    def union(self, other: "VecSet") -> "VecSet":
-        _check_same_space(self, other)
-        return VecSet.from_mask(self.p, self.n, self.mask | other.mask)
-
-    def intersection(self, other: "VecSet") -> "VecSet":
-        _check_same_space(self, other)
-        return VecSet.from_mask(self.p, self.n, self.mask & other.mask)
-
-    def issubset(self, other: "VecSet") -> bool:
-        _check_same_space(self, other)
-        return self.mask & ~other.mask == 0
 
     def translate(self, g) -> "VecSet":
         """A + g, as the sumset with {g}; coordinates of g are taken mod p."""
@@ -219,18 +187,13 @@ class VecSet:
         return self.mask.to_bytes((cells + 7) // 8, "little").hex()
 
 
-def _check_same_space(a: VecSet, b: VecSet) -> None:
-    if (a.p, a.n) != (b.p, b.n):
-        raise VecSetError("incompatible spaces")
-
-
 # ---------------------------------------------------------------------------
 # Sumsets over F_p^n
 
 
 def vsumset(a: VecSet, b: VecSet) -> VecSet:
     """Componentwise-mod-p sumset A + B, by the kernel's `sumset_mask`."""
-    _check_same_space(a, b)
+    a._check_space(b)
     return VecSet.from_mask(a.p, a.n, sumset_mask(a.p, a.n, a.mask, b.mask))
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .modmath import (
-    fold_masks, indices_to_mask, is_kl_sumfree_mask, is_prime, mask_to_indices, rotate_mask, sumset_mask,
+    MaskSet, fold_masks, indices_to_mask, is_kl_sumfree_mask, is_prime, mask_to_indices, rotate_mask,
+    sumset_mask,
 )
 
 
@@ -31,10 +32,13 @@ class ZpSetError(ValueError):
     """Raised for malformed residue sets or incompatible operands."""
 
 
-class ZpSet:
-    """An immutable subset of Z_p backed by a bit mask."""
+class ZpSet(MaskSet):
+    """An immutable subset of Z_p backed by a bit mask (set algebra: MaskSet)."""
 
     __slots__ = ("p", "mask")
+    n = 1
+    _error = ZpSetError
+    _mismatch = "incompatible moduli"
 
     def __init__(self, p: int, elements=()):
         if not is_prime(p):
@@ -62,22 +66,10 @@ class ZpSet:
         """The cyclic interval {start, start+1, ..., start+length-1} mod p."""
         if length < 0 or length > p:
             raise ZpSetError(f"interval length {length} out of range")
-        start %= p
-        full = (1 << p) - 1
-        run = (1 << length) - 1
-        return cls.from_mask(p, rotate_mask(run & full, start, p) if length < p else full)
+        return cls.from_mask(p, rotate_mask((1 << length) - 1, start, p))
 
-    def __setattr__(self, *_):
-        raise AttributeError("ZpSet is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZpSet) and self.p == other.p and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.mask))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
+    def _with_mask(self, mask: int) -> "ZpSet":
+        return ZpSet.from_mask(self.p, mask)
 
     def __contains__(self, e: int) -> bool:
         return 0 <= e < self.p and (self.mask >> e) & 1 == 1
@@ -91,35 +83,9 @@ class ZpSet:
     def __repr__(self) -> str:
         return f"ZpSet(p={self.p}, {{{', '.join(map(str, self))}}})"
 
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def is_full(self) -> bool:
-        return self.mask == (1 << self.p) - 1
-
-    def complement(self) -> "ZpSet":
-        return ZpSet.from_mask(self.p, self.mask ^ ((1 << self.p) - 1))
-
-    def union(self, other: "ZpSet") -> "ZpSet":
-        _check_same_modulus(self, other)
-        return ZpSet.from_mask(self.p, self.mask | other.mask)
-
-    def intersection(self, other: "ZpSet") -> "ZpSet":
-        _check_same_modulus(self, other)
-        return ZpSet.from_mask(self.p, self.mask & other.mask)
-
-    def issubset(self, other: "ZpSet") -> bool:
-        _check_same_modulus(self, other)
-        return self.mask & ~other.mask == 0
-
     def shift(self, t: int) -> "ZpSet":
         """Translate by t: {a + t mod p}."""
         return ZpSet.from_mask(self.p, rotate_mask(self.mask, t, self.p))
-
-
-def _check_same_modulus(a: ZpSet, b: ZpSet) -> None:
-    if a.p != b.p:
-        raise ZpSetError("incompatible moduli")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +95,7 @@ def _check_same_modulus(a: ZpSet, b: ZpSet) -> None:
 def sumset(a: ZpSet, b: ZpSet) -> ZpSet:
     """A + B = {x + y mod p}, by the kernel's `sumset_mask`.  A naive double
     loop over all pairs serves as the independent test oracle."""
-    _check_same_modulus(a, b)
+    a._check_space(b)
     return ZpSet.from_mask(a.p, sumset_mask(a.p, 1, a.mask, b.mask))
 
 

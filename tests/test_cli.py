@@ -232,6 +232,27 @@ def test_construct_flags_match_one_item_grid(tmp_path, capsys, flags, item):
     assert from_grid["results"] == [from_flags["results"]]
 
 
+@pytest.mark.parametrize("flags, unread", [
+    (["--type", "2", "--k", "3", "--l", "1", "--p", "23", "--n", "2", "--a", "5", "--pset", "{1}"],
+     "type2 does not read a, pset"),
+    (["--type", "1", "--k", "3", "--l", "1", "--p", "23", "--a", "5", "--s", "0"],
+     "type1 does not read s"),
+    (["--type", "5", "--k", "3", "--l", "1", "--p", "23", "--n", "2", "--s", "1", "--pset", "{1}",
+      "--vbasis", ""], "type5 does not read vbasis"),
+    (["--type", "cuboid", "--k", "3", "--l", "1", "--p", "23", "--a", "5"], "cuboid does not read a"),
+], ids=["type2", "type1", "type5", "cuboid"])
+def test_construct_refuses_flags_the_kind_does_not_read(capsys, flags, unread):
+    code, doc, err = run_cli(["construct", *flags], capsys)
+    assert code == 1 and doc is None and unread in err
+
+
+def test_grid_item_refuses_cuboid_extras(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"k": 3, "l": 1, "p": 23, "type": "cuboid", "extras": {"s": 1}}]))
+    code, _, err = run_cli(["construct", "--grid", str(path)], capsys)
+    assert code == 1 and "cuboid does not read s" in err
+
+
 def test_vector_lists_parse_once():
     # --vbasis/--pset and vector-set literals share one vector-list parser.
     from klsf.vecset import VecSet, parse_vecset, parse_vectors

@@ -133,6 +133,17 @@ def test_degenerate_parameter_rejections():
         TypeSpec("type2", Params(2, 1, 17, 3), vbasis=((1, 2, 3),))
     with pytest.raises(ParameterError, match="\\(1,\\) does not live in F_p\\^2"):
         TypeSpec("type2", Params(2, 1, 17, 3), vbasis=((1,),))
+    # a field that the kind never reads is refused, not ignored
+    for which, fields, unread in [
+        ("type2", {"vbasis": (), "a": 5, "pset": ((1,),)}, "a, pset"),
+        ("type1", {"a": 5, "vbasis": ()}, "vbasis"),
+        ("type3", {"s": 0}, "s"),
+        ("type4", {"vbasis": (), "pset": ()}, "pset"),
+        ("type5", {"s": 1, "pset": ((1,),), "a": 5}, "a"),
+        ("rz", {"s": 1, "pset": ((1,),), "vbasis": ()}, "vbasis"),
+    ]:
+        with pytest.raises(ParameterError, match=f"{which} does not read {unread}$"):
+            TypeSpec(which, p5, **fields)
 
 
 def test_generator_sizes_and_verifier():

@@ -200,6 +200,19 @@ def test_scan_mode_and_parameter_errors():
     for step in (Fraction(0), Fraction(-1, 20)):
         with pytest.raises(ZpSetError, match="grid step must be positive"):
             default_grid(step)
+    # an empty grid is refused, not read as "use the default grid"
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(ZpSetError, match="tau grid is empty"):
+            tau_scan(13, Fraction(1, 4), mode=mode, grid=())
+    assert tau_scan(13, Fraction(1, 4), grid=None).grid == default_grid()
+
+
+def test_cli_refuses_an_empty_tau_grid(capsys):
+    from klsf.cli import main
+
+    assert main(["covering", "--p", "13", "--c", "1/4", "--tau-top", "0"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and "tau grid is empty" in captured.err
 
 
 def test_sampled_scan_is_seeded_and_reproducible():

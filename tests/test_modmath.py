@@ -628,3 +628,102 @@ print("exit", cli.main(argv))
     lines = [line for line in run.stdout.splitlines() if line.startswith("exit")]
     assert lines == ["exit 0", "exit 2"]
     assert "FFT count off an integer" in run.stderr
+
+
+@pytest.mark.parametrize("p", [2, 3, 61, 67, 101])
+def test_word_helpers_match_the_scalar_mask_functions(p):
+    # uint64 words up to WORD_P_LIMIT = 61, object arrays of Python ints above
+    rng = random.Random(p)
+    masks = [0, (1 << p) - 1] + [rng.getrandbits(p) for _ in range(30)]
+    words = modmath.word_array(p, masks)
+    assert words.dtype == (np.uint64 if p <= modmath.WORD_P_LIMIT else object)
+    assert modmath.word_array(p, words) is words
+    assert words.tolist() == masks
+    bits = modmath.words_to_bits(words, p)
+    assert bits.shape == (len(masks), p)
+    assert all((row == mask_to_bits(m, p)).all() for row, m in zip(bits, masks))
+    assert modmath.words_popcount(words).tolist() == [m.bit_count() for m in masks]
+    shifts = np.array([rng.randrange(p) for _ in masks]).astype(words.dtype)
+    rotated = modmath.rotate_words(words, shifts, p)
+    assert rotated.dtype == words.dtype
+    assert rotated.tolist() == [modmath.rotate_mask(m, int(t), p) for m, t in zip(masks, shifts)]
+    size = min(3, p)
+    same = [indices_to_mask(sorted(rng.sample(range(p), size))) for _ in range(20)]
+    residues = modmath.words_to_residues(modmath.word_array(p, same), p)
+    assert residues.tolist() == [mask_to_indices(m).tolist() for m in same]
+    assert modmath.words_to_residues(modmath.word_array(p, []), p).shape == (0, 0)
+    if p > 2:
+        with pytest.raises(ValueError, match="one size"):
+            modmath.words_to_residues(modmath.word_array(p, [0b1, 0b11]), p)
+
+
+@pytest.mark.parametrize("p", [13, 61, 67])
+def test_dilation_orbits_take_a_list_or_a_word_array(p):
+    rng = random.Random(p)
+    masks = [indices_to_mask(sorted(rng.sample(range(p), 5))) for _ in range(25)]
+    assert modmath.dilation_orbits(p, modmath.word_array(p, masks)) == modmath.dilation_orbits(p, masks)
+
+
+def _set_algebra_cases():
+    rng = random.Random(11)
+    for p in (2, 5, 7):
+        for _ in range(6):
+            a, b = rng.getrandbits(p), rng.getrandbits(p)
+            yield ZpSet.from_mask(p, a), ZpSet.from_mask(p, b), p
+            yield VecSet.from_mask(p, 1, a), VecSet.from_mask(p, 1, b), p
+        for _ in range(4):
+            a, b = rng.getrandbits(p * p), rng.getrandbits(p * p)
+            yield VecSet.from_mask(p, 2, a), VecSet.from_mask(p, 2, b), p * p
+
+
+def test_shared_set_algebra_on_zpset_and_vecset():
+    for a, b, cells in _set_algebra_cases():
+        def members(s):
+            return {i for i in range(cells) if s.mask >> i & 1}
+
+        sa, sb = members(a), members(b)
+        assert type(a.union(b)) is type(a)
+        assert members(a.union(b)) == sa | sb
+        assert members(a.intersection(b)) == sa & sb
+        assert members(a.complement()) == set(range(cells)) - sa
+        assert a.issubset(b) == (sa <= sb)
+        assert a.issubset(a.union(b)) and a.intersection(b).issubset(b)
+        assert len(a) == len(sa)
+        assert a.is_empty() == (not sa) and a.is_full() == (len(sa) == cells)
+        assert a.union(a.complement()).is_full() and a.intersection(a.complement()).is_empty()
+        twin = a.complement().complement()
+        assert twin == a and hash(twin) == hash(a) and twin is not a
+        assert (a == b) == (sa == sb) and len({a, twin, b}) == (1 if sa == sb else 2)
+        with pytest.raises(AttributeError, match=f"{type(a).__name__} is immutable"):
+            a.mask = 0
+
+
+def test_set_algebra_refuses_other_spaces_with_each_class_error():
+    from klsf.vecset import VecSetError
+    from klsf.zpset import ZpSetError, sumset
+
+    for op in ("union", "intersection", "issubset"):
+        with pytest.raises(ZpSetError, match="incompatible moduli"):
+            getattr(ZpSet(7, [1]), op)(ZpSet(11, [1]))
+        for other in (VecSet(7, 2, [(1, 0)]), VecSet(11, 1, [(1,)])):
+            with pytest.raises(VecSetError, match="incompatible spaces"):
+                getattr(VecSet(7, 1, [(1,)]), op)(other)
+    with pytest.raises(ZpSetError, match="incompatible moduli"):
+        sumset(ZpSet(7, [1]), ZpSet(11, [1]))
+    with pytest.raises(VecSetError, match="incompatible spaces"):
+        vsumset(VecSet(7, 1, [(1,)]), VecSet(7, 2, [(1, 0)]))
+    for p, elems in ((7, [1, 3]), (11, []), (5, range(5))):
+        z = ZpSet(p, elems)
+        v = VecSet.from_zpset(z)
+        assert z != v and v != z and v.to_zpset() == z
+        assert z == ZpSet(p, elems) and v == VecSet(p, 1, [(e,) for e in elems])
+
+
+def test_word_format_lives_in_modmath():
+    # The search and the covering lab hold batched masks only through the
+    # word helpers of klsf.modmath.
+    src = Path(modmath.__file__).parent
+    for name in ("search.py", "covering.py"):
+        text = (src / name).read_text()
+        for token in ("unpackbits", "bitwise_count", "WORD_P_LIMIT", "to_bytes"):
+            assert token not in text, f"{name} uses {token}"

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from klsf import spectral
 from klsf.zpset import ZpSet
 from klsf.vecset import VecSet, VecSetError, decompose
 from klsf.classify import balance_deviation
@@ -160,9 +161,10 @@ def test_balance_link_via_kernel_decomposition():
             assert abs(spec.coeff(t)) <= balance_deviation(prof, u) / 11**2 + 1e-9
 
 
-def test_size_limit():
+def test_size_limit(monkeypatch):
+    monkeypatch.setattr(spectral, "SIZE_LIMIT", 1)
     with pytest.raises(VecSetError, match="exceeds the spectrum limit"):
-        spectrum(VecSet(2, 1, [(0,)]), size_limit=1)
+        spectrum(VecSet(2, 1, [(0,)]))
 
 
 def test_self_checks_survive_optimize():
