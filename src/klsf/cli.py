@@ -40,6 +40,8 @@ from .criteria import CRITERIA, run_criterion
 
 SCHEMA = "klsf/1"
 EXIT_OK, EXIT_PARAM, EXIT_CHECK, EXIT_FINDING = 0, 1, 2, 3
+# The keys a --grid item's "extras" may hold (read by the non-cuboid kinds).
+GRID_EXTRAS = ("a", "s", "vbasis", "pset")
 
 
 def _emit(doc: dict, out_path: str | None, t0: float, timing: dict | None = None) -> None:
@@ -91,12 +93,18 @@ def _grid_item_from_args(args) -> dict:
 def _spec_from_grid_item(item: dict):
     params = Params(item["k"], item["l"], item["p"], item.get("n", 1))
     kind = str(item["type"]).lower()
+    extras = item.get("extras") or {}
+    unknown = sorted(set(extras) - set(GRID_EXTRAS))
+    if unknown:
+        raise ParameterError(f"unknown extras {', '.join(unknown)}; known: {', '.join(GRID_EXTRAS)}")
+    j = item.get("j")
     if kind == "cuboid":
-        if item.get("extras"):
-            raise ParameterError(f"cuboid does not read {', '.join(item['extras'])}")
-        return CuboidSpec(params, item.get("j", 0))
+        if extras:
+            raise ParameterError(f"cuboid does not read {', '.join(extras)}")
+        return CuboidSpec(params, 0 if j is None else j)
     kind = kind if kind.startswith(("type", "rz")) else f"type{kind}"
-    extras = item.get("extras", {})
+    if j is not None:
+        raise ParameterError(f"{kind} does not read j")
     return TypeSpec(
         kind,
         params,
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--l", type=int, default=1)
     pc.add_argument("--p", type=int, default=11)
     pc.add_argument("--n", type=int, default=1)
-    pc.add_argument("--j", type=int, default=0, help="extremal cuboid index")
+    pc.add_argument("--j", type=int, default=None, help="extremal cuboid index (default 0)")
     pc.add_argument("--a", type=int, default=None, help="type-1 interval start")
     pc.add_argument("--vbasis", default=None, help='subspace basis, e.g. "(1,0);(0,1)" or "" for {0}')
     pc.add_argument("--s", type=int, default=None, help="product depth for type 5 / rz")

@@ -4,8 +4,10 @@ A set has the covering property when some arithmetic progression of length
 |2A| - |A| + 1 contains it.  For a density bound c, a slack tau is feasible
 when every A with |A| <= c*p and |2A| <= (2+tau)|A| - 3 has the covering
 property; the scan estimates the largest feasible tau on a grid empirically.
-The hypothesis bounds (2+tau)*s - 3 are exact: each is rounded down to an
-integer once per (size, grid point), so no per-set test uses fractions.
+The density bound and every grid point are read once as exact Fractions
+(NaN, infinities and non-numbers are refused), and each hypothesis bound
+(2+tau)*s - 3 is rounded down to an integer once per (size, grid point) in
+integer arithmetic, so no per-set test uses fractions or floats.
 
 Exhaustive mode (p <= 31) enumerates every set up to dilation: apart from
 {0}, each dilation orbit has a representative containing the residue 1, and
@@ -22,12 +24,22 @@ the loosest doubling hypothesis on the declared grid: 2A only grows along a
 branch, so |2A| > (2 + tau_top)*s - 3 for every reachable size s certifies
 that nothing below satisfies any grid hypothesis.
 
+Sampled mode draws trials/smax sets of each size s = 1..smax (the first
+sizes take the remainder) with one `random.Random(seed).sample(range(p), s)`
+per trial, sizes in increasing order, so the seeded stream fixes every
+scan.  The draws of one size form residue rows, up to _SAMPLE_CELLS
+residues per batch, whose |2A| come from one `modmath.doubling_sizes` call;
+masks are built only for the rows the cover test flags.
+
 In both modes the sets meeting a hypothesis go, grouped by size, through one
 batched AP-cover test (`_uncovered`) on their residue rows
-(`modmath.words_to_residues`); the exhaustive scan feeds it chunks of
-_COVER_ROWS sets, smaller than the tree blocks.  The sets it flags in a
-chunk are reduced to their dilation orbits by one `modmath.dilation_orbits`
-call, and each orbit not seen before is re-checked with `covering_verdict`.
+(`modmath.words_to_residues` in the exhaustive scan, which feeds it chunks of
+_COVER_ROWS sets, smaller than the tree blocks).  The test takes the
+differences d in blocks of one sorted image array of at most _COVER_CELLS
+cells each, and drops the rows a block covers before the next.  The sets it
+flags in a chunk are reduced to their dilation orbits by one
+`modmath.dilation_orbits` call, and each orbit not seen before is re-checked
+with `covering_verdict`.
 
 A scan violation is a first-class data point, not an assertion failure: the
 conjecture the scan explores is open, so violations are reported with stored
@@ -36,6 +48,7 @@ witnesses for manual audit (the CLI maps them to exit code 3).
 
 from __future__ import annotations
 
+import numbers
 import random
 import time
 from bisect import bisect_left
@@ -45,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, dilation_orbits, indices_to_mask, is_prime, rotate_words, sumset_mask,
+    GeneratorCheckError, dilation_orbits, doubling_sizes, indices_to_mask, is_prime, rotate_words,
     word_array, words_popcount, words_to_residues,
 )
 from .zpset import ZpSet, ZpSetError, min_ap_cover, sumset
@@ -66,6 +79,17 @@ _BLOCK_CHILDREN = 4096
 # higher in resident memory for about 15% less time on the violation-heavy
 # benchmark scans.
 _COVER_ROWS = 256
+# The cover test takes the differences d in blocks, one sorted (rows, D, s)
+# image array of at most this many cells per block.  Rows covered in a block
+# are dropped before the next, and the rows of a chunk are covered evenly
+# across d, so a larger block trades more wasted work for fewer calls.  Over
+# the 125 cover-test calls of a seed-1 benchmark covering pass (median of 12
+# runs, 2-vCPU Xeon, CPython 3.11): one d at a time 58 ms, blocks of 2^14
+# cells 42 ms, of 2^15 or 2^16 cells 48 ms.
+_COVER_CELLS = 1 << 14
+# A sampled scan draws and tests the trials of one size in batches of at
+# most this many residues.
+_SAMPLE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -176,12 +200,12 @@ def tau_scan(
 ) -> TauScan:
     if not is_prime(p):
         raise ZpSetError(f"modulus {p} is not prime")
-    c = Fraction(c)
+    c = _exact(c, "density bound c")
     if not 0 < c < 1:
         raise ZpSetError("density bound c must lie in (0, 1)")
     if mode == "sampled" and trials < 1:
         raise ZpSetError(f"sampled scan needs at least one trial, got {trials}")
-    grid = default_grid() if grid is None else tuple(sorted(grid))
+    grid = default_grid() if grid is None else tuple(sorted(_exact(t, "tau grid entry") for t in grid))
     if not grid:
         raise ZpSetError("tau grid is empty")
     if mode == "exhaustive":
@@ -195,38 +219,51 @@ def tau_scan(
     raise ZpSetError(f"unknown mode {mode!r}")
 
 
-def _max_doubling(size: int, tau: Fraction) -> int:
-    """Largest doubling measure |2A| meeting |2A| <= (2 + tau)*size - 3."""
-    bound = (2 + tau) * size - 3
-    return int(bound) if bound >= 0 else -1
+def _exact(x, what: str) -> Fraction:
+    """A real number as the Fraction of its exact value; NaN, infinities and
+    non-numbers are refused."""
+    if isinstance(x, numbers.Real):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError):
+            pass
+    raise ZpSetError(f"{what} must be a finite real number, got {x!r}")
 
 
 def _doubling_limits(smax: int, grid) -> list[list[int]]:
-    """limits[s][i] = _max_doubling(s, grid[i]) for s = 0..smax; each row is
-    nondecreasing because the grid is sorted, so its last entry is the
-    loosest hypothesis for size s."""
-    return [[_max_doubling(s, t) for t in grid] for s in range(smax + 1)]
+    """limits[s][i] is the largest integer |2A| with |2A| <= (2 + tau)*s - 3,
+    tau = grid[i] = a/b, that is ((2b + a)*s - 3b) // b, for s = 0..smax.
+    Each row is nondecreasing because the grid is sorted, so its last entry
+    is the loosest hypothesis for size s.  A negative bound admits no set."""
+    ratios = [(t.numerator, t.denominator) for t in grid]
+    return [[((2 * b + a) * s - 3 * b) // b for a, b in ratios] for s in range(smax + 1)]
 
 
 def _uncovered(residues: np.ndarray, doubling: np.ndarray, p: int) -> np.ndarray:
-    """Which rows of an (N, s) array of sets of s distinct residues mod p no
-    AP of length |2A| - s + 1 covers, given |2A| per row (a bool array).
+    """Which rows of an (N, s) array of sets of s >= 1 distinct residues mod p
+    no AP of length |2A| - s + 1 covers, given |2A| per row (a bool array).
 
     The shortest AP of difference d containing A is the complement of the
     widest gap between cyclically consecutive members of d^(-1)*A (the scan
-    of `zpset.ap_cover_scan`, here one array operation per d over the rows
-    not yet covered); d and -d give the same length, so d <= (p-1)/2 will do.
+    of `zpset.ap_cover_scan`); d and -d give the same length, so
+    d <= (p-1)/2 will do.  The differences go in blocks, one sorted
+    (rows, D, s) image array of at most _COVER_CELLS cells per block, over
+    the rows that no earlier block covered.
     """
+    # int32 holds every product: p <= DEFAULT_SAMPLED_LIMIT.
+    residues = np.asarray(residues, dtype=np.int32)
     rows, size = residues.shape
     left = np.arange(rows)
     wide = p - (np.asarray(doubling, dtype=np.int64) - size + 1)  # covered iff a gap is this wide
-    for d in range(1, max(2, (p + 1) // 2)):
-        if not len(left):
-            break
-        img = np.sort(residues * pow(d, -1, p) % p, axis=1)
-        gap = np.diff(np.concatenate([img, img[:, :1] + p], axis=1), axis=1).max(axis=1) - 1
-        keep = gap < wide
+    inverses = np.array([pow(d, -1, p) for d in range(1, max(2, (p + 1) // 2))], dtype=np.int32)
+    lo = 0
+    while lo < len(inverses) and len(left):
+        block = inverses[lo:lo + max(1, _COVER_CELLS // (len(left) * size))]
+        img = np.sort(residues[:, None, :] * block[:, None] % p, axis=2)
+        gap = np.diff(img, axis=2, append=img[:, :, :1] + p).max(axis=2) - 1
+        keep = (gap < wide[:, None]).all(axis=1)
         left, residues, wide = left[keep], residues[keep], wide[keep]
+        lo += len(block)
     out = np.zeros(rows, dtype=bool)
     out[left] = True
     return out
@@ -323,7 +360,7 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
     smax = int(c * p)
     if smax < 1:
         raise ZpSetError("density bound admits no nonempty sets")
-    rng = random.Random(seed)
+    sample = random.Random(seed).sample
     violations: dict[int, Violation] = {}
     sizes = list(range(1, smax + 1))
     per = [trials // len(sizes)] * len(sizes)
@@ -337,19 +374,18 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
         if not count:
             continue
         top = limits[s][-1]
-        hits, masks, doublings = [], [], []
-        for _ in range(count):
-            elems = rng.sample(population, s)
-            mask = indices_to_mask(elems)
-            doubling = sumset_mask(p, 1, mask, mask).bit_count()
-            if doubling <= top:
-                hits.append(elems)
-                masks.append(mask)
-                doublings.append(doubling)
-        examined += count
-        hyp_hits += len(hits)
-        if hits:
-            flagged = _uncovered(np.array(hits), np.array(doublings), p)
-            _record_violations(p, [m for m, f in zip(masks, flagged) if f], limits, grid, violations)
+        batch = max(1, _SAMPLE_CELLS // s)
+        for lo in range(0, count, batch):
+            # The same draws in the same order as one sample per trial.
+            rows = np.array([sample(population, s) for _ in range(min(batch, count - lo))])
+            doubling = doubling_sizes(p, rows)
+            hit = doubling <= top
+            hits = rows[hit]
+            examined += len(rows)
+            hyp_hits += len(hits)
+            if len(hits):
+                flagged = hits[_uncovered(hits, doubling[hit], p)]
+                masks = [indices_to_mask(elems) for elems in flagged.tolist()]
+                _record_violations(p, masks, limits, grid, violations)
     mode = {"kind": "sampled", "seed": seed, "trials": trials}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)

@@ -5,10 +5,11 @@ int of p^n bits, bit i set iff the cell with index i = sum x_j * p^j belongs
 to the set (little-endian mixed radix; Z_p is the case n = 1).  The kernel
 converts masks to and from cell indices, bit arrays and coordinate rows, and
 computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations, dilation
-orbits and translation stabilizers; each operation picks its route from its
-input.  `MaskSet` is the set algebra that ZpSet and VecSet share.  Batches
-of p-bit masks of Z_p are arrays of words (`word_array`), which the word
-helpers unpack, count and rotate whatever their dtype.
+orbits, translation stabilizers and the doubling sizes |A + A| of a batch of
+Z_p residue rows; each operation picks its route from its input.  `MaskSet`
+is the set algebra that ZpSet and VecSet share.  Batches of p-bit masks of
+Z_p are arrays of words (`word_array`), which the word helpers unpack, count
+and rotate whatever their dtype.
 
 Over F_p^n, n >= 2, sets above the roll route's size take the FFT route,
 except for the fold chains and (k,l) checks of a set in F_p^2 with few row
@@ -63,6 +64,18 @@ WORD_P_LIMIT = 61
 # Dilation orbits are computed over chunks of at most this many (mask, c,
 # element) triples, which bounds the int64 image array at 2 MB.
 _ORBIT_CELLS = 1 << 18
+# Up to this set size `doubling_sizes` counts |A + A| from a sorted table of
+# the s(s+1)/2 pair sums of each row; above it one `sumset_mask` per row is
+# cheaper.  Per row against the rotation loop (2-vCPU Xeon, CPython 3.11,
+# NumPy 2.4, best of 7): 0.7 against 5.9 us at p = 101, s = 9; 11 against
+# 25 us at s = 32; 24 against 26 us at s = 48; 53 against 53 us at p = 1009,
+# s = 64.  The table's cost grows with s^2 and the rotations' with s*p/64, so
+# the cut-over is conservative for larger p (at p = 10007, s = 96 the table
+# is still 2.5x faster).
+_PAIR_TABLE_SIZE = 32
+# The pair-sum tables are built over chunks of rows of at most this many
+# cells (512 KB of int64).
+_PAIR_TABLE_CELLS = 1 << 16
 
 
 class GeneratorCheckError(AssertionError):
@@ -315,6 +328,27 @@ def sumset_mask(p: int, n: int, a: int, b: int) -> int:
     if a.bit_count() > _FFT_THRESHOLD:
         return _sumset_fft(p, n, a, b)
     return _sumset_rolls(p, n, a, b)
+
+
+def doubling_sizes(p: int, residues) -> np.ndarray:
+    """|A + A| in Z_p for each row A of an (N, s) array of distinct residues,
+    as int64.  Up to _PAIR_TABLE_SIZE the distinct values of the sorted pair
+    sums x_i + x_j (i <= j) of each row are counted, a chunk of rows per
+    array operation; larger (or empty) rows take `sumset_mask`."""
+    residues = np.asarray(residues, dtype=np.int64)
+    rows, size = residues.shape
+    if not 0 < size <= _PAIR_TABLE_SIZE:
+        masks = map(indices_to_mask, residues.tolist())
+        return np.fromiter((sumset_mask(p, 1, m, m).bit_count() for m in masks),
+                           dtype=np.int64, count=rows)
+    i, j = np.triu_indices(size)
+    chunk = max(1, _PAIR_TABLE_CELLS // len(i))
+    out = np.empty(rows, dtype=np.int64)
+    for lo in range(0, rows, chunk):
+        part = residues[lo:lo + chunk]
+        sums = np.sort((part[:, i] + part[:, j]) % p, axis=1)
+        out[lo:lo + chunk] = 1 + np.count_nonzero(sums[:, 1:] != sums[:, :-1], axis=1)
+    return out
 
 
 def _sumset_rotations(cells: int, small: int, large: int) -> int:

@@ -240,7 +240,10 @@ def test_construct_flags_match_one_item_grid(tmp_path, capsys, flags, item):
     (["--type", "5", "--k", "3", "--l", "1", "--p", "23", "--n", "2", "--s", "1", "--pset", "{1}",
       "--vbasis", ""], "type5 does not read vbasis"),
     (["--type", "cuboid", "--k", "3", "--l", "1", "--p", "23", "--a", "5"], "cuboid does not read a"),
-], ids=["type2", "type1", "type5", "cuboid"])
+    (["--type", "1", "--k", "3", "--l", "1", "--p", "23", "--a", "5", "--j", "3"], "type1 does not read j"),
+    (["--type", "rz", "--k", "2", "--l", "1", "--p", "11", "--s", "0", "--pset", "{}", "--j", "0"],
+     "rz does not read j"),
+], ids=["type2", "type1", "type5", "cuboid", "type1-j", "rz-j"])
 def test_construct_refuses_flags_the_kind_does_not_read(capsys, flags, unread):
     code, doc, err = run_cli(["construct", *flags], capsys)
     assert code == 1 and doc is None and unread in err
@@ -251,6 +254,30 @@ def test_grid_item_refuses_cuboid_extras(tmp_path, capsys):
     path.write_text(json.dumps([{"k": 3, "l": 1, "p": 23, "type": "cuboid", "extras": {"s": 1}}]))
     code, _, err = run_cli(["construct", "--grid", str(path)], capsys)
     assert code == 1 and "cuboid does not read s" in err
+
+
+@pytest.mark.parametrize("item, unread", [
+    ({"k": 3, "l": 1, "p": 23, "type": "1", "extras": {"a": 5, "vbsais": [[1]]}}, "unknown extras vbsais"),
+    ({"k": 3, "l": 1, "p": 23, "type": "cuboid", "extras": {"jj": 1}}, "unknown extras jj"),
+    ({"k": 3, "l": 1, "p": 23, "type": "1", "j": 3, "extras": {"a": 5}}, "type1 does not read j"),
+    ({"k": 3, "l": 1, "p": 23, "n": 2, "type": "5", "j": 0, "extras": {"s": 1, "pset": [[1]]}},
+     "type5 does not read j"),
+], ids=["misspelt-extras", "cuboid-extras", "type1-j", "type5-j"])
+def test_grid_item_refuses_keys_the_kind_does_not_read(tmp_path, capsys, item, unread):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([item]))
+    code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
+    assert code == 1 and doc is None and "parameter error" in err and unread in err
+
+
+def test_construct_j_defaults_to_the_first_cuboid(capsys):
+    from klsf.cli import build_parser
+
+    assert build_parser().parse_args(["construct"]).j is None
+    _, plain, _ = run_cli(["construct", "--type", "cuboid", "--k", "3", "--l", "1", "--p", "23"], capsys)
+    _, first, _ = run_cli(["construct", "--type", "cuboid", "--k", "3", "--l", "1", "--p", "23",
+                           "--j", "0"], capsys)
+    assert plain["results"] == first["results"]
 
 
 def test_vector_lists_parse_once():

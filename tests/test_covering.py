@@ -1,5 +1,10 @@
-"""Covering property: verdicts, scan exhaustiveness, monotone reports."""
+"""Covering property: verdicts, scan exhaustiveness, monotone reports.
 
+Exhaustive scans are checked against a scalar scan of the same tree and a
+brute force over all subsets; sampled scans against a scan that draws and
+judges one trial at a time, with every route and chunk split forced."""
+
+import math
 import os
 import random
 import subprocess
@@ -12,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klsf import covering
+from klsf import covering, modmath
 from klsf.modmath import dilation_orbits, primes_in
 from klsf.zpset import ZpSet, ZpSetError, dilate, sumset
 from klsf.covering import covering_verdict, default_grid, tau_scan
@@ -162,6 +167,92 @@ def test_benchmark_exhaustive_counters(case):
             scan.tau_feasible) == BENCHMARK_EXHAUSTIVE_CASES[case]
 
 
+# The benchmark's sampled scans (p = 101, c = 10/107, grid (2/5,), 1000
+# trials) under the first three scan seeds of its seed-1 covering workload,
+# and one scan with hits and violations:
+# (p, c, grid, seed, trials) -> (sets_examined, hypothesis_hits,
+# violation count, first violation masks, tau_feasible).
+BENCHMARK_SAMPLED_CASES = {
+    (101, Fraction(10, 107), (Fraction(2, 5),), 288545018, 1000): (1000, 0, 0, [], Fraction(2, 5)),
+    (101, Fraction(10, 107), (Fraction(2, 5),), 135520872, 1000): (1000, 0, 0, [], Fraction(2, 5)),
+    (101, Fraction(10, 107), (Fraction(2, 5),), 547756574, 1000): (1000, 0, 0, [], Fraction(2, 5)),
+    (101, Fraction(1, 10), default_grid(), 1, 2000): (2000, 433, 202, [0x83, 0x94, 0xa4, 0x112],
+                                                      Fraction(19, 20)),
+}
+
+
+@pytest.mark.parametrize("case", list(BENCHMARK_SAMPLED_CASES))
+def test_benchmark_sampled_counters(case):
+    p, c, grid, seed, trials = case
+    scan = tau_scan(p, c, mode="sampled", grid=grid, seed=seed, trials=trials)
+    examined, hits, count, first, feasible = BENCHMARK_SAMPLED_CASES[case]
+    assert (scan.sets_examined, scan.hypothesis_hits, len(scan.violations),
+            [v.verdict.set.mask for v in scan.violations[:len(first)]],
+            scan.tau_feasible) == (examined, hits, count, first, feasible)
+
+
+def per_trial_sampled_scan(p, c, grid, seed, trials):
+    """The sampled scan one trial at a time: the same draws (one
+    rng.sample(range(p), s) per trial, sizes in increasing order, the first
+    trials % smax sizes taking one trial more), |2A| from a mask sumset, the
+    hypotheses as exact rationals and every hit judged by `covering_verdict`.
+    Returns (violation dicts in TauScan order, tau_feasible, examined, hits)."""
+    smax = int(c * p)
+    rng = random.Random(seed)
+    violations = {}
+    examined = hits = 0
+    for s in range(1, smax + 1):
+        for _ in range(trials // smax + (s <= trials % smax)):
+            a = ZpSet(p, rng.sample(range(p), s))
+            doubling = len(sumset(a, a))
+            examined += 1
+            taus = [t for t in grid if doubling <= (2 + t) * s - 3]
+            if not taus:
+                continue
+            hits += 1
+            if covering_verdict(a).covered:
+                continue
+            canon = ZpSet.from_mask(p, min(dilate(a, cc).mask for cc in range(1, p)))
+            violations[canon.mask] = covering.Violation(covering_verdict(canon), taus[0])
+    ordered = sorted(violations.values(), key=lambda v: (v.tau_star, v.verdict.set.mask))
+    first_bad = min(violations.values(), key=lambda v: v.tau_star, default=None)
+    feasible = [t for t in grid if first_bad is None or t < first_bad.tau_star]
+    return [v.to_dict() for v in ordered], (feasible[-1] if feasible else None), examined, hits
+
+
+# (p, c, grid, trials): a small p, the word limit, the benchmark's p and a
+# p whose sizes pass the pair-table cut-over (smax = 42).
+SAMPLED_CASES = [(13, Fraction(1, 3), default_grid(), 600),
+                 (61, Fraction(1, 5), default_grid(), 800),
+                 (101, Fraction(1, 10), default_grid(), 800),
+                 (101, Fraction(10, 107), (Fraction(2, 5),), 1000),
+                 (211, Fraction(1, 5), default_grid(), 300)]
+
+
+@pytest.mark.parametrize("case", SAMPLED_CASES)
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2**30), route=st.sampled_from(["auto", "table", "sumset"]),
+       split=st.booleans())
+def test_sampled_scan_matches_per_trial_scan(case, seed, route, split):
+    # route forces the pair table or the per-row sumset on every size; split
+    # cuts every batch of draws, pair-sum chunk and cover-test block to one
+    # row or one difference.
+    p, c, grid, trials = case
+    cut = {"auto": modmath._PAIR_TABLE_SIZE, "table": p, "sumset": 0}[route]
+
+    def budget(module, name):
+        return 1 if split else getattr(module, name)
+
+    with mock.patch.multiple(modmath, _PAIR_TABLE_SIZE=cut,
+                             _PAIR_TABLE_CELLS=budget(modmath, "_PAIR_TABLE_CELLS")), \
+            mock.patch.multiple(covering, _COVER_CELLS=budget(covering, "_COVER_CELLS"),
+                                _SAMPLE_CELLS=budget(covering, "_SAMPLE_CELLS")):
+        scan = tau_scan(p, c, mode="sampled", grid=grid, seed=seed, trials=trials)
+    assert ([v.to_dict() for v in scan.violations], scan.tau_feasible, scan.sets_examined,
+            scan.hypothesis_hits) == per_trial_sampled_scan(p, c, grid, seed, trials)
+    assert scan.mode == {"kind": "sampled", "seed": seed, "trials": trials}
+
+
 def test_cover_test_hands_dilation_orbits_at_most_one_chunk():
     # dilation_orbits builds a (rows, p-1, s) image array, so the cover test
     # must not pass it a whole tree block's worth of flagged sets.
@@ -207,6 +298,32 @@ def test_scan_mode_and_parameter_errors():
     assert tau_scan(13, Fraction(1, 4), grid=None).grid == default_grid()
 
 
+def test_scan_reads_c_and_the_grid_as_exact_fractions():
+    # A float is read as its exact value, so its thresholds are exact too.
+    scan = tau_scan(13, 0.25, grid=(0.5, Fraction(1, 4)))
+    assert scan.c == Fraction(1, 4) and scan.grid == (Fraction(1, 4), Fraction(1, 2))
+    assert all(type(t) is Fraction for t in scan.grid)
+    assert scan == tau_scan(13, Fraction(1, 4), grid=(Fraction(1, 4), Fraction(1, 2)))
+    grid = (Fraction(-7, 3), Fraction(0), Fraction(2, 5), Fraction(19, 20), Fraction(3))
+    assert covering._doubling_limits(12, grid) == [
+        [math.floor((2 + t) * s - 3) for t in grid] for s in range(13)]
+    for mode in ("exhaustive", "sampled"):
+        for bad in (float("nan"), float("inf"), -float("inf"), "x", "1/3", None, [1]):
+            with pytest.raises(ZpSetError, match="tau grid entry must be a finite real number"):
+                tau_scan(13, Fraction(1, 4), mode=mode, grid=(Fraction(1, 2), bad))
+            with pytest.raises(ZpSetError, match="density bound c must be a finite real number"):
+                tau_scan(13, bad, mode=mode)
+
+
+def test_cli_refuses_non_finite_scan_parameters(capsys):
+    from klsf.cli import main
+
+    for flags in (["--c", "nan"], ["--c", "1/4", "--tau", "inf"], ["--c", "1/4", "--tau-top", "x"]):
+        assert main(["covering", "--p", "13", *flags]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out and "parameter error" in captured.err
+
+
 def test_cli_refuses_an_empty_tau_grid(capsys):
     from klsf.cli import main
 
@@ -234,7 +351,8 @@ def test_tiny_density_trivially_feasible():
 
 def test_violation_self_check_survives_optimize():
     # A batched cover test that wrongly reports "not covered" must be caught by
-    # the exact verdict, also under python -O, and map to CLI exit code 2.
+    # the exact verdict, in the exhaustive and the sampled scan, also under
+    # python -O, and map to CLI exit code 2.
     script = """
 import sys
 from fractions import Fraction
@@ -245,11 +363,13 @@ import numpy as np
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 covering._uncovered = lambda residues, doubling, p: np.ones(len(residues), dtype=bool)
-try:
-    covering.tau_scan(13, Fraction(1, 3))
-except GeneratorCheckError as exc:
-    print("raised:", exc)
-print("exit", cli.main(["covering", "--p", "13", "--c", "1/3"]))
+for mode in ("exhaustive", "sampled"):
+    try:
+        covering.tau_scan(13, Fraction(1, 3), mode=mode, trials=500)
+    except GeneratorCheckError as exc:
+        print(mode, "raised:", exc)
+    print(mode, "exit", cli.main(["covering", "--p", "13", "--c", "1/3", "--mode", mode,
+                                  "--trials", "500"]))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -258,6 +378,8 @@ print("exit", cli.main(["covering", "--p", "13", "--c", "1/3"]))
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[0].startswith("raised:") and "implementation bug" in lines[0]
-    assert lines[-1] == "exit 2"
-    assert "check failed" in run.stderr
+    assert len(lines) == 4
+    for mode, raised, exited in zip(("exhaustive", "sampled"), lines[0::2], lines[1::2]):
+        assert raised.startswith(f"{mode} raised:") and "implementation bug" in raised
+        assert exited == f"{mode} exit 2"
+    assert run.stderr.count("check failed") == 2

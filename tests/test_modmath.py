@@ -13,6 +13,8 @@ T x F in F_p^2 and F_p^3 check the sumsets, and the row-class route under
 drawn pair budgets, against pair sums.  Batched dilation orbits are checked
 against `zpset.dilate` one dilate at a time, on uint64 words and on Python
 ints, with cosets of multiplicative subgroups for nontrivial stabilizers.
+Batched doubling sizes are checked against `sumset_mask` and pair sums on
+both sides of the pair-table cut-over.
 """
 
 import math
@@ -655,6 +657,28 @@ def test_word_helpers_match_the_scalar_mask_functions(p):
     if p > 2:
         with pytest.raises(ValueError, match="one size"):
             modmath.words_to_residues(modmath.word_array(p, [0b1, 0b11]), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 61, 67, 101, 1009])
+def test_doubling_sizes_match_sumsets_on_both_routes(p, monkeypatch):
+    # Sizes on both sides of the pair-table cut-over, s = 1 and s = p - 1;
+    # each route is also forced on every size, in chunks of one row.
+    rng = random.Random(p)
+    cut = modmath._PAIR_TABLE_SIZE
+    for size in sorted({1, 2, 5, cut, cut + 1, p - 1} & set(range(1, p))):
+        rows = np.array([rng.sample(range(p), size) for _ in range(4)])
+        want = [sumset_mask(p, 1, m, m).bit_count() for m in map(indices_to_mask, rows.tolist())]
+        if size <= 40:
+            assert want == [len({(x + y) % p for x in r for y in r}) for r in rows.tolist()]
+        got = modmath.doubling_sizes(p, rows)
+        assert got.dtype == np.int64 and got.tolist() == want
+        for forced in (0, p):
+            monkeypatch.setattr(modmath, "_PAIR_TABLE_SIZE", forced)
+            monkeypatch.setattr(modmath, "_PAIR_TABLE_CELLS", 1)
+            assert modmath.doubling_sizes(p, rows).tolist() == want
+            monkeypatch.undo()
+    assert modmath.doubling_sizes(p, np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+    assert modmath.doubling_sizes(p, np.zeros((0, 1), dtype=np.int64)).shape == (0,)
 
 
 @pytest.mark.parametrize("p", [13, 61, 67])
