@@ -55,7 +55,7 @@ from .constructions import (
 )
 from .classify import ClassReport, balance_deviation, check_balance_bound, classify, weight_scan
 from .search import SearchLimitError, SearchResult, canonical_form, enumerate_max, enumerate_second_level
-from .covering import CoveringVerdict, TauScan, covering_verdict, tau_scan
+from .covering import CoveringVerdict, TauScan, covering_verdict, covering_verdicts, tau_scan
 from .spectral import (
     Spectrum,
     kernel_decomposition,

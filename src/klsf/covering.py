@@ -5,7 +5,8 @@ A set has the covering property when some arithmetic progression of length
 when every A with |A| <= c*p and |2A| <= (2+tau)|A| - 3 has the covering
 property; the scan estimates the largest feasible tau on a grid empirically.
 The density bound and every grid point are read once as exact Fractions
-(NaN, infinities and non-numbers are refused), and each hypothesis bound
+(NaN, infinities and non-numbers are refused, and so is a bound with
+c*p < 1, which admits no nonempty set), and each hypothesis bound
 (2+tau)*s - 3 is rounded down to an integer once per (size, grid point) in
 integer arithmetic, so no per-set test uses fractions or floats.
 
@@ -32,14 +33,16 @@ residues per batch, whose |2A| come from one `modmath.doubling_sizes` call;
 masks are built only for the rows the cover test flags.
 
 In both modes the sets meeting a hypothesis go, grouped by size, through one
-batched AP-cover test (`_uncovered`) on their residue rows
-(`modmath.words_to_residues` in the exhaustive scan, which feeds it chunks of
-_COVER_ROWS sets, smaller than the tree blocks).  The test takes the
-differences d in blocks of one sorted image array of at most _COVER_CELLS
-cells each, and drops the rows a block covers before the next.  The sets it
-flags in a chunk are reduced to their dilation orbits by one
-`modmath.dilation_orbits` call, and each orbit not seen before is re-checked
-with `covering_verdict`.
+batched AP-cover test (`_uncovered`) on their residue rows, a batch of at
+most _SAMPLE_CELLS residues per call (`modmath.words_to_residues` gives the
+exhaustive scan's rows).  The test takes the differences d in blocks of one
+sorted image array of at most _COVER_CELLS cells each, and drops the rows a
+block covers before the next.  The sets it flags in all batches of a size
+go on in chunks of at most _COVER_ROWS rows: each chunk is reduced to its
+dilation orbits by one `modmath.dilation_orbits` call, and the orbits not
+seen before are re-checked by one `covering_verdicts` call, which scans
+every d for every row and shares the widest-gap step (`_gaps`) with the
+cover test.
 
 A scan violation is a first-class data point, not an assertion failure: the
 conjecture the scan explores is open, so violations are reported with stored
@@ -61,7 +64,7 @@ from .modmath import (
     GeneratorCheckError, dilation_orbits, doubling_sizes, indices_to_mask, is_prime, rotate_words,
     word_array, words_popcount, words_to_residues,
 )
-from .zpset import ZpSet, ZpSetError, min_ap_cover, sumset
+from .zpset import ApCover, ZpSet, ZpSetError
 
 # Run time, not the word size, sets this limit.
 EXHAUSTIVE_P_LIMIT = 31
@@ -73,22 +76,26 @@ DEFAULT_GRID_STEP = Fraction(1, 20)
 # than 256 (2048: 3.2x, 1024: 2.3x), while a whole scan's numpy and Python
 # allocations still peak below 1 MB.
 _BLOCK_CHILDREN = 4096
-# Rows per batched cover test in the exhaustive scan.  The flagged rows of a
-# chunk go to `dilation_orbits`, which builds a (rows, p-1, s) image array, so
-# this stays small: at 4096 rows a lone p = 29, c = 1/5 scan peaks 5.5 MB
-# higher in resident memory for about 15% less time on the violation-heavy
-# benchmark scans.
+# Flagged sets per `dilation_orbits` call, and so at most as many new orbits
+# per `covering_verdicts` call.  A verdict call costs a few dozen numpy
+# operations whatever its size; 256 rows keep each of its (rows, D, s) image
+# blocks within _COVER_CELLS for sets of up to 64 elements.
 _COVER_ROWS = 256
-# The cover test takes the differences d in blocks, one sorted (rows, D, s)
+# The cover tests take the differences d in blocks, one sorted (rows, D, s)
 # image array of at most this many cells per block.  Rows covered in a block
-# are dropped before the next, and the rows of a chunk are covered evenly
-# across d, so a larger block trades more wasted work for fewer calls.  Over
-# the 125 cover-test calls of a seed-1 benchmark covering pass (median of 12
-# runs, 2-vCPU Xeon, CPython 3.11): one d at a time 58 ms, blocks of 2^14
-# cells 42 ms, of 2^15 or 2^16 cells 48 ms.
+# are dropped before the next, and the rows of a batch are covered evenly
+# across d, so a larger block trades more wasted work for fewer calls.  The
+# six exhaustive scans of a seed-1 benchmark covering pass take 199-204 ms
+# with blocks of 2^12 to 2^16 cells alike (median of 5, 2-vCPU Xeon,
+# CPython 3.11).
 _COVER_CELLS = 1 << 14
-# A sampled scan draws and tests the trials of one size in batches of at
-# most this many residues.
+# Both scans run the cover test on the hypothesis sets of one size in batches
+# of at most this many residues (a sampled scan also draws its trials in
+# them).  A lone seed-1 benchmark covering pass peaks at 32.8-32.9 MB
+# resident with 2^16 (24 exhaustive cover tests) and 32.1-32.2 MB with 2^14
+# (29 tests), but in the benchmark 2^14 reads item_p90_ms 25.6-26.2 against
+# 23.4-23.7 and the same peak_rss_mb (4 alternating pairs), where the
+# digests the harness keeps dominate.
 _SAMPLE_CELLS = 1 << 16
 
 
@@ -116,14 +123,54 @@ class CoveringVerdict:
 
 
 def covering_verdict(a: ZpSet) -> CoveringVerdict:
-    """Exact verdict: can A sit inside an AP of length |2A| - |A| + 1?"""
+    """Exact verdict: can A sit inside an AP of length |2A| - |A| + 1?  The
+    witness follows `zpset.min_ap_cover`'s tie rules."""
     if a.is_empty():
         raise ZpSetError("covering property is defined for nonempty sets")
-    doubling = len(sumset(a, a))
-    target = doubling - len(a) + 1
-    cover = min_ap_cover(a)
-    covered = cover.length <= target
-    return CoveringVerdict(a, doubling, target, cover.length, covered, cover if covered else None)
+    return covering_verdicts(a.p, [a.mask])[0]
+
+
+def covering_verdicts(p: int, masks) -> list[CoveringVerdict]:
+    """`covering_verdict` of each of a batch of nonempty equal-size subsets of
+    Z_p (p-bit masks, as a list or a word array), in the order of `masks`.
+
+    |2A| comes from `modmath.doubling_sizes` and the shortest AP cover from
+    the widest gaps (`_gaps`) at every difference d <= (p-1)/2, taken
+    in blocks of at most _COVER_CELLS cells; no row is dropped.  Ties go to
+    the smallest d, then to the smallest start, as in `zpset.min_ap_cover`.
+    """
+    words = word_array(p, masks)
+    residues = words_to_residues(words, p).astype(np.int32)
+    rows, size = residues.shape
+    if not rows:
+        return []
+    if not size:
+        raise ZpSetError("covering property is defined for nonempty sets")
+    doubling = doubling_sizes(p, residues)
+    inverses = _inverses(p)
+    every = np.arange(rows)
+    best_gap = np.full(rows, -1)
+    best_d = np.zeros(rows, dtype=np.int64)
+    best_start = np.zeros(rows, dtype=np.int64)  # in the image d^(-1)*A
+    lo = 0
+    while lo < len(inverses):
+        block = inverses[lo:lo + max(1, _COVER_CELLS // (rows * size))]
+        img, gaps = (a.reshape(rows, -1) for a in _gaps(residues, block, p))
+        at = gaps.argmax(axis=1)  # the first widest gap: the smallest d, then start
+        widest = gaps[every, at]
+        wider = widest > best_gap  # strictly, so that earlier blocks keep ties
+        best_gap = np.where(wider, widest, best_gap)
+        best_d = np.where(wider, lo + 1 + at // size, best_d)
+        best_start = np.where(wider, img[every, at], best_start)
+        lo += len(block)
+    out = []
+    for mask, two, gap, d, start in zip(words.tolist(), doubling.tolist(), best_gap.tolist(),
+                                        best_d.tolist(), best_start.tolist()):
+        target, length = two - size + 1, p - gap
+        covered = length <= target
+        witness = ApCover(p, d * start % p, d, length) if covered else None
+        out.append(CoveringVerdict(ZpSet.from_mask(p, mask), two, target, length, covered, witness))
+    return out
 
 
 def default_grid(step: Fraction = DEFAULT_GRID_STEP) -> tuple[Fraction, ...]:
@@ -203,6 +250,8 @@ def tau_scan(
     c = _exact(c, "density bound c")
     if not 0 < c < 1:
         raise ZpSetError("density bound c must lie in (0, 1)")
+    if c * p < 1:
+        raise ZpSetError("density bound admits no nonempty sets")
     if mode == "sampled" and trials < 1:
         raise ZpSetError(f"sampled scan needs at least one trial, got {trials}")
     grid = default_grid() if grid is None else tuple(sorted(_exact(t, "tau grid entry") for t in grid))
@@ -239,28 +288,43 @@ def _doubling_limits(smax: int, grid) -> list[list[int]]:
     return [[((2 * b + a) * s - 3 * b) // b for a, b in ratios] for s in range(smax + 1)]
 
 
+def _inverses(p: int) -> np.ndarray:
+    """d^(-1) mod p for d = 1, ..., (p-1)/2 (just d = 1 when p = 2), as int32."""
+    return np.array([pow(d, -1, p) for d in range(1, max(2, (p + 1) // 2))], dtype=np.int32)
+
+
+def _gaps(residues: np.ndarray, inverses: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The widest-gap step of the cover tests.  For the rows A of an (N, s)
+    int32 residue array and a block of D inverses d^(-1), the sorted images
+    d^(-1)*A as an (N, D, s) array, and the same-shape array of the number of
+    residues missing between each image entry and its cyclic predecessor.
+
+    The shortest AP of difference d containing A is the complement of the
+    widest such gap (the scan of `zpset.ap_cover_scan`), starting at the
+    entry after it; d and -d give the same length, so d <= (p-1)/2 will do.
+    int32 holds every product: p <= DEFAULT_SAMPLED_LIMIT.
+    """
+    img = np.sort(residues[:, None, :] * inverses[:, None] % p, axis=2)
+    return img, np.diff(img, axis=2, prepend=img[:, :, -1:] - p) - 1
+
+
 def _uncovered(residues: np.ndarray, doubling: np.ndarray, p: int) -> np.ndarray:
     """Which rows of an (N, s) array of sets of s >= 1 distinct residues mod p
     no AP of length |2A| - s + 1 covers, given |2A| per row (a bool array).
 
-    The shortest AP of difference d containing A is the complement of the
-    widest gap between cyclically consecutive members of d^(-1)*A (the scan
-    of `zpset.ap_cover_scan`); d and -d give the same length, so
-    d <= (p-1)/2 will do.  The differences go in blocks, one sorted
-    (rows, D, s) image array of at most _COVER_CELLS cells per block, over
-    the rows that no earlier block covered.
+    The differences go in blocks through `_gaps`, one (rows, D, s) image
+    array of at most _COVER_CELLS cells per block, over the rows that no
+    earlier block covered.
     """
-    # int32 holds every product: p <= DEFAULT_SAMPLED_LIMIT.
     residues = np.asarray(residues, dtype=np.int32)
     rows, size = residues.shape
     left = np.arange(rows)
     wide = p - (np.asarray(doubling, dtype=np.int64) - size + 1)  # covered iff a gap is this wide
-    inverses = np.array([pow(d, -1, p) for d in range(1, max(2, (p + 1) // 2))], dtype=np.int32)
+    inverses = _inverses(p)
     lo = 0
     while lo < len(inverses) and len(left):
         block = inverses[lo:lo + max(1, _COVER_CELLS // (len(left) * size))]
-        img = np.sort(residues[:, None, :] * block[:, None] % p, axis=2)
-        gap = np.diff(img, axis=2, append=img[:, :, :1] + p).max(axis=2) - 1
+        gap = _gaps(residues, block, p)[1].max(axis=2)
         keep = (gap < wide[:, None]).all(axis=1)
         left, residues, wide = left[keep], residues[keep], wide[keep]
         lo += len(block)
@@ -271,38 +335,34 @@ def _uncovered(residues: np.ndarray, doubling: np.ndarray, p: int) -> np.ndarray
 
 def _record_violations(p: int, masks, limits, grid, violations: dict) -> None:
     """Reduce sets of one size that the batched test found uncovered to their
-    dilation orbits and re-check each new orbit with the exact verdict; the
-    stored witness is the orbit's canonical form (the verdict is
+    dilation orbits and re-check the orbits not seen before with the exact
+    verdict, one batched call per chunk of _COVER_ROWS sets; the stored
+    witness is the orbit's canonical form (the verdict is
     dilation-invariant)."""
-    for canon_mask in dict.fromkeys(dilation_orbits(p, masks)[0]):
-        if canon_mask in violations:
-            continue
-        canon = ZpSet.from_mask(p, canon_mask)
-        verdict = covering_verdict(canon)
-        if verdict.covered:
-            raise GeneratorCheckError(
-                f"batched cover test and covering_verdict disagree on {sorted(canon.elements())}: "
-                "implementation bug"
-            )
-        tau_star = grid[bisect_left(limits[len(canon)], verdict.doubling)]
-        violations[canon.mask] = Violation(verdict, tau_star)
+    for lo in range(0, len(masks), _COVER_ROWS):
+        orbits = dict.fromkeys(dilation_orbits(p, masks[lo:lo + _COVER_ROWS])[0])
+        for verdict in covering_verdicts(p, [m for m in orbits if m not in violations]):
+            if verdict.covered:
+                raise GeneratorCheckError(
+                    f"batched cover test and covering_verdicts disagree on {sorted(verdict.set.elements())}: "
+                    "implementation bug"
+                )
+            tau_star = grid[bisect_left(limits[len(verdict.set)], verdict.doubling)]
+            violations[verdict.set.mask] = Violation(verdict, tau_star)
 
 
 def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
     t0 = time.perf_counter()
-    smax = int(c * p)  # |A| <= c*p with c*p never an integer for prime p
+    smax = int(c * p)  # the largest size with |A| <= c*p, at least 1
     limits = _doubling_limits(smax, grid)
     top = np.array([row[-1] for row in limits])
-    examined = 0
-    hyp_hits = 0
     found: dict[int, list] = {}  # size >= 3 -> [(masks, doublings)] meeting a hypothesis
     # Pending parents per size, as arrays (largest member, mask, mask of 2A).
     frontier: list[tuple | None] = [None] * (smax + 1)
 
-    if smax >= 1:
-        examined += 2  # {0} (the lone orbit without nonzero elements) and {1}
-        hyp_hits += 2 if 1 <= top[1] else 0
-        # size 1: the 1-point AP always covers; never a violation
+    examined = 2  # {0} (the lone orbit without nonzero elements) and {1}
+    hyp_hits = 2 if 1 <= top[1] else 0
+    # size 1: the 1-point AP always covers; never a violation
     if smax >= 2:
         examined += 1  # {0, 1}
         hyp_hits += 1 if 3 <= top[2] else 0
@@ -347,10 +407,12 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
     for size, parts in found.items():
         masks = np.concatenate([m for m, _ in parts])
         doubling = np.concatenate([d for _, d in parts])
-        for lo in range(0, len(masks), _COVER_ROWS):
-            part = slice(lo, lo + _COVER_ROWS)
-            flagged = _uncovered(words_to_residues(masks[part], p), doubling[part], p)
-            _record_violations(p, masks[part][flagged], limits, grid, violations)
+        batch = max(1, _SAMPLE_CELLS // size)
+        flagged = []
+        for lo in range(0, len(masks), batch):
+            part = slice(lo, lo + batch)
+            flagged.append(masks[part][_uncovered(words_to_residues(masks[part], p), doubling[part], p)])
+        _record_violations(p, np.concatenate(flagged), limits, grid, violations)
     mode = {"kind": "exhaustive", "normalization": "orbit representative contains 1"}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)
 
@@ -358,8 +420,6 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
 def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauScan:
     t0 = time.perf_counter()
     smax = int(c * p)
-    if smax < 1:
-        raise ZpSetError("density bound admits no nonempty sets")
     sample = random.Random(seed).sample
     violations: dict[int, Violation] = {}
     sizes = list(range(1, smax + 1))
@@ -375,6 +435,7 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
             continue
         top = limits[s][-1]
         batch = max(1, _SAMPLE_CELLS // s)
+        flagged = []
         for lo in range(0, count, batch):
             # The same draws in the same order as one sample per trial.
             rows = np.array([sample(population, s) for _ in range(min(batch, count - lo))])
@@ -384,8 +445,7 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
             examined += len(rows)
             hyp_hits += len(hits)
             if len(hits):
-                flagged = hits[_uncovered(hits, doubling[hit], p)]
-                masks = [indices_to_mask(elems) for elems in flagged.tolist()]
-                _record_violations(p, masks, limits, grid, violations)
+                flagged += map(indices_to_mask, hits[_uncovered(hits, doubling[hit], p)].tolist())
+        _record_violations(p, flagged, limits, grid, violations)
     mode = {"kind": "sampled", "seed": seed, "trials": trials}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)

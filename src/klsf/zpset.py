@@ -208,8 +208,10 @@ def ap_cover_scan(elems, p: int):
     Per difference, one scan of the sorted image d^(-1)*A: the shortest
     interval cover is the complement of the widest gap between cyclically
     consecutive members, and ties go to the smallest start.  Lazy, so
-    `min_interval_cover` computes d = 1 alone.  `covering._uncovered` runs
-    the same scan over an array of sets at once.
+    `min_interval_cover` computes d = 1 alone.  The covering lab runs the same
+    scan over arrays of sets and blocks of differences at once
+    (`covering._gaps`): its cover test keeps the widest gap of each row, and
+    `covering.covering_verdicts` also the start and d, with these tie rules.
     """
     for d in range(1, max(2, (p + 1) // 2)):
         if d == 1:

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from klsf import covering, modmath
 from klsf.modmath import dilation_orbits, primes_in
-from klsf.zpset import ZpSet, ZpSetError, dilate, sumset
-from klsf.covering import covering_verdict, default_grid, tau_scan
+from klsf.zpset import ZpSet, ZpSetError, dilate, min_ap_cover, sumset
+from klsf.covering import covering_verdict, covering_verdicts, default_grid, tau_scan
 
 
 def test_verdict_examples():
@@ -52,6 +52,16 @@ def test_verdict_dilation_invariance():
             base.doubling, base.target_len, base.achieved_len, base.covered)
 
 
+def scalar_verdict(a):
+    """The covering verdict one set at a time, from a mask sumset and
+    `zpset.min_ap_cover`, sharing no code with the batched verdict."""
+    doubling = len(sumset(a, a))
+    target = doubling - len(a) + 1
+    cover = min_ap_cover(a)
+    covered = cover.length <= target
+    return covering.CoveringVerdict(a, doubling, target, cover.length, covered, cover if covered else None)
+
+
 def brute_force_violations(p, c, grid):
     """Canonical mask -> tau_star of every set with |A| <= c*p that meets a
     grid hypothesis and fails the covering property, by trying every subset."""
@@ -63,7 +73,7 @@ def brute_force_violations(p, c, grid):
             hyp_taus = [t for t in grid if doubling <= (2 + t) * size - 3]
             if not hyp_taus:
                 continue
-            v = covering_verdict(a)
+            v = scalar_verdict(a)
             if not v.covered:
                 canon = min(dilate(a, cc).mask for cc in range(1, p))
                 want[canon] = min(hyp_taus + [want.get(canon, Fraction(2))])
@@ -74,7 +84,7 @@ def scalar_tau_scan(p, c, grid):
     """The pruned scan one set at a time on int masks: the same tree (every
     superset of {1}, plus {0} and {0, 1}), the same per-size cut and the
     same counters as `tau_scan`, with exact rational thresholds and every
-    hypothesis set judged by `covering_verdict`.  Returns
+    hypothesis set judged by `scalar_verdict`.  Returns
     (violations as canonical mask -> tau_star, tau_feasible, examined, hits)."""
     smax = int(c * p)
     tau_top = grid[-1]
@@ -87,7 +97,7 @@ def scalar_tau_scan(p, c, grid):
 
     def judge(mask, doubling, size):
         a = ZpSet.from_mask(p, mask)
-        if covering_verdict(a).covered:
+        if scalar_verdict(a).covered:
             return
         canon = min(dilate(a, cc).mask for cc in range(1, p))
         violations[canon] = next(t for t in grid if meets(doubling, size, t))
@@ -135,11 +145,17 @@ def test_exhaustive_scan_matches_direct_enumeration():
        st.integers(1, 20), st.sampled_from([3, covering._BLOCK_CHILDREN]),
        st.sampled_from([1, covering._COVER_ROWS]))
 def test_scan_matches_scalar_scan_and_brute_force(p, c, top, block, rows):
-    # Small blocks force every frontier to be split across expansions, and
-    # one-row chunks split every size's hypothesis sets in the cover test.
+    # Small blocks force every frontier to be split across expansions; with
+    # rows = 1, one-residue batches split every size's hypothesis sets between
+    # cover tests and one-row chunks its flagged sets between verdict calls.
+    # A bound with c*p < 1 (p = 2, or p = 3 and c < 1/3) admits no set.
     grid = tuple(t for t in default_grid() if t <= Fraction(top, 20))
-    with mock.patch.object(covering, "_BLOCK_CHILDREN", block), \
-            mock.patch.object(covering, "_COVER_ROWS", rows):
+    if c * p < 1:
+        with pytest.raises(ZpSetError, match="admits no nonempty sets"):
+            tau_scan(p, c, grid=grid)
+        return
+    with mock.patch.multiple(covering, _BLOCK_CHILDREN=block, _COVER_ROWS=rows,
+                             _SAMPLE_CELLS=1 if rows == 1 else covering._SAMPLE_CELLS):
         scan = tau_scan(p, c, grid=grid)
     got = {v.verdict.set.mask: v.tau_star for v in scan.violations}
     violations, feasible, examined, hits = scalar_tau_scan(p, c, grid)
@@ -195,7 +211,7 @@ def per_trial_sampled_scan(p, c, grid, seed, trials):
     """The sampled scan one trial at a time: the same draws (one
     rng.sample(range(p), s) per trial, sizes in increasing order, the first
     trials % smax sizes taking one trial more), |2A| from a mask sumset, the
-    hypotheses as exact rationals and every hit judged by `covering_verdict`.
+    hypotheses as exact rationals and every hit judged by `scalar_verdict`.
     Returns (violation dicts in TauScan order, tau_feasible, examined, hits)."""
     smax = int(c * p)
     rng = random.Random(seed)
@@ -210,10 +226,10 @@ def per_trial_sampled_scan(p, c, grid, seed, trials):
             if not taus:
                 continue
             hits += 1
-            if covering_verdict(a).covered:
+            if scalar_verdict(a).covered:
                 continue
             canon = ZpSet.from_mask(p, min(dilate(a, cc).mask for cc in range(1, p)))
-            violations[canon.mask] = covering.Violation(covering_verdict(canon), taus[0])
+            violations[canon.mask] = covering.Violation(scalar_verdict(canon), taus[0])
     ordered = sorted(violations.values(), key=lambda v: (v.tau_star, v.verdict.set.mask))
     first_bad = min(violations.values(), key=lambda v: v.tau_star, default=None)
     feasible = [t for t in grid if first_bad is None or t < first_bad.tau_star]
@@ -255,18 +271,56 @@ def test_sampled_scan_matches_per_trial_scan(case, seed, route, split):
 
 def test_cover_test_hands_dilation_orbits_at_most_one_chunk():
     # dilation_orbits builds a (rows, p-1, s) image array, so the cover test
-    # must not pass it a whole tree block's worth of flagged sets.
-    calls = []
-
-    def counted(p, masks):
-        calls.append(len(masks))
-        return dilation_orbits(p, masks)
-
+    # must not pass it a whole tree block's worth of flagged sets; the new
+    # orbits of a chunk get one batched verdict call, never one per orbit.
     p, c, top = 29, Fraction(1, 5), Fraction(1)
-    with mock.patch.object(covering, "dilation_orbits", counted):
-        scan = tau_scan(p, c, grid=tuple(t for t in default_grid() if t <= top))
-    assert len(scan.violations) == BENCHMARK_EXHAUSTIVE_CASES[(p, c, top)][2]
-    assert calls and max(calls) <= covering._COVER_ROWS
+    for rows in (7, covering._COVER_ROWS):
+        orbit_calls, verdict_calls = [], []
+
+        def counted_orbits(p, masks):
+            orbit_calls.append(len(masks))
+            return dilation_orbits(p, masks)
+
+        def counted_verdicts(p, masks):
+            verdict_calls.append(len(masks))
+            return covering_verdicts(p, masks)
+
+        with mock.patch.object(covering, "dilation_orbits", counted_orbits), \
+                mock.patch.object(covering, "covering_verdicts", counted_verdicts), \
+                mock.patch.object(covering, "_COVER_ROWS", rows):
+            scan = tau_scan(p, c, grid=tuple(t for t in default_grid() if t <= top))
+        assert len(scan.violations) == BENCHMARK_EXHAUSTIVE_CASES[(p, c, top)][2]
+        assert orbit_calls and max(orbit_calls) <= rows
+        assert len(verdict_calls) == len(orbit_calls) and max(verdict_calls) <= rows
+        # each orbit is judged once, by the first chunk that meets it
+        assert sum(verdict_calls) == len(scan.violations) > len(verdict_calls)
+
+
+def test_cover_test_sees_every_hypothesis_set_once():
+    # Each orbit meets the tree in several sets, so a set lost between size
+    # batches would rarely change a scan's violations; count the rows instead.
+    # Every set of 3 or more elements containing 1 (with or without 0) that
+    # meets the loosest hypothesis is a row of exactly one cover test.
+    p, c, grid = 13, Fraction(1, 3), default_grid()
+    seen, calls = [], []
+
+    def counted(residues, doubling, p):
+        calls.append(residues.size)
+        seen.extend(map(tuple, residues.tolist()))
+        return uncovered(residues, doubling, p)
+
+    uncovered = covering._uncovered
+    for cells in (10, covering._SAMPLE_CELLS):
+        seen.clear()
+        calls.clear()
+        with mock.patch.multiple(covering, _uncovered=counted, _SAMPLE_CELLS=cells):
+            tau_scan(p, c, grid=grid)
+        want = [combo for size in range(3, int(c * p) + 1) for combo in combinations(range(p), size)
+                if 1 in combo and len(sumset(ZpSet(p, combo), ZpSet(p, combo))) <= (2 + grid[-1]) * size - 3]
+        assert sorted(seen) == sorted(want)
+        # one cover test per size (3 and 4), unless the batches are cut small
+        assert max(calls) <= max(cells, 4)
+        assert (len(calls) == 2) == (cells == covering._SAMPLE_CELLS)
 
 
 def test_scan_reports_are_monotone_and_flag_small_tau_clean():
@@ -288,6 +342,13 @@ def test_scan_mode_and_parameter_errors():
     for trials in (0, -5):
         with pytest.raises(ZpSetError, match="at least one trial"):
             tau_scan(101, Fraction(10, 107), mode="sampled", trials=trials)
+    # c*p < 1 admits no nonempty set in either mode; c*p = 1 admits one size
+    for mode in ("exhaustive", "sampled"):
+        for p, c in ((5, Fraction(1, 10)), (5, Fraction(199, 1000)), (2, Fraction(1, 3))):
+            with pytest.raises(ZpSetError, match="density bound admits no nonempty sets"):
+                tau_scan(p, c, mode=mode)
+        scan = tau_scan(5, Fraction(1, 5), mode=mode, trials=10)
+        assert scan.tau_feasible == 1 and not scan.violations and scan.sets_examined > 0
     for step in (Fraction(0), Fraction(-1, 20)):
         with pytest.raises(ZpSetError, match="grid step must be positive"):
             default_grid(step)
@@ -322,6 +383,15 @@ def test_cli_refuses_non_finite_scan_parameters(capsys):
         assert main(["covering", "--p", "13", *flags]) == 1
         captured = capsys.readouterr()
         assert not captured.out and "parameter error" in captured.err
+
+
+def test_cli_refuses_a_density_bound_below_one_set(capsys):
+    from klsf.cli import main
+
+    for mode in ("exhaustive", "sampled"):
+        assert main(["covering", "--p", "5", "--c", "1/10", "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out and "density bound admits no nonempty sets" in captured.err
 
 
 def test_cli_refuses_an_empty_tau_grid(capsys):
@@ -383,3 +453,26 @@ for mode in ("exhaustive", "sampled"):
         assert raised.startswith(f"{mode} raised:") and "implementation bug" in raised
         assert exited == f"{mode} exit 2"
     assert run.stderr.count("check failed") == 2
+
+
+def test_scans_leave_numpy_random_unimported():
+    # Importing numpy.random lifts resident memory after `import klsf` from
+    # about 29.6 to 35.2 MB, which the covering benchmark would read as a
+    # peak RSS regression; the sampled scan draws with random.Random.
+    script = """
+import sys
+from fractions import Fraction
+import klsf
+
+klsf.tau_scan(19, Fraction(1, 3))
+scan = klsf.tau_scan(101, Fraction(1, 10), mode="sampled", seed=1, trials=2000)
+assert scan.violations, "the sampled scan should reach the verdicts"
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

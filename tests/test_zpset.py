@@ -2,12 +2,13 @@
 
 import random
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from klsf import covering
+from klsf import covering, modmath
 from klsf.zpset import (
     ApCover,
     ZpSet,
@@ -324,3 +325,56 @@ def test_min_ap_cover_tie_rules_and_early_exit(p, data):
     doubling = np.array([t + size - 1 for t in targets])
     want = [length > t for length, t in zip(lengths, targets)]
     assert covering._uncovered(residues, doubling, p).tolist() == want
+
+
+# Every prime up to the exhaustive scan's limit, and two above the uint64
+# word limit, whose masks are object words.
+VERDICT_PRIMES = primes_in(2, 31) + [67, 101]
+
+
+def check_batched_verdicts(p, sets, as_words=False, cells=covering._COVER_CELLS):
+    """covering.covering_verdicts on one batch of equal-size sets against the
+    scalar route (a sumset and min_ap_cover per set) and the brute-force
+    cover, row by row and in input order, and against its one-row call
+    covering.covering_verdict.  cells = 1 takes one difference
+    per block, so ties across blocks are tested too."""
+    masks = [ZpSet(p, elems).mask for elems in sets]
+    with mock.patch.object(covering, "_COVER_CELLS", cells):
+        verdicts = covering.covering_verdicts(p, modmath.word_array(p, masks) if as_words else masks)
+    assert len(verdicts) == len(sets)
+    for mask, v in zip(masks, verdicts):
+        a = ZpSet.from_mask(p, mask)
+        doubling = len(sumset(a, a))
+        target = doubling - len(a) + 1
+        cover = min_ap_cover(a)
+        assert (cover.length, cover.diff, cover.start) == naive_min_ap_cover(a)
+        covered = cover.length <= target
+        assert (v.set, v.doubling, v.target_len, v.achieved_len, v.covered, v.witness) == (
+            a, doubling, target, cover.length, covered, cover if covered else None)
+        assert covering.covering_verdict(a) == v
+
+
+@pytest.mark.parametrize("p", VERDICT_PRIMES)
+def test_covering_verdicts_at_sizes_1_and_p(p):
+    check_batched_verdicts(p, [[x] for x in range(p)])
+    check_batched_verdicts(p, [range(p)], as_words=True)
+
+
+@pytest.mark.parametrize("p", VERDICT_PRIMES)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_covering_verdicts_match_scalar_route(p, data):
+    # The brute-force cover takes up to 0.6 s per set at p = 101, so above
+    # the word limit a batch holds one set (the test above batches 67 and
+    # 101 singletons).
+    size = data.draw(st.integers(1, p))
+    sets = data.draw(st.lists(st.sets(st.integers(0, p - 1), min_size=size, max_size=size),
+                              min_size=1, max_size=5 if p <= modmath.WORD_P_LIMIT else 1))
+    check_batched_verdicts(p, sets, as_words=data.draw(st.booleans()),
+                           cells=data.draw(st.sampled_from([1, covering._COVER_CELLS])))
+
+
+def test_covering_verdicts_refuse_empty_sets():
+    assert covering.covering_verdicts(13, []) == []
+    with pytest.raises(ZpSetError, match="nonempty"):
+        covering.covering_verdicts(13, [0, 0])
