@@ -106,14 +106,21 @@ def _plain(v):
 # n = 1: complete decision by dilation scan
 
 
+@lru_cache(maxsize=16)
+def _supports_1d(params: Params) -> tuple:
+    """(kind, support mask, spec) of every structure variant at n = 1, in
+    table order: the n = 1 counterpart of `_descriptors_2d`."""
+    return tuple((kind, type_support(spec).mask, spec)
+                 for kind, _, spec in reference_specs(params, TYPE_KINDS))
+
+
 def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
     p = params.p
     matches = []
     images = dilation_masks(p, zp.mask)
-    for kind, _, spec in reference_specs(params, TYPE_KINDS):
-        target = type_support(spec)
-        if target.mask in images:
-            matches.append((kind, spec, images.index(target.mask) + 1))
+    for kind, support, spec in _supports_1d(params):
+        if support in images:
+            matches.append((kind, spec, images.index(support) + 1))
     if not matches:
         return ClassReport("nontrivial-unknown", params,
                            notes=[f"size {len(zp)} vs m={params.m}; no generator matches"])

@@ -7,6 +7,9 @@ Exit codes:
        verifier, or a reproduced acceptance criterion failing)
     3  completed with a reportable mathematical finding (covering violations,
        orbits the classifier cannot name); findings are data, not failures
+  141  the reader of stdout closed the pipe early (`klsf ... | head`); the
+       rest of the output is dropped without a message, and the code is the
+       128 + SIGPIPE a shell reports for a process that SIGPIPE ended
 
 Every command emits a manifest-style JSON document: schema id, the exact
 command line, parameters and seeds, then results.  Every clock reading lives
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -40,6 +44,7 @@ from .criteria import CRITERIA, run_criterion
 
 SCHEMA = "klsf/1"
 EXIT_OK, EXIT_PARAM, EXIT_CHECK, EXIT_FINDING = 0, 1, 2, 3
+EXIT_PIPE = 128 + 13  # SIGPIPE
 # The keys a --grid item's "extras" may hold (read by the non-cuboid kinds).
 GRID_EXTRAS = ("a", "s", "vbasis", "pset")
 
@@ -315,7 +320,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PARAM if exc.code else EXIT_OK
     try:
-        return args.fn(args, ["klsf", *argv])
+        code = args.fn(args, ["klsf", *argv])
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's last flush of the
+        # output left in its buffer cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
     except GeneratorCheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK

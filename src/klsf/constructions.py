@@ -18,12 +18,13 @@ size (m+1)p^{n-1} and every type has size m*p^{n-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, bits_to_mask, dilation_masks, mod_inverse
+from .modmath import GeneratorCheckError, bits_to_mask, dilation_masks, mod_inverse, word_array
 from .zpset import ZpSet, ed_profile
 from .vecset import (
     CriterionError,
@@ -405,13 +406,52 @@ class TrivialityReport:
     detail: str
 
 
+# Bound on the (row, c, j) cells of one `extremal_embeddings` array test
+# (512 KB of uint64 words).
+_EMBED_CELLS = 1 << 16
+
+
 def extremal_embedding(s: ZpSet, intervals: list[ZpSet]) -> tuple[int, int] | None:
-    """The first (c, j), scanning c = 1..p-1, with c*S inside intervals[j]."""
-    for c, img in enumerate(dilation_masks(s.p, s.mask), 1):
-        for j, iv in enumerate(intervals):
-            if img & ~iv.mask == 0:
-                return c, j
-    return None
+    """The first (c, j), scanning c = 1..p-1 and for each c every j, with
+    c*S inside intervals[j]; the one-row call of `extremal_embeddings`."""
+    return extremal_embeddings(s.p, [s.mask], intervals)[0]
+
+
+def extremal_embeddings(p: int, masks, intervals: list[ZpSet]) -> list[tuple[int, int] | None]:
+    """`extremal_embedding` of each of a batch of subsets S of Z_p (p-bit
+    masks, as a list or a word array), in the order of `masks`.
+
+    c*S lies in I_j iff S misses the complement of c^(-1) I_j, so one array
+    test of the masks against the cached complements, laid out by c and then
+    j, decides every (c, j) at once, and a row's first miss is its first
+    (c, j).  Rows go in chunks of at most _EMBED_CELLS (row, c, j) cells.
+    """
+    words = word_array(p, masks)
+    if not intervals:
+        return [None] * len(words)
+    outside = _preimage_complements(p, tuple(iv.mask for iv in intervals))
+    width = len(intervals)
+    out = []
+    chunk = max(1, _EMBED_CELLS // len(outside))
+    for lo in range(0, len(words), chunk):
+        inside = (words[lo:lo + chunk, None] & outside) == 0
+        first = inside.argmax(axis=1)
+        found = inside[np.arange(len(first)), first]
+        out += [(at // width + 1, at % width) if hit else None
+                for at, hit in zip(first.tolist(), found.tolist())]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _preimage_complements(p: int, masks: tuple[int, ...]) -> np.ndarray:
+    """Read-only words whose entry (c-1)*J + j is the complement in Z_p of
+    c^(-1) I_j, I_j the j-th of the J interval masks `masks`."""
+    full = (1 << p) - 1
+    dilates = [dilation_masks(p, mask) for mask in masks]
+    words = word_array(p, [full ^ images[pow(c, -1, p) - 1]
+                           for c in range(1, p) for images in dilates])
+    words.setflags(write=False)
+    return words
 
 
 def nontriviality_check(a: VecSet, params: Params) -> TrivialityReport:
@@ -450,8 +490,9 @@ def _nontriviality_2d(counts: np.ndarray, intervals: list[ZpSet]) -> TrivialityR
     p = counts.shape[1]
     supports = counts > 0
     widest = max(len(iv) for iv in intervals)
-    for line in np.flatnonzero(supports.sum(axis=1) <= widest).tolist():
-        hit = extremal_embedding(ZpSet.from_mask(p, bits_to_mask(supports[line])), intervals)
+    lines = np.flatnonzero(supports.sum(axis=1) <= widest).tolist()
+    hits = extremal_embeddings(p, [bits_to_mask(supports[line]) for line in lines], intervals)
+    for line, hit in zip(lines, hits):
         if hit is not None:
             s, j = hit
             dec = line_decomposition(p, line)

@@ -32,6 +32,7 @@ it, and a (k,l) check compares (k-j)A with lA - jA, j = (k-l)//2, so a
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -281,16 +282,30 @@ def dilation_masks(p: int, mask: int) -> list[int]:
 
 def _dilation_images(p: int, residues: np.ndarray) -> np.ndarray:
     """(N, p-1) array whose entry (i, c-1) is the mask of c*A_i, c = 1..p-1,
-    for the rows A_i of an (N, s) array of residues, as words (`word_array`)."""
+    for the rows A_i of an (N, s) array of residues, as words (`word_array`).
+
+    Up to WORD_P_LIMIT the rows of `_dilation_table(p)` are gathered by
+    residue and summed over each set: c is invertible, so the s bits of an
+    image are distinct and their sum is their union.  Above it the products
+    c*x mod p are set in a bit array and packed.
+    """
+    if p <= WORD_P_LIMIT:
+        return _dilation_table(p)[residues].sum(axis=1, dtype=np.uint64)
     rows, size = residues.shape
     images = residues[:, None, :] * np.arange(1, p, dtype=np.int64)[:, None] % p  # (N, p-1, s)
-    if p <= WORD_P_LIMIT:
-        # c is invertible, so the s bits of an image are distinct and their
-        # sum is their union.
-        return (np.uint64(1) << images.astype(np.uint64)).sum(axis=2, dtype=np.uint64)
     bits = np.zeros((rows * (p - 1), p), dtype=bool)
     bits[np.arange(len(bits))[:, None], images.reshape(len(bits), size)] = True
     return word_array(p, bits_to_mask(bits)).reshape(rows, p - 1)
+
+
+@lru_cache(maxsize=None)
+def _dilation_table(p: int) -> np.ndarray:
+    """Read-only (p, p-1) uint64 table whose entry (x, c-1) is the bit
+    1 << (c*x mod p), for p <= WORD_P_LIMIT (at most 29 KB at p = 61)."""
+    products = np.arange(p, dtype=np.uint64)[:, None] * np.arange(1, p, dtype=np.uint64) % np.uint64(p)
+    table = np.uint64(1) << products
+    table.setflags(write=False)
+    return table
 
 
 def dilation_orbits(p: int, masks) -> tuple[list[int], list[int]]:

@@ -20,11 +20,13 @@ sum-free, and the scan returns before any of this.
 The tree is expanded a block of up to _BLOCK_NODES same-size nodes at a
 time: every (node, candidate) pair of a block goes through the fold updates
 and both cuts in a few array operations, with no per-node Python loop.
-Masks are the word arrays of `klsf.modmath` (uint64 words for p <= 61,
-Python ints above, which only a raised p_limit reaches), unpacked, counted
-and rotated by its word helpers.  The tree is the same as a node-at-a-time
-scan's: `node_count` counts its nodes, and `prunes_collision` and
-`prunes_size` the pairs cut by each test.
+A block keeps one flat word array per fold, h = 1..k (the 0-fold {0} stays
+implicit), so a pair's 1-fold is its parent's with bit x set and each
+higher fold is one gather and one rotation.  Masks are the word arrays of
+`klsf.modmath` (uint64 words for p <= 61, Python ints above, which only a
+raised p_limit reaches), unpacked, counted and rotated by its word helpers.
+The tree is the same as a node-at-a-time scan's: `node_count` counts its
+nodes, and `prunes_collision` and `prunes_size` the pairs cut by each test.
 
 The hits are reduced to their dilation orbits in one batched
 `modmath.dilation_orbits` call, which gives each hit's canonical form (the
@@ -33,10 +35,13 @@ from its p-1 dilates.  The members of an orbit that
 contain 1 are the sets a^(-1)A for a in A, so the tree must emit each orbit
 exactly |A|/|Stab(A)| times; a different count raises GeneratorCheckError.
 `labeled_count`, the number of labelled sets, follows by orbit-stabilizer as
-the sum of (p-1)/|Stab(A)| over the orbits.  Orbits are reported in sorted
-canonical order, so output is deterministic.  A no-pruning brute force over
-all subsets of the target sizes backs the search in the test suite, as does
-the raw hit list against every sum-free set containing 1.
+the sum of (p-1)/|Stab(A)| over the orbits.  On the second level one
+`constructions.extremal_embeddings` call decides the triviality of every
+orbit, and only the nontrivial ones reach the classifier.  Orbits are
+reported in sorted canonical order, so output is deterministic.  A
+no-pruning brute force over all subsets of the target sizes backs the
+search in the test suite, as does the raw hit list against every sum-free
+set containing 1.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .modmath import (
 )
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params, VecSet
-from .constructions import extremal_embedding, extremal_intervals
+from .constructions import extremal_embeddings, extremal_intervals
 from .classify import ClassReport, classify
 
 
@@ -162,11 +167,14 @@ def _scan(p: int, k: int, l: int, target: int | None):
     element of a surviving extension stays individually compatible at every
     ancestor; dropping dead residues never loses a set.)
 
-    The stack holds blocks of at most _BLOCK_NODES nodes of one size: arrays
-    of set masks, candidate masks and (N, k+1) fold masks, folds[:, h] the
-    mask of the h-fold sumset (column 0 is {0}).  One expansion builds every
-    (node, candidate x) pair of a block, runs the fold updates on all pairs
-    at once and keeps the children whose k-fold and l-fold masks stay apart.
+    The stack holds blocks of at most _BLOCK_NODES nodes of one size: word
+    arrays of set masks and candidate masks, and a tuple of k fold arrays,
+    folds[h-1] the masks of the h-fold sumsets, h = 1..k.  One expansion
+    builds every (node, candidate x) pair of a block and runs the fold
+    updates on all pairs at once: the 1-fold is folds[0][parent] | (1 << x)
+    and each higher fold is folds[h-1][parent] | (the pair's (h-1)-fold
+    rotated by x).  It keeps the children whose k-fold and l-fold masks stay
+    apart.
     A child may only add the feasible residues of its parent above x (every
     set is met once, in increasing order), and is cut when those cannot
     lift it to `best`.  Children are pushed so that the lowest-x block pops
@@ -178,8 +186,9 @@ def _scan(p: int, k: int, l: int, target: int | None):
     best = target if target is not None else _warm_start(p, k, l)
     hits: list[int] = []
     nodes = collisions = cuts = 0
-    root_folds = [[1 << (h % p) for h in range(k + 1)]]  # folds[h] = mask of h*{1} = {h}
-    stack = [(1, word_array(p, [0b10]), word_array(p, [(1 << p) - 4]), word_array(p, root_folds))]
+    # folds[h-1] holds the h-fold masks of a block, h = 1..k; the root's are {h}
+    folds = tuple(word_array(p, [1 << (h % p)]) for h in range(1, k + 1))
+    stack = [(1, word_array(p, [0b10]), word_array(p, [(1 << p) - 4]), folds)]
     while stack:
         size, amask, cand, folds = stack.pop()
         nodes += len(amask)
@@ -194,25 +203,26 @@ def _scan(p: int, k: int, l: int, target: int | None):
             continue
         parent, x = np.nonzero(words_to_bits(cand, p))
         x = x.astype(amask.dtype)
-        nf = [folds[parent, 0]]  # the child's fold masks, h = 0..k
-        for h in range(1, k + 1):
-            prev = nf[-1]
-            nf.append(folds[parent, h] | rotate_words(prev, x, p))
-        ok = np.flatnonzero((nf[k] & nf[l]) == 0)
-        collisions += len(x) - len(ok)
-        parent, x = parent[ok], x[ok]
         bit = 1 << x
+        nf = [folds[0][parent] | bit]  # the children's fold masks, h = 1..k
+        for fold in folds[1:]:
+            nf.append(fold[parent] | rotate_words(nf[-1], x, p))
+        ok = ((nf[k - 1] & nf[l - 1]) == 0).nonzero()[0]
+        collisions += len(x) - len(ok)
+        parent, x, bit = parent[ok], x[ok], bit[ok]
         feasible = np.zeros(len(amask), dtype=amask.dtype)
         np.bitwise_or.at(feasible, parent, bit)
         suffix = (feasible[parent] >> (x + 1)) << (x + 1)
-        keep = np.flatnonzero(size + 1 + words_popcount(suffix) >= best)
+        keep = (size + 1 + words_popcount(suffix) >= best).nonzero()[0]
         cuts += len(ok) - len(keep)
         child_masks = amask[parent[keep]] | bit[keep]
         child_cand = suffix[keep]
-        child_folds = np.stack([f[ok[keep]] for f in nf], axis=1)
+        rows = ok[keep]
+        child_folds = tuple(f[rows] for f in nf)
         for lo in reversed(range(0, len(keep), _BLOCK_NODES)):
             part = slice(lo, lo + _BLOCK_NODES)
-            stack.append((size + 1, child_masks[part], child_cand[part], child_folds[part]))
+            stack.append((size + 1, child_masks[part], child_cand[part],
+                          tuple(f[part] for f in child_folds)))
     return best, hits, ScanCounts(nodes, collisions, cuts)
 
 
@@ -250,8 +260,8 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
     _, hits, counts = _scan(p, k, l, target=m)
     stabs = _orbit_stabilizers(hits, p)
     # Triviality is dilation-invariant, so one test per orbit decides it.
-    nontrivial = {om: stab for om, stab in stabs.items()
-                  if extremal_embedding(ZpSet.from_mask(p, om), intervals) is None}
+    embedded = extremal_embeddings(p, list(stabs), intervals)
+    nontrivial = {om: stab for (om, stab), hit in zip(stabs.items(), embedded) if hit is None}
     labeled_orbits = []
     findings = []
     for om in sorted(nontrivial):

@@ -14,14 +14,14 @@ from klsf.vecset import (
     Decomposition, Params, VecSet, decompose, decompositions_2d, apply_automorphism, mat_det,
 )
 from klsf.classify import (
-    _descriptors_2d, _match_descriptor_2d, balance_deviation, check_balance_bound, classify,
+    LABEL_PRIORITY, ClassReport, _classify_1d, _descriptors_2d, _match_descriptor_2d, balance_deviation, check_balance_bound, classify,
     weight_scan,
 )
 from klsf.constructions import (
     P, TYPE_KINDS, CuboidSpec, TypeSpec, band_layout, gen_cuboid, gen_type, reference_specs,
-    type1_a_values,
+    type1_a_values, type_support,
 )
-from klsf.modmath import dilation_masks, mod_inverse
+from klsf.modmath import dilation_masks, mod_inverse, primes_in
 
 
 def test_classify_1d_examples():
@@ -130,6 +130,53 @@ def test_classify_1d_dilation_invariance():
     base = ZpSet.interval(23, 5, 5)
     labels = {classify(VecSet.from_zpset(dilate(base, c)), 3, 1).label for c in range(1, 23)}
     assert labels == {"type1"}
+
+
+def rebuilt_classify_1d(zp, params):
+    """`classify._classify_1d` with its support table rebuilt from
+    `reference_specs` and `type_support` on every call, as the function did
+    before the table was cached: the reference for the cached route."""
+    p = params.p
+    images = dilation_masks(p, zp.mask)
+    matches = []
+    for kind, _, spec in reference_specs(params, TYPE_KINDS):
+        target = type_support(spec).mask
+        if target in images:
+            matches.append((kind, spec, images.index(target) + 1))
+    if not matches:
+        return ClassReport("nontrivial-unknown", params,
+                           notes=[f"size {len(zp)} vs m={params.m}; no generator matches"])
+    matches.sort(key=lambda t: LABEL_PRIORITY.index(t[0]))
+    kind, spec, s = matches[0]
+    back = mod_inverse(s, p)
+    assert dilate(gen_type(spec).to_zpset(), back) == zp
+    notes = [f"also matches {k} (dilation {sv})" for k, _, sv in matches[1:]]
+    return ClassReport(kind, params, {"spec": spec, "dilation_from_generator": back},
+                       notes + list(spec.notes))
+
+
+def test_classify_1d_table_matches_a_rebuild():
+    # Dilates of every reference spec's support for k + l <= 8 and p <= 59:
+    # the same label, witness (spec and dilation) and notes, "also matches"
+    # lines included.  Five dilates per support keep the run short; the
+    # dilation scan itself is the kernel's, checked in test_modmath.
+    rng = random.Random(3)
+    cases = seen = 0
+    for k in range(2, 8):
+        for l in range(1, k):
+            for p in primes_in(3, 59):
+                params = Params(k, l, p)
+                if k + l > 8 or params.m < 1 or not params.lambda_in_range():
+                    continue
+                for _, _, spec in reference_specs(params, TYPE_KINDS):
+                    support = type_support(spec)
+                    for c in {1, p - 1, *rng.sample(range(2, p - 1), min(3, p - 3))}:
+                        zp = dilate(support, c)
+                        report = _classify_1d(zp, params)
+                        assert report == rebuilt_classify_1d(zp, params), (k, l, p, spec, c)
+                        seen += report.label != "nontrivial-unknown"
+                        cases += 1
+    assert cases > 1000 and seen == cases
 
 
 def test_classify_cuboid_subsets_trivial():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from klsf import cli
 from klsf.cli import main
 
 
@@ -128,18 +129,46 @@ def test_covering_scan_and_exit_codes(tmp_path, capsys):
         assert "parameter error" in err and "at least one trial" in err
 
 
+def src_env():
+    """The environment of a `python -m klsf.cli` subprocess that imports ./src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_covering_nonpositive_tau_step_exit_1():
     # In a subprocess with a timeout: a grid loop that never ends must fail
     # the test, not hang the suite.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for step in ("0", "-1/20"):
         run = subprocess.run([sys.executable, "-m", "klsf.cli", "covering", "--p", "19", "--c", "1/3",
-                              f"--tau-step={step}"], env=env, capture_output=True, text=True, timeout=60)
+                              f"--tau-step={step}"], env=src_env(), capture_output=True, text=True,
+                             timeout=60)
         assert run.returncode == 1, run.stderr
         assert run.stdout == ""
         assert "parameter error" in run.stderr and "grid step must be positive" in run.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_quietly(unbuffered):
+    # The reader of stdout closes its end before the command writes, as in
+    # `klsf enumerate ... | head` once head is done: the write fails with
+    # EPIPE, and the command stops with exit 141 (128 + SIGPIPE) and nothing
+    # on stderr instead of reporting a parameter error.  With a buffered
+    # stdout the write is the flush of the whole manifest.
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "klsf.cli", "enumerate", "--k", "2", "--l", "1",
+                              "--p", "2"], env=env, stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert run.returncode == cli.EXIT_PIPE == 141
+    assert run.stderr == ""
 
 
 def test_spectral_verb(tmp_path, capsys):

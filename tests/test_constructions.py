@@ -1,17 +1,22 @@
 """Structure generators: frozen examples, parameter windows, distinctness."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, dilate, ed_profile, is_kl_sumfree
+from klsf.modmath import dilation_orbits, primes_in, word_array
+from klsf.search import enumerate_second_level
 from klsf.vecset import (
     Params, VecSet, apply_automorphism, decompose, decompositions_2d, vec_is_kl_sumfree,
 )
+from klsf import constructions, search
 from klsf.constructions import (
     CuboidSpec,
     extremal_embedding,
+    extremal_embeddings,
     ParameterError,
     TypeSpec,
     available_kinds,
@@ -250,15 +255,75 @@ def test_nontriviality_of_generated_types():
         assert nontriviality_check(out, spec.params).status == "nontrivial", spec.which
 
 
+def scalar_extremal_embedding(s, intervals):
+    """The first (c, j), scanning c = 1..p-1 and for each c every j, with
+    c*S inside intervals[j], one `zpset.dilate` at a time: the reference for
+    the batched `extremal_embeddings`."""
+    for c in range(1, s.p):
+        image = dilate(s, c)
+        for j, iv in enumerate(intervals):
+            if image.issubset(iv):
+                return c, j
+    return None
+
+
 def per_line_nontriviality(a, params):
     """The n = 2 scan with one full decomposition per line: (status, witness)."""
     intervals = extremal_intervals(params)
     for line, dec in enumerate(decompositions_2d(params.p)):
-        hit = extremal_embedding(decompose(a, dec).support, intervals)
+        hit = scalar_extremal_embedding(decompose(a, dec).support, intervals)
         if hit is not None:
             s, j = hit
             return "trivial", {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis}
     return "nontrivial", None
+
+
+# (k, l, p) with k + l <= 8 and p <= 31 whose second level exists: m >= 1
+# and lam inside the window.
+SECOND_LEVEL_CASES = [(k, l, p) for k in range(2, 8) for l in range(1, k) if k + l <= 8
+                      for p in primes_in(2, 31)
+                      if Params(k, l, p).m >= 1 and Params(k, l, p).lambda_in_range()]
+
+
+def test_extremal_embeddings_match_scalar_scan_on_second_level_orbits():
+    # Every size-m orbit the second-level search meets, trivial or not, as
+    # its canonical form and as every hit of the tree rooted at {1}, row by
+    # row against the scalar scan; the nontrivial canonical forms are then
+    # exactly the orbits `enumerate_second_level` reports.
+    assert len(SECOND_LEVEL_CASES) > 40
+    for k, l, p in SECOND_LEVEL_CASES:
+        params = Params(k, l, p)
+        intervals = extremal_intervals(params)
+        _, hits, _ = search._scan(p, k, l, params.m)
+        orbits = sorted(set(dilation_orbits(p, hits)[0]))
+        for masks in (orbits, hits):
+            want = [scalar_extremal_embedding(ZpSet.from_mask(p, m), intervals) for m in masks]
+            assert extremal_embeddings(p, masks, intervals) == want, (k, l, p)
+            assert [extremal_embedding(ZpSet.from_mask(p, m), intervals) for m in masks] == want
+        nontrivial = [m for m in orbits
+                      if scalar_extremal_embedding(ZpSet.from_mask(p, m), intervals) is None]
+        run = enumerate_second_level(params)
+        assert [o.mask for o, _ in run.second_level_orbits] == nontrivial, (k, l, p)
+
+
+@pytest.mark.parametrize("p", [2, 7, 29, 61, 67])
+def test_extremal_embeddings_edge_cases(p, monkeypatch):
+    # no rows, the empty set, no intervals, a word-array input, Python ints
+    # above p = 61, and chunks of one row
+    rng = random.Random(p)
+    intervals = [ZpSet.interval(p, 1, max(1, p // 4)), ZpSet.interval(p, p // 2, max(1, p // 5))]
+    masks = [0] + [rng.getrandbits(p) & ~1 for _ in range(30)]
+    masks += [ZpSet(p, [c * x % p for x in range(1, p // 5 + 1)]).mask for c in (1, p - 1)]
+    want = [scalar_extremal_embedding(ZpSet.from_mask(p, m), intervals) for m in masks]
+    assert want[0] == (1, 0)
+    if p > 2:
+        assert None in want and any(want[1:])
+    assert extremal_embeddings(p, masks, intervals) == want
+    assert extremal_embeddings(p, word_array(p, masks), intervals) == want
+    assert extremal_embeddings(p, [], intervals) == []
+    assert extremal_embeddings(p, masks, []) == [None] * len(masks)
+    monkeypatch.setattr(constructions, "_EMBED_CELLS", 1)
+    assert extremal_embeddings(p, masks, intervals) == want
 
 
 # (k, l, p) at n = 2 inside the lambda window, p <= 29.

@@ -12,7 +12,9 @@ route, and the FFT route's transforms are counted.  Unions of products
 T x F in F_p^2 and F_p^3 check the sumsets, and the row-class route under
 drawn pair budgets, against pair sums.  Batched dilation orbits are checked
 against `zpset.dilate` one dilate at a time, on uint64 words and on Python
-ints, with cosets of multiplicative subgroups for nontrivial stabilizers.
+ints, with cosets of multiplicative subgroups for nontrivial stabilizers,
+and the dilation images of both routes (the cached bit table up to
+p = 61, packed bit arrays above) against Python products c*x % p.
 Batched doubling sizes are checked against `sumset_mask` and pair sums on
 both sides of the pair-table cut-over.
 """
@@ -686,6 +688,53 @@ def test_dilation_orbits_take_a_list_or_a_word_array(p):
     rng = random.Random(p)
     masks = [indices_to_mask(sorted(rng.sample(range(p), 5))) for _ in range(25)]
     assert modmath.dilation_orbits(p, modmath.word_array(p, masks)) == modmath.dilation_orbits(p, masks)
+
+
+def direct_dilation_images(p, rows):
+    """Entry (i, c-1) of `_dilation_images` from Python products: the mask of
+    c*A_i as the sum of the bits 1 << (c*x % p), x in A_i."""
+    return [[sum(1 << (c * x % p) for x in row) for c in range(1, p)] for row in rows]
+
+
+def residue_rows(rng, p, size, count=5):
+    rows = [sorted(rng.sample(range(p), size)) for _ in range(count)]
+    return rows, np.array(rows, dtype=np.int64).reshape(count, size)
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
+def test_dilation_table_matches_direct_products(p):
+    # Every prime up to WORD_P_LIMIT takes the table route: sizes 0, 1, 2,
+    # about p/2, p - 1 and p (0 included), and no rows at all.
+    rng = random.Random(p)
+    for size in sorted({0, 1, 2, p // 2, p - 1, p}):
+        rows, residues = residue_rows(rng, p, size)
+        images = modmath._dilation_images(p, residues)
+        assert images.dtype == np.uint64 and images.shape == (len(rows), p - 1)
+        assert images.tolist() == direct_dilation_images(p, rows), size
+    assert modmath._dilation_images(p, np.zeros((0, 3), dtype=np.int64)).shape == (0, p - 1)
+
+
+def test_dilation_images_above_the_word_limit_stay_python_ints():
+    p = 67
+    rng = random.Random(p)
+    for size in (0, 1, 5, 33, 66, 67):
+        rows, residues = residue_rows(rng, p, size)
+        images = modmath._dilation_images(p, residues)
+        assert images.dtype == object and images.shape == (len(rows), p - 1)
+        assert images.tolist() == direct_dilation_images(p, rows), size
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
+def test_dilation_orbits_match_least_dilates_at_every_word_prime(p):
+    # Against `naive_orbit`'s minimum over every dilate, one zpset.dilate at
+    # a time, on random sets and on the intervals [1, s] (s = p - 1 gives
+    # the nonzero residues, which every dilation fixes).
+    rng = random.Random(p)
+    for size in sorted({0, 1, 2, 3, p // 3, p - 1, p} & set(range(p + 1))):
+        masks = [indices_to_mask(sorted(rng.sample(range(p), size))) for _ in range(4)]
+        masks.append(indices_to_mask(range(1, size + 1)) if size < p else (1 << p) - 1)
+        least, stabs = modmath.dilation_orbits(p, masks)
+        assert list(zip(least, stabs)) == [naive_orbit(p, m) for m in masks], size
 
 
 def _set_algebra_cases():

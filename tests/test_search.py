@@ -272,6 +272,13 @@ except GeneratorCheckError as exc:
     print("raised:", exc)
 print("exit", cli.main(["enumerate", "--k", "3", "--l", "1", "--p", "23"]))
 """
+    lines = run_optimized(script)
+    assert lines[0].startswith("raised: warm-start interval") and "implementation bug" in lines[0]
+
+
+def run_optimized(script):
+    """Run `script` under python -O with ./src importable; its stdout lines,
+    after checking that it ended with `exit 2` and a failed check on stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -279,9 +286,38 @@ print("exit", cli.main(["enumerate", "--k", "3", "--l", "1", "--p", "23"]))
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[0].startswith("raised: warm-start interval") and "implementation bug" in lines[0]
     assert lines[-1] == "exit 2"
     assert "check failed" in run.stderr
+    return lines
+
+
+def test_orbit_self_check_survives_optimize():
+    # The orbit-emission check is an explicit raise: with one hit dropped
+    # from the scan it fires under python -O, and `klsf enumerate` exits 2.
+    script = """
+import sys
+from klsf import cli, search
+from klsf.modmath import GeneratorCheckError
+from klsf.vecset import Params
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+scan = search._scan
+
+def drop_first_hit(*args, **kwargs):
+    best, hits, counts = scan(*args, **kwargs)
+    return best, hits[1:], counts
+
+search._scan = drop_first_hit
+try:
+    search.enumerate_max(Params(2, 1, 11))
+except GeneratorCheckError as exc:
+    print("raised:", exc)
+print("exit", cli.main(["enumerate", "--k", "2", "--l", "1", "--p", "11"]))
+"""
+    lines = run_optimized(script)
+    assert lines[0].startswith("raised: search emitted the orbit of [4, 5, 6, 7] 1 times")
+    assert "expected |A|/|Stab(A)| = 4/2" in lines[0] and "implementation bug" in lines[0]
 
 
 def reference_scan(p, k, l, target):
