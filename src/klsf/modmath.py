@@ -11,6 +11,13 @@ is the set algebra that ZpSet and VecSet share.  Batches of p-bit masks of
 Z_p are arrays of words (`word_array`), which the word helpers unpack, count
 and rotate whatever their dtype.
 
+Over Z_p (and the one-cell space F_p^0) a sumset ORs the plain shifts
+large << x, one per element x of the smaller operand, into one int of 2p
+bits and wraps it mod p once at the end: x + y <= 2p - 2, so bits p..2p-2
+fold onto 0..p-2.  That route serves every Z_p sumset, h-fold chain and
+(k,l) check, the Z_p factors T + U of the row-class route and the large rows
+of `doubling_sizes`.
+
 Over F_p^n, n >= 2, sets above the roll route's size take the FFT route,
 except for the fold chains and (k,l) checks of a set in F_p^2 with few row
 classes.  A row is the p^(n-1)-bit block of one last coordinate, and a set
@@ -44,8 +51,9 @@ import numpy as np
 _SPARSE_POPCOUNT = 24
 # Over F_p^n with n >= 2, a sumset whose smaller operand has more elements
 # than this is one FFT convolution instead of one array roll per element.
-# Over Z_p an int rotation per element stays cheaper (at p = 1019, 128
-# rotations take 140 us against 360 us for the FFT), so n <= 1 never uses it.
+# Over Z_p one shift per element and a single wrap stay cheaper (at p = 1019,
+# 128 shifts of a half-full operand take 39 us against 270 us for the FFT,
+# best of 9), so n <= 1 never uses it.
 # The break-even grows with p^n.  With real transforms (two forward, one
 # inverse per sumset; half-full larger operand, same machine, NumPy 2.4) the
 # FFT already wins at 16 shifts at p = 13, n = 2 (about 0.1 ms against
@@ -67,12 +75,13 @@ WORD_P_LIMIT = 61
 _ORBIT_CELLS = 1 << 18
 # Up to this set size `doubling_sizes` counts |A + A| from a sorted table of
 # the s(s+1)/2 pair sums of each row; above it one `sumset_mask` per row is
-# cheaper.  Per row against the rotation loop (2-vCPU Xeon, CPython 3.11,
-# NumPy 2.4, best of 7): 0.7 against 5.9 us at p = 101, s = 9; 11 against
-# 25 us at s = 32; 24 against 26 us at s = 48; 53 against 53 us at p = 1009,
-# s = 64.  The table's cost grows with s^2 and the rotations' with s*p/64, so
+# cheaper.  Per row against the one-wrap shift loop, mask build included
+# (2-vCPU Xeon, CPython 3.11, NumPy 2.4, best of 5 over 300 rows): 0.8
+# against 7 us at p = 101, s = 9; 16 against 23 us at s = 32; 24 against
+# 27 us at s = 40; 34 against 30 us at s = 48; 59 against 53 us at p = 1009,
+# s = 64.  The table's cost grows with s^2 and the shifts' with s*p/64, so
 # the cut-over is conservative for larger p (at p = 10007, s = 96 the table
-# is still 2.5x faster).
+# is still 2x faster).
 _PAIR_TABLE_SIZE = 32
 # The pair-sum tables are built over chunks of rows of at most this many
 # cells (512 KB of int64).
@@ -126,8 +135,10 @@ class MaskSet:
     """An immutable subset of F_p^n backed by its p^n-bit `mask`: the algebra
     that ZpSet (n = 1) and VecSet share.  A subclass has `p`, `n` and `mask`,
     defines `_with_mask(mask)`, the set of that mask in the same space, and
-    names its `_error` type and `_mismatch` message.  Sets of different
-    classes are never equal."""
+    names its `_error` type and `_mismatch` message.  Every set operation
+    builds its result through the operand's `_with_mask`, which checks the
+    mask's range but not the modulus, already checked when the operand was
+    built.  Sets of different classes are never equal."""
 
     __slots__ = ()
     _mismatch = "incompatible spaces"
@@ -367,13 +378,14 @@ def doubling_sizes(p: int, residues) -> np.ndarray:
 
 
 def _sumset_rotations(cells: int, small: int, large: int) -> int:
-    # Z_p (or the one-cell space): each element x of `small` rotates `large` by x.
-    out = 0
+    # Z_p (or the one-cell space): `large` shifted left by each element of
+    # `small` into one 2*cells-bit accumulator, then one wrap mod `cells`.
+    acc = 0
     while small:
         low = small & -small
-        out |= rotate_mask(large, low.bit_length() - 1, cells)
+        acc |= large << (low.bit_length() - 1)
         small ^= low
-    return out
+    return (acc | acc >> cells) & ((1 << cells) - 1)
 
 
 def _sumset_rolls(p: int, n: int, small: int, large: int) -> int:

@@ -57,9 +57,9 @@ from .modmath import (
     GeneratorCheckError, dilation_orbits, rotate_words, word_array, words_popcount, words_to_bits,
 )
 from .zpset import ZpSet, is_kl_sumfree
-from .vecset import Params, VecSet
+from .vecset import Params
 from .constructions import extremal_embeddings, extremal_intervals
-from .classify import ClassReport, classify
+from .classify import ClassReport, _classify_1d
 
 
 class SearchLimitError(ValueError):
@@ -114,7 +114,7 @@ class SearchResult:
 
 def canonical_form(a: ZpSet) -> ZpSet:
     """The least bit mask among all dilations of A; constant on orbits."""
-    return ZpSet.from_mask(a.p, dilation_orbits(a.p, [a.mask])[0][0])
+    return a._with_mask(dilation_orbits(a.p, [a.mask])[0][0])
 
 
 def _orbit_stabilizers(hits: list[int], p: int) -> dict[int, int]:
@@ -252,7 +252,10 @@ def enumerate_max(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> SearchResul
 
 def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> SearchResult:
     """All nontrivial (k,l)-sum-free dilation orbits of size exactly m, each
-    labeled by the classifier; unexpected labels surface as findings."""
+    labeled by the classifier; unexpected labels surface as findings.  The
+    scan proves every orbit sum-free and `extremal_embeddings` decides its
+    triviality, so each nontrivial orbit goes straight to the Z_p structure
+    matcher, with the report `classify` would give."""
     p, k, l, m = params.p, params.k, params.l, params.m
     _check_p_limit(p, p_limit)
     intervals = extremal_intervals(params)  # raises ParameterError for m < 1 or outside the lam window
@@ -262,11 +265,12 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
     # Triviality is dilation-invariant, so one test per orbit decides it.
     embedded = extremal_embeddings(p, list(stabs), intervals)
     nontrivial = {om: stab for (om, stab), hit in zip(stabs.items(), embedded) if hit is None}
+    zp_params = Params(k, l, p)  # the classifier's parameters for a set in Z_p
     labeled_orbits = []
     findings = []
     for om in sorted(nontrivial):
         rep_set = ZpSet.from_mask(p, om)
-        report = classify(VecSet.from_zpset(rep_set), k, l)
+        report = _classify_1d(rep_set, zp_params)
         labeled_orbits.append((rep_set, report))
         if report.label == "nontrivial-unknown":
             findings.append(

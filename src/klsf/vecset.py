@@ -123,6 +123,11 @@ class VecSet(MaskSet):
     def from_mask(cls, p: int, n: int, mask: int) -> "VecSet":
         if not is_prime(p):
             raise VecSetError(f"modulus {p} is not prime")
+        return cls._new(p, n, mask)
+
+    @classmethod
+    def _new(cls, p: int, n: int, mask: int) -> "VecSet":
+        # from_mask once p is known to be prime: only the mask's range is checked.
         if mask < 0 or mask >> p**n:
             raise VecSetError("mask has bits outside the cell range")
         out = cls.__new__(cls)
@@ -140,7 +145,7 @@ class VecSet(MaskSet):
 
     @classmethod
     def from_zpset(cls, a: ZpSet) -> "VecSet":
-        return cls.from_mask(a.p, 1, a.mask)
+        return cls._new(a.p, 1, a.mask)
 
     @classmethod
     def full(cls, p: int, n: int) -> "VecSet":
@@ -149,10 +154,10 @@ class VecSet(MaskSet):
     def to_zpset(self) -> ZpSet:
         if self.n != 1:
             raise VecSetError("only 1-dimensional sets round-trip to ZpSet")
-        return ZpSet.from_mask(self.p, self.mask)
+        return ZpSet._new(self.p, self.mask)
 
     def _with_mask(self, mask: int) -> "VecSet":
-        return VecSet.from_mask(self.p, self.n, mask)
+        return VecSet._new(self.p, self.n, mask)
 
     def vectors(self):
         return iter(map(tuple, indices_to_rows(self.index_array(), self.p, self.n).tolist()))
@@ -168,7 +173,7 @@ class VecSet(MaskSet):
     def translate(self, g) -> "VecSet":
         """A + g, as the sumset with {g}; coordinates of g are taken mod p."""
         g = [int(c) % self.p for c in g]
-        return VecSet.from_mask(self.p, self.n, sumset_mask(
+        return self._with_mask(sumset_mask(
             self.p, self.n, self.mask, indices_to_mask(rows_to_indices(self._rows([g]), self.p))))
 
     def index_array(self) -> np.ndarray:
@@ -194,13 +199,13 @@ class VecSet(MaskSet):
 def vsumset(a: VecSet, b: VecSet) -> VecSet:
     """Componentwise-mod-p sumset A + B, by the kernel's `sumset_mask`."""
     a._check_space(b)
-    return VecSet.from_mask(a.p, a.n, sumset_mask(a.p, a.n, a.mask, b.mask))
+    return a._with_mask(sumset_mask(a.p, a.n, a.mask, b.mask))
 
 
 def vhfold(a: VecSet, h: int) -> VecSet:
     if h < 1:
         raise VecSetError("h must be positive")
-    return VecSet.from_mask(a.p, a.n, fold_masks(a.p, a.n, a.mask, h)[-1])
+    return a._with_mask(fold_masks(a.p, a.n, a.mask, h)[-1])
 
 
 def vec_is_kl_sumfree(a: VecSet, k: int, l: int) -> bool:
@@ -221,7 +226,7 @@ def apply_automorphism(a: VecSet, m: list[list[int]]) -> VecSet:
     if a.is_empty():
         return a
     imaged = indices_to_rows(a.index_array(), p, n) @ np.array(m, dtype=np.int64).T % p
-    return VecSet.from_mask(p, n, indices_to_mask(rows_to_indices(imaged, p)))
+    return a._with_mask(indices_to_mask(rows_to_indices(imaged, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +396,7 @@ def decompose(a: VecSet, d: Decomposition) -> DecompProfile:
     if not a.is_empty():
         coords = indices_to_rows(a.index_array(), p, n) @ np.array(binv, dtype=np.int64).T % p
         bits[coords[:, 0], rows_to_indices(coords[:, 1:], p)] = True
-    parts = tuple(VecSet.from_mask(p, n - 1, m) for m in bits_to_mask(bits))
+    parts = tuple(VecSet._new(p, n - 1, m) for m in bits_to_mask(bits))
     sizes_by_i = [len(x) for x in parts]
     if sum(sizes_by_i) != len(a):
         raise GeneratorCheckError(f"parts along {d.v} miss elements of A: implementation bug")
@@ -412,7 +417,7 @@ def sym_group(s: VecSet) -> VecSet:
     Convention: the whole space stabilizes the empty set, so sym_group of an
     empty input is the full space (callers that care should flag this).
     """
-    return VecSet.from_mask(s.p, s.n, stabilizer_mask(s.p, s.n, s.mask))
+    return s._with_mask(stabilizer_mask(s.p, s.n, s.mask))
 
 
 def kneser_gap(sets: list[VecSet]) -> tuple[int, int]:

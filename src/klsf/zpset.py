@@ -54,6 +54,11 @@ class ZpSet(MaskSet):
     def from_mask(cls, p: int, mask: int) -> "ZpSet":
         if not is_prime(p):
             raise ZpSetError(f"modulus {p} is not prime")
+        return cls._new(p, mask)
+
+    @classmethod
+    def _new(cls, p: int, mask: int) -> "ZpSet":
+        # from_mask once p is known to be prime: only the mask's range is checked.
         if mask < 0 or mask >> p:
             raise ZpSetError("mask has bits outside [0, p)")
         out = cls.__new__(cls)
@@ -69,7 +74,7 @@ class ZpSet(MaskSet):
         return cls.from_mask(p, rotate_mask((1 << length) - 1, start, p))
 
     def _with_mask(self, mask: int) -> "ZpSet":
-        return ZpSet.from_mask(self.p, mask)
+        return ZpSet._new(self.p, mask)
 
     def __contains__(self, e: int) -> bool:
         return 0 <= e < self.p and (self.mask >> e) & 1 == 1
@@ -85,7 +90,7 @@ class ZpSet(MaskSet):
 
     def shift(self, t: int) -> "ZpSet":
         """Translate by t: {a + t mod p}."""
-        return ZpSet.from_mask(self.p, rotate_mask(self.mask, t, self.p))
+        return self._with_mask(rotate_mask(self.mask, t, self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +101,14 @@ def sumset(a: ZpSet, b: ZpSet) -> ZpSet:
     """A + B = {x + y mod p}, by the kernel's `sumset_mask`.  A naive double
     loop over all pairs serves as the independent test oracle."""
     a._check_space(b)
-    return ZpSet.from_mask(a.p, sumset_mask(a.p, 1, a.mask, b.mask))
+    return a._with_mask(sumset_mask(a.p, 1, a.mask, b.mask))
 
 
 def hfold(a: ZpSet, h: int) -> ZpSet:
     """The h-fold sumset hA = (h-1)A + A; hA = A when h = 1."""
     if h < 1:
         raise ZpSetError("h must be positive")
-    return ZpSet.from_mask(a.p, fold_masks(a.p, 1, a.mask, h)[-1])
+    return a._with_mask(fold_masks(a.p, 1, a.mask, h)[-1])
 
 
 def dilate(a: ZpSet, c: int) -> ZpSet:
@@ -114,7 +119,7 @@ def dilate(a: ZpSet, c: int) -> ZpSet:
         raise ZpSetError("dilation by zero")
     if c == 1:
         return a
-    return ZpSet.from_mask(p, indices_to_mask([c * x % p for x in a]))
+    return a._with_mask(indices_to_mask([c * x % p for x in a]))
 
 
 def is_kl_sumfree(a: ZpSet, k: int, l: int) -> bool:

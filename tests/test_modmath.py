@@ -16,7 +16,11 @@ ints, with cosets of multiplicative subgroups for nontrivial stabilizers,
 and the dilation images of both routes (the cached bit table up to
 p = 61, packed bit arrays above) against Python products c*x % p.
 Batched doubling sizes are checked against `sumset_mask` and pair sums on
-both sides of the pair-table cut-over.
+both sides of the pair-table cut-over.  The Z_p route's single wrap is
+checked at p = 2 and 3, on both sides of the 64-bit word (61, 67), at
+p = 1019 and on the one-cell space.  Set operations on ZpSet and VecSet
+build their results without re-testing p, and still refuse a mask out of
+range, also under python -O.
 """
 
 import math
@@ -182,13 +186,54 @@ def test_folds_and_sumfreeness_match_oracle(data, h):
 
 
 def test_vsumset_n1_takes_the_rotation_route(monkeypatch):
-    # Z_p sets inside F_p^1 share the int-rotation route with ZpSet.sumset.
+    # Z_p sets inside F_p^1 share the shift-and-OR route with ZpSet.sumset.
     def refuse(*_):
         raise AssertionError("n = 1 below the FFT threshold must not roll arrays")
 
     monkeypatch.setattr(modmath, "_sumset_rolls", refuse)
     a, b = VecSet(13, 1, [(1,), (4,)]), VecSet(13, 1, [(0,), (9,), (12,)])
     assert vsumset(a, b) == VecSet(13, 1, [(0,), (1,), (3,), (4,), (10,)])
+
+
+def _sparse_mask(rng, p, size):
+    return sum(1 << x for x in rng.sample(range(p), size))
+
+
+@pytest.mark.parametrize("p", [2, 3, 61, 67, 1019])
+def test_one_wrap_sumset_edge_cases(p):
+    # `_sumset_rotations` ORs the plain shifts of one operand into a 2p-bit
+    # accumulator and wraps once: x + y <= 2p - 2, so one wrap is enough on
+    # both sides of the 64-bit word size.  Checked against pair sums in both
+    # argument orders, with singletons (a pure rotation), full operands and
+    # the top residue p - 1, whose doubled shift is the largest.
+    rng = random.Random(p)
+    full, top = (1 << p) - 1, 1 << (p - 1)
+    small = min(p, 12)
+    cases = [(1, 1), (top, top), (1, top), (full, 1), (full, top), (full, _sparse_mask(rng, p, small))]
+    if p <= 67:
+        cases.append((full, full))
+    for _ in range(6):
+        cases.append((1 << rng.randrange(p), _sparse_mask(rng, p, rng.randint(1, min(p, 200)))))
+        cases.append((_sparse_mask(rng, p, rng.randint(1, small)) | top,
+                      _sparse_mask(rng, p, rng.randint(1, min(p, 60))) | top))
+    for a, b in cases:
+        want = naive_sum(a, b, p, 1)
+        assert modmath._sumset_rotations(p, a, b) == want
+        assert modmath._sumset_rotations(p, b, a) == want
+        assert sumset_mask(p, 1, a, b) == want == sumset_mask(p, 1, b, a)
+        if a.bit_count() == 1:
+            assert want == modmath.rotate_mask(b, a.bit_length() - 1, p)
+    assert modmath._sumset_rotations(p, full, full) == full
+
+
+def test_one_wrap_sumset_on_the_one_cell_space():
+    # F_p^0 is one cell, the zero vector: {0} + {0} = {0} at every p.
+    for p in (2, 3, 61, 67):
+        assert modmath._sumset_rotations(1, 1, 1) == 1 == naive_sum(1, 1, p, 0)
+        assert sumset_mask(p, 0, 1, 1) == 1
+        assert sumset_mask(p, 0, 1, 0) == 0 == sumset_mask(p, 0, 0, 1)
+        zero = VecSet(p, 0, [()])
+        assert vsumset(zero, zero) == zero and vhfold(zero, 3) == zero
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +835,110 @@ def test_set_algebra_refuses_other_spaces_with_each_class_error():
         v = VecSet.from_zpset(z)
         assert z != v and v != z and v.to_zpset() == z
         assert z == ZpSet(p, elems) and v == VecSet(p, 1, [(e,) for e in elems])
+
+
+def _set_operations():
+    """(name, result, class, space, mask) for each set operation on ZpSet and
+    VecSet: the result, and the class, space arguments and mask it must have."""
+    from klsf.zpset import hfold, sumset
+
+    rng = random.Random(41)
+    for p in (2, 7, 61, 67):
+        a = ZpSet(p, rng.sample(range(p), rng.randint(1, p)))
+        b = ZpSet(p, rng.sample(range(p), rng.randint(1, p)))
+        c = rng.randrange(1, p)
+        yield "sumset", sumset(a, b), ZpSet, (p,), naive_sum(a.mask, b.mask, p, 1)
+        yield "hfold", hfold(a, 3), ZpSet, (p,), naive_sum(naive_sum(a.mask, a.mask, p, 1), a.mask, p, 1)
+        yield "dilate", dilate(a, c), ZpSet, (p,), sum(1 << (c * x % p) for x in a)
+        yield "shift", a.shift(c), ZpSet, (p,), sum(1 << ((x + c) % p) for x in a)
+        yield "complement", a.complement(), ZpSet, (p,), a.mask ^ ((1 << p) - 1)
+    for p, n in ((7, 1), (5, 2), (3, 3)):
+        cells = p**n
+        a = VecSet.from_indices(p, n, rng.sample(range(cells), rng.randint(1, cells)))
+        b = VecSet.from_indices(p, n, rng.sample(range(cells), rng.randint(1, cells)))
+        g = tuple(rng.randrange(p) for _ in range(n))
+        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        m[0][-1] = (m[0][-1] + 1) % p  # a shear, or the dilation by 2 at n = 1
+        yield "vsumset", vsumset(a, b), VecSet, (p, n), naive_sum(a.mask, b.mask, p, n)
+        yield "vhfold", vhfold(a, 2), VecSet, (p, n), naive_sum(a.mask, a.mask, p, n)
+        yield "translate", a.translate(g), VecSet, (p, n), naive_sum(a.mask, 1 << index(g, p), p, n)
+        yield "apply_automorphism", apply_automorphism(a, m), VecSet, (p, n), sum(
+            1 << index(tuple(sum(r[j] * v[j] for j in range(n)) % p for r in m), p) for v in a)
+        yield "sym_group", sym_group(a), VecSet, (p, n), naive_stabilizer(a.mask, p, n)
+        yield "union", a.union(b), VecSet, (p, n), a.mask | b.mask
+
+
+def test_set_operations_build_their_result_in_the_operand_space():
+    # Each result equals the validating `from_mask` build of the same mask,
+    # with the same type, although `_with_mask` no longer re-tests p.
+    for name, result, cls, space, mask in _set_operations():
+        assert type(result) is cls, name
+        assert result.mask == mask, name
+        built = cls.from_mask(*space, mask)
+        assert result == built and type(built) is type(result), name
+        assert (result.p, result.n) == (built.p, built.n), name
+
+
+def test_with_mask_skips_the_primality_test(monkeypatch):
+    # The operand's modulus passed `is_prime` when it was built, so set
+    # operations never run the trial division again; `from_mask` still does.
+    from klsf import vecset, zpset
+    from klsf.vecset import VecSetError
+    from klsf.zpset import ZpSetError, hfold, sumset
+
+    a, v = ZpSet(13, [1, 4, 6]), VecSet(5, 2, [(1, 0), (2, 3)])
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) re-run on a checked modulus")
+
+    monkeypatch.setattr(zpset, "is_prime", refuse)
+    monkeypatch.setattr(vecset, "is_prime", refuse)
+    assert sumset(a, a).mask == naive_sum(a.mask, a.mask, 13, 1)
+    assert len(hfold(a, 2)) == len(sumset(a, a)) and a.shift(3).shift(10) == a
+    assert dilate(dilate(a, 2), 7) == a and a.complement().complement() == a
+    assert vsumset(v, v) == vhfold(v, 2) and v.translate((1, 1)).translate((4, 4)) == v
+    assert sym_group(v).mask == 1
+    with pytest.raises(AssertionError, match="is_prime"):
+        ZpSet.from_mask(13, 1)
+    monkeypatch.undo()
+    for bad in (1 << 13, -1, (1 << 14) | 1):
+        with pytest.raises(ZpSetError, match="mask has bits outside"):
+            a._with_mask(bad)
+    for bad in (1 << 25, -1):
+        with pytest.raises(VecSetError, match="mask has bits outside"):
+            v._with_mask(bad)
+    with pytest.raises(ZpSetError, match="not prime"):
+        ZpSet.from_mask(15, 1)
+    with pytest.raises(VecSetError, match="not prime"):
+        VecSet.from_mask(15, 1, 1)
+
+
+def test_with_mask_range_check_survives_optimize():
+    # The range check is an explicit raise, so it also holds under python -O.
+    script = """
+import sys
+from klsf.vecset import VecSet, VecSetError
+from klsf.zpset import ZpSet, ZpSetError
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+for s, bad, err in ((ZpSet(7, [1]), 1 << 7, ZpSetError), (VecSet(5, 2, [(1, 1)]), 1 << 25, VecSetError),
+                    (ZpSet(7, [1]), -1, ZpSetError), (VecSet(3, 0, [()]), 2, VecSetError)):
+    try:
+        s._with_mask(bad)
+    except err as exc:
+        print("raised:", exc)
+    else:
+        print("accepted", bad)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("raised: mask has bits outside") for line in lines)
 
 
 def test_word_format_lives_in_modmath():

@@ -211,6 +211,24 @@ def test_second_level_property(case):
     assert run.labeled_count == len(labeled)
 
 
+def test_second_level_labels_match_the_public_classifier():
+    # The search labels each nontrivial orbit with the Z_p matcher directly;
+    # the public `classify`, which re-checks sum-freeness and triviality,
+    # must give the same report for every orbit.
+    from klsf.classify import classify
+    from klsf.vecset import VecSet
+
+    cases = [(k, l, p) for k, l in ((2, 1), (3, 1), (4, 1), (3, 2)) for p in primes_in(2, 41)
+             if Params(k, l, p).m >= 1 and Params(k, l, p).lambda_in_range()]
+    assert len(cases) == 25
+    orbits = 0
+    for k, l, p in cases:
+        for rep, report in enumerate_second_level(Params(k, l, p)).second_level_orbits:
+            assert report == classify(VecSet.from_zpset(rep), k, l), (k, l, p, rep)
+            orbits += 1
+    assert orbits == 31
+
+
 def test_self_check_catches_a_dropped_hit(monkeypatch):
     scan = search._scan
 
