@@ -32,7 +32,7 @@ from .modmath import (
     mod_inverse,
     rotate_mask,
 )
-from .zpset import ZpSet, dilate
+from .zpset import ZpSet, dilate, holes, min_ap_cover
 from .vecset import (
     Decomposition,
     DecompProfile,
@@ -302,8 +302,6 @@ def weight_scan(a: VecSet, k: int, l: int) -> list[WeightScanRow]:
     reported, since the small-weight regime is where the structural case
     analysis lives.  Every row is read off one `line_part_sizes` matrix.
     """
-    from .zpset import holes, min_ap_cover
-
     params = Params(k, l, a.p, a.n)
     if a.n != 2:
         raise VecSetError("weight_scan needs n = 2")

@@ -35,14 +35,14 @@ masks are built only for the rows the cover test flags.
 In both modes the sets meeting a hypothesis go, grouped by size, through one
 batched AP-cover test (`_uncovered`) on their residue rows, a batch of at
 most _SAMPLE_CELLS residues per call (`modmath.words_to_residues` gives the
-exhaustive scan's rows).  The test takes the differences d in blocks of one
-sorted image array of at most _COVER_CELLS cells each, and drops the rows a
-block covers before the next.  The sets it flags in all batches of a size
-go on in chunks of at most _COVER_ROWS rows: each chunk is reduced to its
-dilation orbits by one `modmath.dilation_orbits` call, and the orbits not
-seen before are re-checked by one `covering_verdicts` call, which scans
-every d for every row and shares the widest-gap step (`_gaps`) with the
-cover test.
+exhaustive scan's rows).  The test takes the differences d in blocks through
+the kernel's widest-gap step (`modmath.ap_gaps`), and drops the rows a block
+covers before the next.  The sets it flags in all batches of a size go on in
+chunks of at most _COVER_ROWS rows: each chunk is reduced to its dilation
+orbits by one `modmath.dilation_orbits` call, and the orbits not seen before
+are re-checked by one `covering_verdicts` call, whose shortest AP covers come
+from the kernel's AP-cover scan (`modmath.ap_covers`, the scan behind
+`zpset.min_ap_cover`), every d for every row over the same gap step.
 
 A scan violation is a first-class data point, not an assertion failure: the
 conjecture the scan explores is open, so violations are reported with stored
@@ -61,8 +61,8 @@ from fractions import Fraction
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, dilation_orbits, doubling_sizes, indices_to_mask, is_prime, rotate_words,
-    word_array, words_popcount, words_to_residues,
+    GeneratorCheckError, ap_covers, ap_gaps, dilation_orbits, doubling_sizes, indices_to_mask, is_prime,
+    rotate_words, word_array, words_popcount, words_to_residues,
 )
 from .zpset import ApCover, ZpSet, ZpSetError
 
@@ -79,16 +79,8 @@ _BLOCK_CHILDREN = 4096
 # Flagged sets per `dilation_orbits` call, and so at most as many new orbits
 # per `covering_verdicts` call.  A verdict call costs a few dozen numpy
 # operations whatever its size; 256 rows keep each of its (rows, D, s) image
-# blocks within _COVER_CELLS for sets of up to 64 elements.
+# blocks within `modmath._COVER_CELLS` for sets of up to 64 elements.
 _COVER_ROWS = 256
-# The cover tests take the differences d in blocks, one sorted (rows, D, s)
-# image array of at most this many cells per block.  Rows covered in a block
-# are dropped before the next, and the rows of a batch are covered evenly
-# across d, so a larger block trades more wasted work for fewer calls.  The
-# six exhaustive scans of a seed-1 benchmark covering pass take 199-204 ms
-# with blocks of 2^12 to 2^16 cells alike (median of 5, 2-vCPU Xeon,
-# CPython 3.11).
-_COVER_CELLS = 1 << 14
 # Both scans run the cover test on the hypothesis sets of one size in batches
 # of at most this many residues (a sampled scan also draws its trials in
 # them).  A lone seed-1 benchmark covering pass peaks at 32.8-32.9 MB
@@ -124,7 +116,8 @@ class CoveringVerdict:
 
 def covering_verdict(a: ZpSet) -> CoveringVerdict:
     """Exact verdict: can A sit inside an AP of length |2A| - |A| + 1?  The
-    witness follows `zpset.min_ap_cover`'s tie rules."""
+    witness is `zpset.min_ap_cover(A)`: both read the kernel's AP-cover scan
+    (`modmath.ap_covers`), with its tie rules."""
     if a.is_empty():
         raise ZpSetError("covering property is defined for nonempty sets")
     return covering_verdicts(a.p, [a.mask])[0]
@@ -135,40 +128,23 @@ def covering_verdicts(p: int, masks) -> list[CoveringVerdict]:
     Z_p (p-bit masks, as a list or a word array), in the order of `masks`.
 
     |2A| comes from `modmath.doubling_sizes` and the shortest AP cover from
-    the widest gaps (`_gaps`) at every difference d <= (p-1)/2, taken
-    in blocks of at most _COVER_CELLS cells; no row is dropped.  Ties go to
-    the smallest d, then to the smallest start, as in `zpset.min_ap_cover`.
+    `modmath.ap_covers`: ties go to the smallest d, then to the smallest
+    start, as in `zpset.min_ap_cover`.
     """
     words = word_array(p, masks)
-    residues = words_to_residues(words, p).astype(np.int32)
+    residues = words_to_residues(words, p)
     rows, size = residues.shape
     if not rows:
         return []
     if not size:
         raise ZpSetError("covering property is defined for nonempty sets")
     doubling = doubling_sizes(p, residues)
-    inverses = _inverses(p)
-    every = np.arange(rows)
-    best_gap = np.full(rows, -1)
-    best_d = np.zeros(rows, dtype=np.int64)
-    best_start = np.zeros(rows, dtype=np.int64)  # in the image d^(-1)*A
-    lo = 0
-    while lo < len(inverses):
-        block = inverses[lo:lo + max(1, _COVER_CELLS // (rows * size))]
-        img, gaps = (a.reshape(rows, -1) for a in _gaps(residues, block, p))
-        at = gaps.argmax(axis=1)  # the first widest gap: the smallest d, then start
-        widest = gaps[every, at]
-        wider = widest > best_gap  # strictly, so that earlier blocks keep ties
-        best_gap = np.where(wider, widest, best_gap)
-        best_d = np.where(wider, lo + 1 + at // size, best_d)
-        best_start = np.where(wider, img[every, at], best_start)
-        lo += len(block)
     out = []
-    for mask, two, gap, d, start in zip(words.tolist(), doubling.tolist(), best_gap.tolist(),
-                                        best_d.tolist(), best_start.tolist()):
-        target, length = two - size + 1, p - gap
+    for mask, two, d, start, length in zip(words.tolist(), doubling.tolist(),
+                                           *(x.tolist() for x in ap_covers(p, residues))):
+        target = two - size + 1
         covered = length <= target
-        witness = ApCover(p, d * start % p, d, length) if covered else None
+        witness = ApCover(p, start, d, length) if covered else None
         out.append(CoveringVerdict(ZpSet.from_mask(p, mask), two, target, length, covered, witness))
     return out
 
@@ -288,46 +264,23 @@ def _doubling_limits(smax: int, grid) -> list[list[int]]:
     return [[((2 * b + a) * s - 3 * b) // b for a, b in ratios] for s in range(smax + 1)]
 
 
-def _inverses(p: int) -> np.ndarray:
-    """d^(-1) mod p for d = 1, ..., (p-1)/2 (just d = 1 when p = 2), as int32."""
-    return np.array([pow(d, -1, p) for d in range(1, max(2, (p + 1) // 2))], dtype=np.int32)
-
-
-def _gaps(residues: np.ndarray, inverses: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The widest-gap step of the cover tests.  For the rows A of an (N, s)
-    int32 residue array and a block of D inverses d^(-1), the sorted images
-    d^(-1)*A as an (N, D, s) array, and the same-shape array of the number of
-    residues missing between each image entry and its cyclic predecessor.
-
-    The shortest AP of difference d containing A is the complement of the
-    widest such gap (the scan of `zpset.ap_cover_scan`), starting at the
-    entry after it; d and -d give the same length, so d <= (p-1)/2 will do.
-    int32 holds every product: p <= DEFAULT_SAMPLED_LIMIT.
-    """
-    img = np.sort(residues[:, None, :] * inverses[:, None] % p, axis=2)
-    return img, np.diff(img, axis=2, prepend=img[:, :, -1:] - p) - 1
-
-
 def _uncovered(residues: np.ndarray, doubling: np.ndarray, p: int) -> np.ndarray:
     """Which rows of an (N, s) array of sets of s >= 1 distinct residues mod p
     no AP of length |2A| - s + 1 covers, given |2A| per row (a bool array).
 
-    The differences go in blocks through `_gaps`, one (rows, D, s) image
-    array of at most _COVER_CELLS cells per block, over the rows that no
-    earlier block covered.
+    The differences go in blocks through `modmath.ap_gaps`, over the rows
+    that no earlier block covered.
     """
     residues = np.asarray(residues, dtype=np.int32)
     rows, size = residues.shape
     left = np.arange(rows)
     wide = p - (np.asarray(doubling, dtype=np.int64) - size + 1)  # covered iff a gap is this wide
-    inverses = _inverses(p)
     lo = 0
-    while lo < len(inverses) and len(left):
-        block = inverses[lo:lo + max(1, _COVER_CELLS // (len(left) * size))]
-        gap = _gaps(residues, block, p)[1].max(axis=2)
+    while lo < p // 2 and len(left):
+        gap = ap_gaps(p, residues, lo)[1].max(axis=2)
         keep = (gap < wide[:, None]).all(axis=1)
         left, residues, wide = left[keep], residues[keep], wide[keep]
-        lo += len(block)
+        lo += gap.shape[1]
     out = np.zeros(rows, dtype=bool)
     out[left] = True
     return out

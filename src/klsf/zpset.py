@@ -2,9 +2,11 @@
 
 A subset of Z_p is stored as a p-bit mask (bit i set iff residue i belongs to
 the set): the n = 1 case of the mask format of `klsf.modmath`, whose kernel
-does every conversion and every sumset, fold and sum-freeness test, so ZpSet
-is a typed view over it.  All operations are pure: they return fresh values
-and never mutate their inputs, so values can be shared freely across threads.
+does every conversion, every sumset, fold and sum-freeness test and every
+shortest interval or AP cover (one row of `modmath.ap_covers`, the scan the
+covering lab runs on batches of sets), so ZpSet is a typed view over it.
+All operations are pure: they return fresh values and never mutate their
+inputs, so values can be shared freely across threads.
 
 Conventions used throughout:
   * hA is the h-fold sumset (all sums of h elements, repetition allowed),
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .modmath import (
-    MaskSet, fold_masks, indices_to_mask, is_kl_sumfree_mask, is_prime, mask_to_indices, rotate_mask,
-    sumset_mask,
+    MaskSet, ap_covers, fold_masks, indices_to_mask, is_kl_sumfree_mask, is_prime, mask_to_indices,
+    rotate_mask, sumset_mask,
 )
 
 
@@ -205,39 +207,16 @@ class ApCover:
         return ZpSet(self.p, self.positions())
 
 
-def ap_cover_scan(elems, p: int):
-    """Yield (d, length, start) for d = 1, 2, ..., (p-1)/2 (just d = 1 when
-    p = 2): the shortest AP of difference d containing the nonempty set of
-    sorted residues `elems`.
-
-    Per difference, one scan of the sorted image d^(-1)*A: the shortest
-    interval cover is the complement of the widest gap between cyclically
-    consecutive members, and ties go to the smallest start.  Lazy, so
-    `min_interval_cover` computes d = 1 alone.  The covering lab runs the same
-    scan over arrays of sets and blocks of differences at once
-    (`covering._gaps`): its cover test keeps the widest gap of each row, and
-    `covering.covering_verdicts` also the start and d, with these tie rules.
-    """
-    for d in range(1, max(2, (p + 1) // 2)):
-        if d == 1:
-            img = elems
-        else:
-            inv = pow(d, -1, p)
-            img = sorted(e * inv % p for e in elems)
-        gap, start, prev = img[0] + p - img[-1] - 1, img[0], img[0]
-        for x in img:
-            if x - prev - 1 > gap:
-                gap, start = x - prev - 1, x
-            prev = x
-        yield d, p - gap, d * start % p
+def _shortest_cover(a: ZpSet, stop: int | None = None) -> ApCover:
+    if a.is_empty():
+        raise ZpSetError("empty set has no cover")
+    d, start, length = (int(x[0]) for x in ap_covers(a.p, mask_to_indices(a.mask)[None], stop))
+    return ApCover(a.p, start, d, length)
 
 
 def min_interval_cover(a: ZpSet) -> ApCover:
     """Shortest cyclic interval containing A; ties go to the smallest start."""
-    if a.is_empty():
-        raise ZpSetError("empty set has no cover")
-    _, length, start = next(ap_cover_scan(a.elements(), a.p))
-    return ApCover(a.p, start, 1, length)
+    return _shortest_cover(a, 1)
 
 
 def min_ap_cover(a: ZpSet) -> ApCover:
@@ -246,10 +225,7 @@ def min_ap_cover(a: ZpSet) -> ApCover:
     Ties across differences go to the smallest d, then (within d) to the
     smallest start of the interval cover of d^(-1)*A.
     """
-    if a.is_empty():
-        raise ZpSetError("empty set has no cover")
-    d, length, start = min(ap_cover_scan(a.elements(), a.p), key=lambda c: (c[1], c[0]))
-    return ApCover(a.p, start, d, length)
+    return _shortest_cover(a)
 
 
 def holes(a: ZpSet, cover: ApCover) -> list[int]:

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -19,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from klsf import covering, modmath
 from klsf.modmath import dilation_orbits, primes_in
-from klsf.zpset import ZpSet, ZpSetError, dilate, min_ap_cover, sumset
+from klsf.zpset import ApCover, ZpSet, ZpSetError, dilate, sumset
 from klsf.covering import covering_verdict, covering_verdicts, default_grid, tau_scan
+from test_zpset import scalar_min_ap_cover
 
 
 def test_verdict_examples():
@@ -53,30 +55,38 @@ def test_verdict_dilation_invariance():
 
 
 def scalar_verdict(a):
-    """The covering verdict one set at a time, from a mask sumset and
-    `zpset.min_ap_cover`, sharing no code with the batched verdict."""
+    """The covering verdict one set at a time, from a mask sumset and the
+    scalar AP-cover scan of the tests (`test_zpset.scalar_min_ap_cover`),
+    sharing no code with the batched verdict."""
     doubling = len(sumset(a, a))
     target = doubling - len(a) + 1
-    cover = min_ap_cover(a)
-    covered = cover.length <= target
-    return covering.CoveringVerdict(a, doubling, target, cover.length, covered, cover if covered else None)
+    length, d, start = scalar_min_ap_cover(a)
+    covered = length <= target
+    return covering.CoveringVerdict(a, doubling, target, length, covered,
+                                    ApCover(a.p, start, d, length) if covered else None)
 
 
 def brute_force_violations(p, c, grid):
     """Canonical mask -> tau_star of every set with |A| <= c*p that meets a
-    grid hypothesis and fails the covering property, by trying every subset."""
+    grid hypothesis and fails the covering property, by trying every subset.
+
+    A set of size s meets the hypothesis |2A| <= (2 + tau)*s - 3 exactly when
+    tau >= (|2A| + 3)/s - 2, so the grid points it meets are those from the
+    first one at or above that exact threshold on; each size's thresholds
+    are found once per value of |2A|, by bisection of the sorted grid."""
+    assert list(grid) == sorted(grid)
     want = {}
     for size in range(1, int(c * p) + 1):
+        first = [bisect_left(grid, Fraction(doubling + 3, size) - 2) for doubling in range(p + 1)]
         for combo in combinations(range(p), size):
             a = ZpSet(p, combo)
-            doubling = len(sumset(a, a))
-            hyp_taus = [t for t in grid if doubling <= (2 + t) * size - 3]
-            if not hyp_taus:
+            i = first[len(sumset(a, a))]
+            if i == len(grid):
                 continue
             v = scalar_verdict(a)
             if not v.covered:
                 canon = min(dilate(a, cc).mask for cc in range(1, p))
-                want[canon] = min(hyp_taus + [want.get(canon, Fraction(2))])
+                want[canon] = min(grid[i], want.get(canon, Fraction(2)))
     return want
 
 
@@ -260,9 +270,9 @@ def test_sampled_scan_matches_per_trial_scan(case, seed, route, split):
         return 1 if split else getattr(module, name)
 
     with mock.patch.multiple(modmath, _PAIR_TABLE_SIZE=cut,
-                             _PAIR_TABLE_CELLS=budget(modmath, "_PAIR_TABLE_CELLS")), \
-            mock.patch.multiple(covering, _COVER_CELLS=budget(covering, "_COVER_CELLS"),
-                                _SAMPLE_CELLS=budget(covering, "_SAMPLE_CELLS")):
+                             _PAIR_TABLE_CELLS=budget(modmath, "_PAIR_TABLE_CELLS"),
+                             _COVER_CELLS=budget(modmath, "_COVER_CELLS")), \
+            mock.patch.multiple(covering, _SAMPLE_CELLS=budget(covering, "_SAMPLE_CELLS")):
         scan = tau_scan(p, c, mode="sampled", grid=grid, seed=seed, trials=trials)
     assert ([v.to_dict() for v in scan.violations], scan.tau_feasible, scan.sets_examined,
             scan.hypothesis_hits) == per_trial_sampled_scan(p, c, grid, seed, trials)

@@ -20,7 +20,9 @@ both sides of the pair-table cut-over.  The Z_p route's single wrap is
 checked at p = 2 and 3, on both sides of the 64-bit word (61, 67), at
 p = 1019 and on the one-cell space.  Set operations on ZpSet and VecSet
 build their results without re-testing p, and still refuse a mask out of
-range, also under python -O.
+range, also under python -O.  The AP-cover scan stays in the kernel, with
+products that fit their dtype at every p (its covers are checked against
+scalar and brute-force scans in test_zpset.py).
 """
 
 import math
@@ -949,3 +951,25 @@ def test_word_format_lives_in_modmath():
         text = (src / name).read_text()
         for token in ("unpackbits", "bitwise_count", "WORD_P_LIMIT", "to_bytes"):
             assert token not in text, f"{name} uses {token}"
+
+
+def test_ap_cover_scan_lives_in_modmath():
+    # The residue sets and the covering lab read shortest AP covers and cover
+    # gaps only from the kernel's scan: neither computes per-difference
+    # inverses or sorts dilated images itself.
+    src = Path(modmath.__file__).parent
+    for name in ("zpset.py", "covering.py"):
+        text = (src / name).read_text()
+        for token in ("pow(", "mod_inverse", "np.sort", "argsort", "_COVER_CELLS ="):
+            assert token not in text, f"{name} uses {token}"
+
+
+def test_ap_cover_products_fit_their_dtype():
+    # int32 products while (p-1)^2 < 2^31 (every prime the covering lab's
+    # scans reach), int64 above; 46337 and 46349 are the primes either side.
+    for p, dtype in ((2, np.int32), (101, np.int32), (10_007, np.int32), (46_337, np.int32),
+                     (46_349, np.int64), (65_537, np.int64)):
+        inverses = modmath._ap_inverses(p)
+        assert inverses.dtype == dtype and len(inverses) == max(1, (p - 1) // 2)
+        assert (p - 1) ** 2 <= np.iinfo(dtype).max
+    assert modmath._ap_inverses(13).tolist() == [pow(d, -1, 13) for d in range(1, 7)]

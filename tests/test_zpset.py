@@ -70,6 +70,38 @@ def naive_min_ap_cover(a):
     return best
 
 
+def ap_cover_scan(elems, p):
+    """Yield (d, length, start) for d = 1, 2, ..., (p-1)/2 (just d = 1 when
+    p = 2): the shortest AP of difference d containing the nonempty set of
+    sorted residues `elems`.
+
+    The scalar form of the kernel's AP-cover scan (`modmath.ap_covers`), one
+    set and one difference at a time: the shortest interval cover of the
+    sorted image d^(-1)*A is the complement of the widest gap between
+    cyclically consecutive members, and ties go to the smallest start.
+    """
+    for d in range(1, max(2, (p + 1) // 2)):
+        if d == 1:
+            img = elems
+        else:
+            inv = pow(d, -1, p)
+            img = sorted(e * inv % p for e in elems)
+        gap, start, prev = img[0] + p - img[-1] - 1, img[0], img[0]
+        for x in img:
+            if x - prev - 1 > gap:
+                gap, start = x - prev - 1, x
+            prev = x
+        yield d, p - gap, d * start % p
+
+
+def scalar_min_ap_cover(a):
+    """(length, d, start) of the shortest AP cover by `ap_cover_scan`, with
+    `naive_min_ap_cover`'s tie rules; fast enough for p in the tens of
+    thousands."""
+    d, length, start = min(ap_cover_scan(a.elements(), a.p), key=lambda c: (c[1], c[0]))
+    return length, d, start
+
+
 def naive_min_cover_len(a):
     p = a.p
     best = p
@@ -306,9 +338,9 @@ def test_min_cover_against_oracle():
 
 @given(st.sampled_from(primes_in(2, 19)), st.data())
 def test_min_ap_cover_tie_rules_and_early_exit(p, data):
-    # One gap scan serves min_ap_cover, and the covering lab's batched cover
-    # test reads the same gaps; both must agree with the brute-force cover,
-    # tie rules included.
+    # One gap scan in modmath serves min_ap_cover, and the covering lab's
+    # batched cover test reads the same gap step; both must agree with the
+    # brute-force cover, tie rules included.
     size = data.draw(st.integers(1, p))
     sets = data.draw(st.lists(st.sets(st.integers(0, p - 1), min_size=size, max_size=size),
                               min_size=1, max_size=4))
@@ -318,7 +350,7 @@ def test_min_ap_cover_tie_rules_and_early_exit(p, data):
         cover = min_ap_cover(a)
         assert (cover.length, cover.diff, cover.start) == naive_min_ap_cover(a)
         assert a.issubset(cover.as_set())
-        lengths.append(cover.length)
+        lengths.append(naive_min_ap_cover(a)[0])
     # Rows in any order; target = doubling - size + 1 in [1, p].
     residues = np.array([data.draw(st.permutations(sorted(elems))) for elems in sets])
     targets = data.draw(st.lists(st.integers(1, p), min_size=len(sets), max_size=len(sets)))
@@ -332,22 +364,24 @@ def test_min_ap_cover_tie_rules_and_early_exit(p, data):
 VERDICT_PRIMES = primes_in(2, 31) + [67, 101]
 
 
-def check_batched_verdicts(p, sets, as_words=False, cells=covering._COVER_CELLS):
+def check_batched_verdicts(p, sets, as_words=False, cells=modmath._COVER_CELLS):
     """covering.covering_verdicts on one batch of equal-size sets against the
-    scalar route (a sumset and min_ap_cover per set) and the brute-force
+    scalar route (a sumset and the scalar scan per set) and the brute-force
     cover, row by row and in input order, and against its one-row call
-    covering.covering_verdict.  cells = 1 takes one difference
-    per block, so ties across blocks are tested too."""
+    covering.covering_verdict and min_ap_cover.  cells = 1 takes one
+    difference per block, so ties across blocks are tested too."""
     masks = [ZpSet(p, elems).mask for elems in sets]
-    with mock.patch.object(covering, "_COVER_CELLS", cells):
+    with mock.patch.object(modmath, "_COVER_CELLS", cells):
         verdicts = covering.covering_verdicts(p, modmath.word_array(p, masks) if as_words else masks)
     assert len(verdicts) == len(sets)
     for mask, v in zip(masks, verdicts):
         a = ZpSet.from_mask(p, mask)
         doubling = len(sumset(a, a))
         target = doubling - len(a) + 1
-        cover = min_ap_cover(a)
-        assert (cover.length, cover.diff, cover.start) == naive_min_ap_cover(a)
+        length, d, start = scalar_min_ap_cover(a)
+        assert (length, d, start) == naive_min_ap_cover(a)
+        cover = ApCover(p, start, d, length)
+        assert min_ap_cover(a) == cover
         covered = cover.length <= target
         assert (v.set, v.doubling, v.target_len, v.achieved_len, v.covered, v.witness) == (
             a, doubling, target, cover.length, covered, cover if covered else None)
@@ -371,10 +405,34 @@ def test_covering_verdicts_match_scalar_route(p, data):
     sets = data.draw(st.lists(st.sets(st.integers(0, p - 1), min_size=size, max_size=size),
                               min_size=1, max_size=5 if p <= modmath.WORD_P_LIMIT else 1))
     check_batched_verdicts(p, sets, as_words=data.draw(st.booleans()),
-                           cells=data.draw(st.sampled_from([1, covering._COVER_CELLS])))
+                           cells=data.draw(st.sampled_from([1, modmath._COVER_CELLS])))
 
 
 def test_covering_verdicts_refuse_empty_sets():
     assert covering.covering_verdicts(13, []) == []
     with pytest.raises(ZpSetError, match="nonempty"):
         covering.covering_verdicts(13, [0, 0])
+
+
+@pytest.mark.parametrize("p", [46349, 65537])
+def test_covers_match_scalar_scan_past_int32_products(p):
+    # (p-1)^2 >= 2^31 here, so a residue times an inverse overflows int32:
+    # the scan must take int64 products.  The APs of difference (p-1)/2
+    # through p-1 need the largest products; the random sets are the first
+    # draws of a seeded stream.
+    rng = random.Random(1)
+    d = (p - 1) // 2
+    sets = [[(p - 1 + i * d) % p for i in range(size)] for size in range(2, 6)]
+    sets += [rng.sample(range(p), rng.randrange(2, 6)) for _ in range(8)]
+    for elems in sets:
+        a = ZpSet(p, elems)
+        length, diff, start = scalar_min_ap_cover(a)
+        cover = ApCover(p, start, diff, length)
+        assert min_ap_cover(a) == cover
+        _, interval, first = next(ap_cover_scan(a.elements(), p))
+        assert min_interval_cover(a) == ApCover(p, first, 1, interval)
+        doubling = len(sumset(a, a))
+        covered = length <= doubling - len(a) + 1
+        v = covering.covering_verdict(a)
+        assert (v.doubling, v.achieved_len, v.covered, v.witness) == (
+            doubling, length, covered, cover if covered else None)
