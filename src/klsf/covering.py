@@ -26,11 +26,14 @@ branch, so |2A| > (2 + tau_top)*s - 3 for every reachable size s certifies
 that nothing below satisfies any grid hypothesis.
 
 Sampled mode draws trials/smax sets of each size s = 1..smax (the first
-sizes take the remainder) with one `random.Random(seed).sample(range(p), s)`
-per trial, sizes in increasing order, so the seeded stream fixes every
-scan.  The draws of one size form residue rows, up to _SAMPLE_CELLS
-residues per batch, whose |2A| come from one `modmath.doubling_sizes` call;
-masks are built only for the rows the cover test flags.
+sizes take the remainder), sizes in increasing order, from one
+`random.Random(seed)`, so the seeded stream fixes every scan.  Each set is
+the one `Random.sample` would draw from range(p): `_sample_rows` follows
+CPython's algorithm on the same `getrandbits` words, without the per-call
+overhead that made `Random.sample` most of a scan.  The draws of one size
+form residue rows, up to _SAMPLE_CELLS residues per batch, whose |2A| come
+from one `modmath.doubling_sizes` call; masks are built only for the rows
+the cover test flags.
 
 In both modes the sets meeting a hypothesis go, grouped by size, through one
 batched AP-cover test (`_uncovered`) on their residue rows, a batch of at
@@ -51,6 +54,7 @@ witnesses for manual audit (the CLI maps them to exit code 3).
 
 from __future__ import annotations
 
+import math
 import numbers
 import random
 import time
@@ -83,11 +87,12 @@ _BLOCK_CHILDREN = 4096
 _COVER_ROWS = 256
 # Both scans run the cover test on the hypothesis sets of one size in batches
 # of at most this many residues (a sampled scan also draws its trials in
-# them).  A lone seed-1 benchmark covering pass peaks at 32.8-32.9 MB
-# resident with 2^16 (24 exhaustive cover tests) and 32.1-32.2 MB with 2^14
-# (29 tests), but in the benchmark 2^14 reads item_p90_ms 25.6-26.2 against
-# 23.4-23.7 and the same peak_rss_mb (4 alternating pairs), where the
-# digests the harness keeps dominate.
+# them, one `_sample_rows` call per batch).  A lone seed-1 benchmark
+# covering pass peaks at 32.8-32.9 MB resident with 2^16 (24 exhaustive
+# cover tests) and 32.1-32.2 MB with 2^14 (29 tests), but in the benchmark
+# 2^14 reads item_p90_ms 25.6-26.2 against 23.4-23.7 and the same
+# peak_rss_mb (4 alternating pairs), where the digests the harness keeps
+# dominate.
 _SAMPLE_CELLS = 1 << 16
 
 
@@ -228,6 +233,11 @@ def tau_scan(
         raise ZpSetError("density bound c must lie in (0, 1)")
     if c * p < 1:
         raise ZpSetError("density bound admits no nonempty sets")
+    for name, value in (("seed", seed), ("trial count", trials)):
+        # A seed of None would draw from OS entropy, which the manifest
+        # cannot record, and True would run as 1.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ZpSetError(f"{name} must be an int, got {value!r}")
     if mode == "sampled" and trials < 1:
         raise ZpSetError(f"sampled scan needs at least one trial, got {trials}")
     grid = default_grid() if grid is None else tuple(sorted(_exact(t, "tau grid entry") for t in grid))
@@ -370,17 +380,51 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)
 
 
+def _sample_rows(rng: random.Random, n: int, s: int, count: int) -> np.ndarray:
+    """`count` draws of s residues mod n as a (count, s) int array, each the
+    row `Random.sample` would draw from range(n), from the same
+    `rng.getrandbits` words, so `rng` ends in the same state.
+
+    Like CPython's `Random.sample`, it tracks the picks of a row when n
+    exceeds the size of a small set and a pool of the unpicked residues
+    otherwise, and draws a residue below m as the first m.bit_length()-bit
+    word below m.  A dict keeps the picks: a list lookup is quadratic in s.
+    """
+    getrandbits = rng.getrandbits
+    setsize = 21 + (4 ** math.ceil(math.log(3 * s, 4)) if s > 5 else 0)
+    out: list[int] = []
+    if n > setsize:
+        bits = n.bit_length()
+        for _ in range(count):
+            row = {}  # the picks so far, in order
+            while len(row) < s:
+                r = getrandbits(bits)
+                if r < n:
+                    row[r] = None
+            out += row
+    else:
+        for _ in range(count):
+            pool = list(range(n))
+            for m in range(n, n - s, -1):
+                bits = m.bit_length()
+                r = getrandbits(bits)
+                while r >= m:
+                    r = getrandbits(bits)
+                out.append(pool[r])
+                pool[r] = pool[m - 1]
+    return np.array(out, dtype=np.int64).reshape(count, s)
+
+
 def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauScan:
     t0 = time.perf_counter()
     smax = int(c * p)
-    sample = random.Random(seed).sample
+    rng = random.Random(seed)
     violations: dict[int, Violation] = {}
     sizes = list(range(1, smax + 1))
     per = [trials // len(sizes)] * len(sizes)
     for i in range(trials - sum(per)):
         per[i] += 1
     limits = _doubling_limits(min(smax, trials), grid)
-    population = range(p)
     examined = 0
     hyp_hits = 0
     for s, count in zip(sizes, per):
@@ -390,8 +434,7 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
         batch = max(1, _SAMPLE_CELLS // s)
         flagged = []
         for lo in range(0, count, batch):
-            # The same draws in the same order as one sample per trial.
-            rows = np.array([sample(population, s) for _ in range(min(batch, count - lo))])
+            rows = _sample_rows(rng, p, s, min(batch, count - lo))
             doubling = doubling_sizes(p, rows)
             hit = doubling <= top
             hits = rows[hit]

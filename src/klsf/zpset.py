@@ -321,7 +321,9 @@ def format_zpset(a: ZpSet) -> str:
     if a.is_full():
         return f"p={p};[0,{p - 1}]"
     if len(a) >= 2:
-        cov = min_interval_cover(a)
-        if cov.length == len(a):
-            return f"p={p};[{cov.start},{(cov.start + cov.length - 1) % p}]"
+        # A is an interval iff exactly one x in A has x - 1 outside A.
+        starts = a.mask & ~rotate_mask(a.mask, 1, p)
+        if starts.bit_count() == 1:
+            start = starts.bit_length() - 1
+            return f"p={p};[{start},{(start + len(a) - 1) % p}]"
     return f"p={p};{{{','.join(map(str, a))}}}"

@@ -279,6 +279,42 @@ def test_sampled_scan_matches_per_trial_scan(case, seed, route, split):
     assert scan.mode == {"kind": "sampled", "seed": seed, "trials": trials}
 
 
+# (n, s) on both sides of each edge of Random.sample: it tracks the picks of
+# a row when n > setsize and keeps a pool of the unpicked residues otherwise,
+# with setsize 21 for s <= 5 and 21 + 4^ceil(log4(3s)) above (85 for s =
+# 6..21); for n = 64 and 65 the pool mode's bound m crosses 64, where its
+# draws narrow from 7 to 6 bits.
+SAMPLE_ROW_CASES = ([(n, s) for n in (21, 22) for s in range(1, 6)]
+                    + [(30, 5), (30, 6)]
+                    + [(n, s) for n in (85, 86) for s in range(6, 10)]
+                    + [(n, s) for n in (64, 65) for s in (1, 5, 6, 9, 40, n)]
+                    + [(2, 1), (2, 2), (7, 7), (101, 1), (101, 101)])
+
+
+@pytest.mark.parametrize("n, s", SAMPLE_ROW_CASES)
+def test_sample_rows_match_random_sample(n, s):
+    for seed in [*range(40), 2**30 + 7, 2**64 + 1]:
+        rng, ref = random.Random(seed), random.Random(seed)
+        for count in (1, 3, 17):
+            rows = covering._sample_rows(rng, n, s, count)
+            assert rows.shape == (count, s)
+            assert rows.tolist() == [ref.sample(range(n), s) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()
+
+
+def test_scan_refuses_seeds_and_trial_counts_it_cannot_honour():
+    # None would seed from OS entropy that the manifest cannot record, True
+    # would run as one trial, and a float or a string would fail deep in the
+    # draws.
+    for mode in ("exhaustive", "sampled"):
+        for seed in (None, True, False, 2.5, "7", Fraction(3)):
+            with pytest.raises(ZpSetError, match="seed must be an int"):
+                tau_scan(13, Fraction(1, 4), mode=mode, seed=seed, trials=100)
+        for trials in (None, True, 2.5, "100", Fraction(100)):
+            with pytest.raises(ZpSetError, match="trial count must be an int"):
+                tau_scan(13, Fraction(1, 4), mode=mode, seed=1, trials=trials)
+
+
 def test_cover_test_hands_dilation_orbits_at_most_one_chunk():
     # dilation_orbits builds a (rows, p-1, s) image array, so the cover test
     # must not pass it a whole tree block's worth of flagged sets; the new
@@ -486,3 +522,9 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]))
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_scans_draw_without_random_sample():
+    # A call of Random.sample per trial was most of a sampled scan;
+    # `_sample_rows` draws the same rows from getrandbits.
+    assert ".sample(" not in Path(covering.__file__).read_text()

@@ -233,6 +233,27 @@ def test_literals():
         parse_zpset("p=11;{11}")
 
 
+def interval_cover_format(a):
+    """`format_zpset` with the interval test read from `min_interval_cover`."""
+    p = a.p
+    if a.is_full():
+        return f"p={p};[0,{p - 1}]"
+    if len(a) >= 2:
+        cov = min_interval_cover(a)
+        if cov.length == len(a):
+            return f"p={p};[{cov.start},{(cov.start + cov.length - 1) % p}]"
+    return f"p={p};{{{','.join(map(str, a))}}}"
+
+
+def test_format_matches_interval_cover_on_every_small_set():
+    for p in primes_in(2, 13):
+        for mask in range(1 << p):
+            a = ZpSet.from_mask(p, mask)
+            text = format_zpset(a)
+            assert text == interval_cover_format(a)
+            assert parse_zpset(text) == a
+
+
 # ---------------------------------------------------------------------------
 # Invariants on random instances
 
