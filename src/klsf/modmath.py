@@ -276,7 +276,7 @@ def words_to_residues(words: np.ndarray, p: int) -> np.ndarray:
 def words_popcount(words: np.ndarray) -> np.ndarray:
     """The number of set bits of each word."""
     if words.dtype == object:
-        return np.fromiter((m.bit_count() for m in words), dtype=np.int64, count=len(words))
+        return np.fromiter(map(int.bit_count, words.tolist()), dtype=np.int64, count=len(words))
     return np.bitwise_count(words)
 
 
@@ -328,24 +328,34 @@ def _dilation_table(p: int) -> np.ndarray:
     return table
 
 
-def dilation_orbits(p: int, masks) -> tuple[list[int], list[int]]:
+def dilation_orbits(p: int, masks, ratio_counts: bool = False) -> tuple[list[int], ...]:
     """For each of a batch of equal-size subsets A of Z_p (p-bit masks, as a
     list or a word array), the least mask among its dilates cA, c = 1..p-1
     (the canonical form of its dilation orbit), and |Stab(A)| = #{c : cA = A}.
-    Both lists follow the order of `masks`.
+    With `ratio_counts`, a third list gives the number of dilates that
+    contain 1 and whose least element above 1 is the least among those
+    dilates: #{a in A : r*a in A}, r the least ratio y/a of two elements of
+    A (every dilate containing 1 is a^(-1)A, and its elements above 1 are
+    ratios).  The lists follow the order of `masks`.
 
     All images come from one residue array per chunk: the (N, s) residues of
     the sets, their products c*x mod p, the packed masks, then a row minimum
-    and a count of the images equal to column c = 1 (A itself).
+    and a count of the images equal to column c = 1 (A itself).  The ratio
+    count keeps, for the images with bit 1 set, the lowest bit above bit 1,
+    and counts the entries equal to the row's least.
     """
     residues = words_to_residues(word_array(p, masks), p)
-    least, stabs = [], []
+    least, stabs, counts = [], [], []
     chunk = max(1, _ORBIT_CELLS // ((p - 1) * max(residues.shape[1], 1)))
     for lo in range(0, len(residues), chunk):
         images = _dilation_images(p, residues[lo:lo + chunk])
         least += images.min(axis=1).tolist()
         stabs += np.count_nonzero(images == images[:, :1], axis=1).tolist()
-    return least, stabs
+        if ratio_counts:
+            above = (images >> 2) << 2
+            key = np.where((images & 2) != 0, above & (~above + 1), 1 << p)
+            counts += np.count_nonzero(key == key.min(axis=1)[:, None], axis=1).tolist()
+    return (least, stabs, counts) if ratio_counts else (least, stabs)
 
 
 @lru_cache(maxsize=None)

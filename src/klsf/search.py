@@ -17,31 +17,61 @@ a = (km+1)(l-k)^(-1).  That interval is built and checked with
 `is_kl_sumfree` before the bound is used.  When p | k-l nothing is
 sum-free, and the scan returns before any of this.
 
+The tree keeps only the members of each dilation orbit whose second
+element is the orbit's least ratio.  Every member of an orbit that contains
+1 is a^(-1)A for some a in A, and its elements other than 1 are ratios y/a
+of two elements of A, so they are at least r, the least ratio of A; the
+members whose second element is r are the a^(-1)A with r*a in A.  A node's
+second element t is fixed once it has two elements, and a residue x leaves
+a child's candidates when x/a or a/x lies in [2, t-1] for an element a of
+the child: one gather from the cached (p, p) word table `_ratio_table`,
+ANDed out before the size cut, which the smaller candidate masks sharpen.
+The root's child {1, x} is made only when x^(-1) >= x, yet x stays feasible
+for its siblings.  The rule is complete: every ratio of a kept member is a
+ratio of A, so no sorted prefix of it ever loses a later element to the
+rule (nor, with those elements among its candidates, to the size cut),
+and the tree meets each orbit exactly #{a in A : r*a in A}/|Stab(A)| times
+(a^(-1)A = b^(-1)A exactly when b/a is in Stab(A)), once for 665 of the 910
+orbits of both levels with k+l <= 8, 7 <= p <= 47, where the uncut tree met
+each |A|/|Stab(A)| times.
+
 The tree is expanded a block of up to _BLOCK_NODES same-size nodes at a
 time: every (node, candidate) pair of a block goes through the fold updates
-and both cuts in a few array operations, with no per-node Python loop.
+and the cuts in a few array operations, with no per-node Python loop.
 A block keeps one flat word array per fold, h = 1..k (the 0-fold {0} stays
 implicit), so a pair's 1-fold is its parent's with bit x set and each
 higher fold is one gather and one rotation.  Masks are the word arrays of
 `klsf.modmath` (uint64 words for p <= 61, Python ints above, which only a
 raised p_limit reaches), unpacked, counted and rotated by its word helpers.
-The tree is the same as a node-at-a-time scan's: `node_count` counts its
-nodes, and `prunes_collision` and `prunes_size` the pairs cut by each test.
+The tree is the same as a node-at-a-time scan's with the same rule:
+`node_count` counts its nodes, `prunes_collision` and `prunes_size` the
+pairs cut by each test, and `prunes_ratio` the pairs the ratio rule removes
+(root children not made and candidates cleared from children).
 
 The hits are reduced to their dilation orbits in one batched
 `modmath.dilation_orbits` call, which gives each hit's canonical form (the
-least mask in its orbit) and stabilizer size |Stab(A)| = #{c : cA = A}
-from its p-1 dilates.  The members of an orbit that
-contain 1 are the sets a^(-1)A for a in A, so the tree must emit each orbit
-exactly |A|/|Stab(A)| times; a different count raises GeneratorCheckError.
+least mask in its orbit), its stabilizer size |Stab(A)| = #{c : cA = A}
+and #{a in A : r*a in A} (the dilates that contain 1 and whose lowest
+element above 1 is the least) from its p-1 dilates.  Two self-checks
+follow, both explicit raises of GeneratorCheckError (CLI exit code 2):
+- the emission count: each orbit must be emitted exactly
+  #{a in A : r*a in A}/|Stab(A)| times;
+- the completeness check: the hits must contain the orbit of every sum-free
+  set the tool builds without the search at that size (`_built_orbits`):
+  every sum-free interval of that length from the closed form, and on the
+  second level every size-m subset of an extremal interval (so every
+  trivial orbit) and every size-m support of the n = 1 structure table.
+  It catches a lost orbit met once by the tree, which the count cannot see,
+  such as the coset {1, -1} at (2,1,7), the orbit of the interval {3, 4}.
 `labeled_count`, the number of labelled sets, follows by orbit-stabilizer as
 the sum of (p-1)/|Stab(A)| over the orbits.  On the second level one
 `constructions.extremal_embeddings` call decides the triviality of every
 orbit, and only the nontrivial ones reach the classifier.  Orbits are
-reported in sorted canonical order, so output is deterministic.  A
-no-pruning brute force over all subsets of the target sizes backs the
-search in the test suite, as does the raw hit list against every sum-free
-set containing 1.
+reported in sorted canonical order, so output is deterministic.  In the
+test suite a no-pruning brute force over all subsets of the target sizes
+backs the search, the scan without the ratio rule gives the same orbits,
+stabilizers and labelled counts, and the raw hit list is compared with
+every sum-free set containing 1 whose second element is its least ratio.
 """
 
 from __future__ import annotations
@@ -49,6 +79,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +90,7 @@ from .modmath import (
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params
 from .constructions import extremal_embeddings, extremal_intervals
-from .classify import ClassReport, _classify_1d
+from .classify import ClassReport, _classify_1d, _supports_1d
 
 
 class SearchLimitError(ValueError):
@@ -78,6 +109,7 @@ class ScanCounts(NamedTuple):
     node_count: int
     prunes_collision: int   # (node, candidate) pairs whose k-fold and l-fold masks meet
     prunes_size: int        # children cut because their candidates cannot reach `best`
+    prunes_ratio: int       # pairs removed because a ratio of the set falls below its second element
 
 
 @dataclass(frozen=True)
@@ -92,6 +124,7 @@ class SearchResult:
     node_count: int = 0
     prunes_collision: int = 0
     prunes_size: int = 0
+    prunes_ratio: int = 0
     wall_time: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
@@ -109,6 +142,7 @@ class SearchResult:
             "node_count": self.node_count,
             "prunes_collision": self.prunes_collision,
             "prunes_size": self.prunes_size,
+            "prunes_ratio": self.prunes_ratio,
         }
 
 
@@ -120,19 +154,57 @@ def canonical_form(a: ZpSet) -> ZpSet:
 def _orbit_stabilizers(hits: list[int], p: int) -> dict[int, int]:
     """Canonical mask -> |Stab(A)| for the orbits of the hits of the tree
     rooted at {1}, all of one size, from one `dilation_orbits` call over the
-    whole hit list, after checking that each orbit was emitted |A|/|Stab(A)|
-    times (once per member containing 1)."""
-    least, stab_sizes = dilation_orbits(p, hits)
+    whole hit list, after checking that each orbit was emitted
+    #{a in A : r*a in A}/|Stab(A)| times, r its least ratio (once per member
+    whose second element is r)."""
+    least, stab_sizes, ratio_counts = dilation_orbits(p, hits, ratio_counts=True)
     stabs = dict(zip(least, stab_sizes))
+    members = dict(zip(least, ratio_counts))
     emitted = Counter(least)
     for canon, stab in stabs.items():
-        if emitted[canon] * stab != canon.bit_count():
+        if emitted[canon] * stab != members[canon]:
             raise GeneratorCheckError(
                 f"search emitted the orbit of {sorted(ZpSet.from_mask(p, canon).elements())} "
-                f"{emitted[canon]} times, expected |A|/|Stab(A)| = "
-                f"{canon.bit_count()}/{stab}: implementation bug"
+                f"{emitted[canon]} times, expected #{{a in A : r*a in A}}/|Stab(A)| = "
+                f"{members[canon]}/{stab}: implementation bug"
             )
     return stabs
+
+
+def _check_complete(params: Params, size: int, stabs: dict[int, int], second: bool) -> None:
+    """Raise GeneratorCheckError unless the hit orbits `stabs` include the
+    orbit of every sum-free set of this size that the tool builds without
+    the search (`_built_orbits`)."""
+    for canon, source in _built_orbits(params, size, second):
+        if canon not in stabs:
+            raise GeneratorCheckError(
+                f"search missed the orbit of {sorted(ZpSet.from_mask(params.p, canon).elements())} "
+                f"({source}): implementation bug"
+            )
+
+
+@lru_cache(maxsize=256)
+def _built_orbits(params: Params, size: int, second: bool) -> tuple[tuple[int, str], ...]:
+    """(canonical mask, source) of each orbit of the sum-free size-`size`
+    sets built from closed forms and the structure table: every sum-free
+    interval of that length, and on the second level (`second`, size m)
+    every size-m subset of an extremal interval (so every trivial orbit) and
+    every size-m structure support at n = 1."""
+    p, k, l = params.p, params.k, params.l
+    sets = [(ZpSet.interval(p, start, size).mask, f"sum-free interval of length {size}")
+            for start in _sumfree_interval_starts(p, k, l, size)]
+    if second:
+        for iv in extremal_intervals(params):
+            sets += [(iv.mask ^ (1 << x), "subset of an extremal interval") for x in iv.elements()]
+        sets += [(support, f"{kind} support") for kind, support, _ in _supports_1d(params)
+                 if support.bit_count() == size]
+    sets = [(mask, source) for mask, source in sets
+            if is_kl_sumfree(ZpSet.from_mask(p, mask), k, l)]
+    least, _ = dilation_orbits(p, [mask for mask, _ in sets])
+    orbits: dict[int, str] = {}
+    for canon, (_, source) in zip(least, sets):
+        orbits.setdefault(canon, source)
+    return tuple(orbits.items())
 
 
 def _labeled_count(stabs, p: int) -> int:
@@ -140,12 +212,21 @@ def _labeled_count(stabs, p: int) -> int:
     return sum((p - 1) // stab for stab in stabs)
 
 
+def _sumfree_interval_starts(p: int, k: int, l: int, length: int) -> list[int]:
+    """The starts a of the (k,l)-sum-free intervals [a, a+L-1] of Z_p of
+    length L, by the closed form: (l-k)a mod p lies in [k(L-1)+1, p-1-l(L-1)],
+    a range empty once (k+l)(L-1) > p-2.  No starts when p divides k-l."""
+    if (k - l) % p == 0:
+        return []
+    inverse = pow(l - k, -1, p)
+    return [v * inverse % p for v in range(k * (length - 1) + 1, p - l * (length - 1))]
+
+
 def _warm_start(p: int, k: int, l: int) -> int:
     """The size m+1 of the longest (k,l)-sum-free interval of Z_p (p not
-    dividing k-l), after checking the interval the closed form names."""
+    dividing k-l), after checking the first interval the closed form names."""
     m = (p - 2) // (k + l)
-    start = (k * m + 1) * pow(l - k, -1, p) % p
-    interval = ZpSet.interval(p, start, m + 1)
+    interval = ZpSet.interval(p, _sumfree_interval_starts(p, k, l, m + 1)[0], m + 1)
     if not is_kl_sumfree(interval, k, l):
         raise GeneratorCheckError(
             f"warm-start interval {sorted(interval.elements())} of Z_{p} is not "
@@ -154,43 +235,68 @@ def _warm_start(p: int, k: int, l: int) -> int:
     return m + 1
 
 
+@lru_cache(maxsize=None)
+def _ratio_table(p: int) -> np.ndarray:
+    """Read-only (p, p) words whose entry (t, a) is the mask of a*(J u J^(-1)),
+    J = [2, t-1] (empty for t <= 2): the residues x with x/a or a/x in J.
+    Row t ORs row t-1 with the bits a*(t-1) and a*(t-1)^(-1).  The diagonal
+    entry (t, t) also holds J u J^(-1) itself (a = 1): a = t only when
+    the root {1} gains its second element t."""
+    y = np.arange(p)
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    one = word_array(p, [1])
+    bits = one << (np.outer(y, y) % p).astype(one.dtype)  # (y, a) -> the bit of a*y
+    rows = bits[y - 1] | bits[inverse[y - 1]]
+    rows[:3] = 0
+    table = np.bitwise_or.accumulate(rows, axis=0)
+    table[y, y] |= table[:, 1]
+    table.setflags(write=False)
+    return table
+
+
 def _scan(p: int, k: int, l: int, target: int | None):
     """Core DFS over the tree rooted at {1}.  target=None: find the maximum
-    size and all sets containing 1 attaining it.  target=t: emit every
-    sum-free set of size exactly t containing 1 (no deeper descent).
-    Returns (best, hit masks, ScanCounts).
+    size and every set containing 1 attaining it whose second element is
+    its least ratio.  target=t: emit every such sum-free set of size exactly
+    t (no deeper descent).  Returns (best, hit masks, ScanCounts).
 
     Each node carries the mask of residues still individually compatible:
     sumsets only grow along a branch, so a residue that collides once is dead
     for the entire subtree, and the remaining-candidate count gives a sharp
     reachable-size bound.  (A subset of a sum-free set is sum-free, so every
     element of a surviving extension stays individually compatible at every
-    ancestor; dropping dead residues never loses a set.)
+    ancestor; dropping dead residues never loses a set.)  The same holds for
+    the ratio rule: a node's second element t is fixed below it, and a
+    residue x with x/a or a/x in [2, t-1] for an element a would give the
+    set a ratio below t, so `_ratio_table(p)[t, a]` is cleared from the
+    candidates of every node that gains a.
 
     The stack holds blocks of at most _BLOCK_NODES nodes of one size: word
-    arrays of set masks and candidate masks, and a tuple of k fold arrays,
-    folds[h-1] the masks of the h-fold sumsets, h = 1..k.  One expansion
-    builds every (node, candidate x) pair of a block and runs the fold
-    updates on all pairs at once: the 1-fold is folds[0][parent] | (1 << x)
-    and each higher fold is folds[h-1][parent] | (the pair's (h-1)-fold
-    rotated by x).  It keeps the children whose k-fold and l-fold masks stay
-    apart.
+    arrays of set masks and candidate masks, the nodes' second elements
+    (None for the root) and a tuple of k fold arrays, folds[h-1] the masks
+    of the h-fold sumsets, h = 1..k.  One expansion builds every (node,
+    candidate x) pair of a block and runs the fold updates on all pairs at
+    once: the 1-fold is folds[0][parent] | (1 << x) and each higher fold is
+    folds[h-1][parent] | (the pair's (h-1)-fold rotated by x).  It keeps the
+    children whose k-fold and l-fold masks stay apart.
     A child may only add the feasible residues of its parent above x (every
-    set is met once, in increasing order), and is cut when those cannot
-    lift it to `best`.  Children are pushed so that the lowest-x block pops
-    first.
+    set is met once, in increasing order) that the ratio rule leaves, and is
+    cut when those cannot lift it to `best`.  The root's child {1, x} is made
+    only when x^(-1) >= x, yet x stays feasible for its siblings.  Children
+    are pushed so that the lowest-x block pops first.
     """
     if (k - l) % p == 0:
         # k*1 = l*1: the root {1}, and so every set, fails
-        return (0 if target is None else target), [], ScanCounts(0, 0, 0)
+        return (0 if target is None else target), [], ScanCounts(0, 0, 0, 0)
     best = target if target is not None else _warm_start(p, k, l)
+    ratio = _ratio_table(p)
     hits: list[int] = []
-    nodes = collisions = cuts = 0
+    nodes = collisions = cuts = ratio_cuts = 0
     # folds[h-1] holds the h-fold masks of a block, h = 1..k; the root's are {h}
     folds = tuple(word_array(p, [1 << (h % p)]) for h in range(1, k + 1))
-    stack = [(1, word_array(p, [0b10]), word_array(p, [(1 << p) - 4]), folds)]
+    stack = [(1, word_array(p, [0b10]), word_array(p, [(1 << p) - 4]), None, folds)]
     while stack:
-        size, amask, cand, folds = stack.pop()
+        size, amask, cand, second, folds = stack.pop()
         nodes += len(amask)
         if size == best:
             hits.extend(amask.tolist())
@@ -201,29 +307,42 @@ def _scan(p: int, k: int, l: int, target: int | None):
             hits = amask.tolist()
         if target is not None and size >= target:
             continue
-        parent, x = np.nonzero(words_to_bits(cand, p))
-        x = x.astype(amask.dtype)
+        parent, xi = np.nonzero(words_to_bits(cand, p))
+        x = xi.astype(amask.dtype)
         bit = 1 << x
         nf = [folds[0][parent] | bit]  # the children's fold masks, h = 1..k
         for fold in folds[1:]:
             nf.append(fold[parent] | rotate_words(nf[-1], x, p))
         ok = ((nf[k - 1] & nf[l - 1]) == 0).nonzero()[0]
         collisions += len(x) - len(ok)
-        parent, x, bit = parent[ok], x[ok], bit[ok]
+        parent, xi, x, bit = parent[ok], xi[ok], x[ok], bit[ok]
         feasible = np.zeros(len(amask), dtype=amask.dtype)
         np.bitwise_or.at(feasible, parent, bit)
+        second = xi if size == 1 else second[parent]
+        lost = ratio[second, xi]
+        if size == 1:
+            # The root {1}: the child {1, x} has second element x, and its own
+            # ratio x^(-1) lies in [2, x-1] exactly when bit 1 of x*(J u J^(-1)) is set.
+            made = ((lost & 2) == 0).nonzero()[0]
+            ratio_cuts += len(ok) - len(made)
+            ok, parent, second = ok[made], parent[made], second[made]
+            x, bit, lost = x[made], bit[made], lost[made]
         suffix = (feasible[parent] >> (x + 1)) << (x + 1)
+        lost &= suffix
+        ratio_cuts += int(words_popcount(lost).sum())
+        suffix ^= lost
         keep = (size + 1 + words_popcount(suffix) >= best).nonzero()[0]
         cuts += len(ok) - len(keep)
         child_masks = amask[parent[keep]] | bit[keep]
         child_cand = suffix[keep]
+        child_second = second[keep]
         rows = ok[keep]
         child_folds = tuple(f[rows] for f in nf)
         for lo in reversed(range(0, len(keep), _BLOCK_NODES)):
             part = slice(lo, lo + _BLOCK_NODES)
-            stack.append((size + 1, child_masks[part], child_cand[part],
+            stack.append((size + 1, child_masks[part], child_cand[part], child_second[part],
                           tuple(f[part] for f in child_folds)))
-    return best, hits, ScanCounts(nodes, collisions, cuts)
+    return best, hits, ScanCounts(nodes, collisions, cuts, ratio_cuts)
 
 
 def _check_p_limit(p: int, p_limit: int) -> None:
@@ -242,6 +361,7 @@ def enumerate_max(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> SearchResul
     t0 = time.perf_counter()
     best, hits, counts = _scan(p, k, l, target=None)
     stabs = _orbit_stabilizers(hits, p)
+    _check_complete(params, best, stabs, second=False)
     return SearchResult(
         params, "max", best,
         tuple(ZpSet.from_mask(p, m) for m in sorted(stabs)),
@@ -262,6 +382,7 @@ def enumerate_second_level(params: Params, p_limit: int = DEFAULT_P_LIMIT) -> Se
     t0 = time.perf_counter()
     _, hits, counts = _scan(p, k, l, target=m)
     stabs = _orbit_stabilizers(hits, p)
+    _check_complete(params, m, stabs, second=True)
     # Triviality is dilation-invariant, so one test per orbit decides it.
     embedded = extremal_embeddings(p, list(stabs), intervals)
     nontrivial = {om: stab for (om, stab), hit in zip(stabs.items(), embedded) if hit is None}

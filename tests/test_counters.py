@@ -29,6 +29,9 @@ def test_search_counters_repeat(params):
     for run in (enumerate_max, enumerate_second_level):
         first, second = run(params), run(params)
         assert (first.node_count, first.labeled_count) == (second.node_count, second.labeled_count)
+        prunes = ("prunes_collision", "prunes_size", "prunes_ratio")
+        assert [getattr(first, c) for c in prunes] == [getattr(second, c) for c in prunes]
+        assert first.prunes_ratio > 0 or first.node_count <= 2
         assert first.to_dict() == second.to_dict()
 
 

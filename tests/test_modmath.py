@@ -454,11 +454,22 @@ def orbit_batch(draw):
     return p, masks
 
 
+def naive_ratio_count(p, mask):
+    """The number of c in 1..p-1 with 1 in cA whose least element of cA
+    above 1 (0 if none) is the least over those c; p-1 when no cA holds 1."""
+    elems = mask_to_indices(mask).tolist()
+    keys = [min((y for y in images if y > 1), default=0) if 1 in images else p
+            for images in ({c * x % p for x in elems} for c in range(1, p))]
+    return keys.count(min(keys))
+
+
 @given(orbit_batch())
 def test_dilation_orbits_match_brute_force(case):
     p, masks = case
     least, stabs = modmath.dilation_orbits(p, masks)
     assert list(zip(least, stabs)) == [naive_orbit(p, m) for m in masks]
+    ratios = [naive_ratio_count(p, m) for m in masks]
+    assert modmath.dilation_orbits(p, masks, ratio_counts=True) == (least, stabs, ratios)
     assert modmath.dilation_masks(p, masks[0]) == [
         dilate(ZpSet.from_mask(p, masks[0]), c).mask for c in range(1, p)]
 
@@ -486,7 +497,24 @@ def test_dilation_orbits_edge_cases(monkeypatch):
         monkeypatch.setattr(modmath, "_ORBIT_CELLS", 7 * (p - 1) * 6)
         assert modmath.dilation_orbits(p, masks) == want
         assert want == tuple(map(list, zip(*(naive_orbit(p, m) for m in masks))))
+        ratios = modmath.dilation_orbits(p, masks, ratio_counts=True)[2]
+        assert ratios == [naive_ratio_count(p, m) for m in masks]
         monkeypatch.undo()
+        assert modmath.dilation_orbits(p, masks, ratio_counts=True) == want + (ratios,)
+
+
+@pytest.mark.parametrize("p", [7, 31, 61, 67, 101])
+def test_ratio_counts_count_the_least_ratio_members(p):
+    # For a set A of nonzero residues with two or more elements, the ratio
+    # count is #{a in A : r*a in A}, r the least ratio y/a of two elements.
+    rng = random.Random(p)
+    for size in (2, 3, 5, min(9, p - 1)):
+        masks = [indices_to_mask(sorted(rng.sample(range(1, p), size))) for _ in range(20)]
+        got = modmath.dilation_orbits(p, masks, ratio_counts=True)[2]
+        for mask, count in zip(masks, got):
+            elems = mask_to_indices(mask).tolist()
+            r = min(y * pow(a, -1, p) % p for a in elems for y in elems if y != a)
+            assert count == sum(r * a % p in elems for a in elems), (p, elems)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, dilate, is_kl_sumfree
 from klsf import cli, search
-from klsf.modmath import primes_in
+from klsf.modmath import dilation_orbits, primes_in
 from klsf.constructions import GeneratorCheckError, ParameterError, extremal_intervals
 from klsf.vecset import Params
 from klsf.search import (
@@ -237,9 +237,11 @@ def test_self_check_catches_a_dropped_hit(monkeypatch):
         return best, hits[1:], nodes
 
     monkeypatch.setattr(search, "_scan", drop_first_hit)
-    # (2,1,11): one extremal orbit, |A| = 4 and |Stab(A)| = 2, so the tree
-    # rooted at {1} must emit it twice
-    with pytest.raises(GeneratorCheckError, match="1 times, expected"):
+    # (2,1,11): one extremal orbit, the interval [4,7], met once by the tree
+    # (least ratio 3: #{a in A : 3a in A} = 2 = |Stab(A)|), so no hit is
+    # left and the completeness check misses the interval's orbit
+    with pytest.raises(GeneratorCheckError,
+                       match=r"missed the orbit of \[4, 5, 6, 7\] \(sum-free interval of length 4\)"):
         enumerate_max(Params(2, 1, 11))
 
 
@@ -334,15 +336,81 @@ except GeneratorCheckError as exc:
 print("exit", cli.main(["enumerate", "--k", "2", "--l", "1", "--p", "11"]))
 """
     lines = run_optimized(script)
-    assert lines[0].startswith("raised: search emitted the orbit of [4, 5, 6, 7] 1 times")
-    assert "expected |A|/|Stab(A)| = 4/2" in lines[0] and "implementation bug" in lines[0]
+    # the dropped hit was its orbit's only one, so the completeness check fires
+    assert lines[0].startswith("raised: search missed the orbit of [4, 5, 6, 7]")
+    assert "(sum-free interval of length 4)" in lines[0] and "implementation bug" in lines[0]
+
+
+def test_emission_count_check_survives_optimize():
+    # The emission count is an explicit raise: with the (2,1,11) hit
+    # emitted twice it fires under python -O, and `klsf enumerate` exits 2.
+    script = """
+import sys
+from klsf import cli, search
+from klsf.modmath import GeneratorCheckError
+from klsf.vecset import Params
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+scan = search._scan
+
+def repeat_first_hit(*args, **kwargs):
+    best, hits, counts = scan(*args, **kwargs)
+    return best, hits[:1] + hits, counts
+
+search._scan = repeat_first_hit
+try:
+    search.enumerate_max(Params(2, 1, 11))
+except GeneratorCheckError as exc:
+    print("raised:", exc)
+print("exit", cli.main(["enumerate", "--k", "2", "--l", "1", "--p", "11"]))
+"""
+    lines = run_optimized(script)
+    assert lines[0].startswith("raised: search emitted the orbit of [4, 5, 6, 7] 2 times")
+    assert "expected #{a in A : r*a in A}/|Stab(A)| = 2/2" in lines[0]
+    assert "implementation bug" in lines[0]
+
+
+def test_coset_orbit_completeness_survives_optimize():
+    # {1,6} = {1,-1} at (2,1,7) is a coset of its stabilizer {1,-1}, so its
+    # orbit is met once and dropping it leaves no count to disagree.  The
+    # completeness check still misses it: it is the orbit of the interval
+    # {3,4} = 3{1,6}.  It fires under python -O, and `klsf enumerate` exits 2.
+    script = """
+import sys
+from klsf import cli, search
+from klsf.modmath import GeneratorCheckError
+from klsf.vecset import Params
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+scan = search._scan
+coset = (1 << 1) | (1 << 6)
+
+def drop_coset(*args, **kwargs):
+    best, hits, counts = scan(*args, **kwargs)
+    if coset not in hits:
+        sys.exit("the tree did not emit {1,6}")
+    return best, [h for h in hits if h != coset], counts
+
+search._scan = drop_coset
+try:
+    search.enumerate_max(Params(2, 1, 7))
+except GeneratorCheckError as exc:
+    print("raised:", exc)
+print("exit", cli.main(["enumerate", "--k", "2", "--l", "1", "--p", "7"]))
+"""
+    lines = run_optimized(script)
+    assert lines[0].startswith("raised: search missed the orbit of [3, 4]")
+    assert "(sum-free interval of length 2)" in lines[0] and "implementation bug" in lines[0]
 
 
 def reference_scan(p, k, l, target):
-    """The node-at-a-time DFS that `search._scan` replaced, kept as the
-    reference for its tree: (best, hit masks, node count).  Apart from
-    testing p | k-l first (and then reporting 0 as the maximum), this is the
-    earlier module's code."""
+    """The node-at-a-time DFS that `search._scan` replaced, without the ratio
+    rule, kept as the completeness oracle: it meets every sum-free set
+    containing 1, so each orbit |A|/|Stab(A)| times.  (best, hit masks, node
+    count).  Apart from testing p | k-l first (and then reporting 0 as the
+    maximum), this is the earlier module's code."""
     if (k - l) % p == 0:
         return (0 if target is None else target), [], 0
     full = (1 << p) - 1
@@ -387,11 +455,102 @@ def reference_scan(p, k, l, target):
     return best, hits, node_count
 
 
+def least_ratio(elems, p):
+    """The least ratio y/a mod p of two distinct elements (None for one element)."""
+    return min((y * pow(a, -1, p) % p for a in elems for y in elems if y != a), default=None)
+
+
+def reference_cut_scan(p, k, l, target):
+    """`reference_scan` with the ratio rule, node at a time, kept as the
+    reference for the tree of `search._scan`: (best, hit masks, (node count,
+    collision prunes, size prunes, ratio prunes)).  A child whose own ratios
+    fall below its second element t is not made (only {1, x} with
+    x^(-1) < x can be such a child), and a candidate y leaves a child's
+    candidates when y/a mod p is in [2, t-1] or its inverses for an element
+    a of the child."""
+    if (k - l) % p == 0:
+        return (0 if target is None else target), [], (0, 0, 0, 0)
+    full = (1 << p) - 1
+    best = target if target is not None else max(1, reference_warm_start(p, k, l))
+    hits = []
+    nodes = collisions = size_cuts = ratio_cuts = 0
+    root_folds = [1 << (h % p) for h in range(k + 1)]
+    stack = [(0b10, 1, full & ~0b11, root_folds)]
+    while stack:
+        amask, size, cand, folds = stack.pop()
+        nodes += 1
+        if size == best:
+            hits.append(amask)
+            if target is not None:
+                continue
+        elif size > best and target is None:
+            best = size
+            hits = [amask]
+        if target is not None and size >= target:
+            continue
+        feasible = []
+        c = cand
+        while c:
+            low = c & -c
+            c ^= low
+            x = low.bit_length() - 1
+            nf = [1]
+            prev = 1
+            for h in range(1, k + 1):
+                prev = folds[h] | (((prev << x) | (prev >> (p - x))) & full)
+                nf.append(prev)
+            if nf[k] & nf[l]:
+                collisions += 1
+            else:
+                feasible.append((low, nf))
+        suffix = 0
+        pushes = []
+        for i in range(len(feasible) - 1, -1, -1):
+            low, nf = feasible[i]
+            child = [y for y in range(p) if (amask | low) >> y & 1]
+            t = child[1]
+            below = set(range(2, t)) | {pow(r, -1, p) for r in range(2, t)}
+            if least_ratio(child, p) < t:
+                ratio_cuts += 1
+            else:
+                child_cand = 0
+                for y in range(p):
+                    if suffix >> y & 1:
+                        if any(y * pow(a, -1, p) % p in below for a in child):
+                            ratio_cuts += 1
+                        else:
+                            child_cand |= 1 << y
+                if size + 1 + child_cand.bit_count() >= best:
+                    pushes.append((amask | low, size + 1, child_cand, nf))
+                else:
+                    size_cuts += 1
+            suffix |= low
+        stack.extend(pushes)
+    return best, hits, (nodes, collisions, size_cuts, ratio_cuts)
+
+
+def reference_orbits(p, hits):
+    """Canonical mask -> |Stab(A)| of the orbits of the uncut tree's hits,
+    after checking that each was met |A|/|Stab(A)| times."""
+    least, stab_sizes = dilation_orbits(p, hits)
+    stabs = dict(zip(least, stab_sizes))
+    emitted = Counter(least)
+    assert all(emitted[canon] * stab == canon.bit_count() for canon, stab in stabs.items())
+    return stabs
+
+
 def assert_same_tree(p, k, l, target):
+    """`search._scan` against both references: the same tree, hits and
+    counters as the node-at-a-time scan with the ratio rule, and the same
+    best, orbits, stabilizers and labelled count as the uncut scan."""
     best, hits, counts = search._scan(p, k, l, target)
-    want_best, want_hits, want_nodes = reference_scan(p, k, l, target)
-    assert (best, Counter(hits), counts.node_count) == (want_best, Counter(want_hits), want_nodes), \
+    want_best, want_hits, want_counts = reference_cut_scan(p, k, l, target)
+    assert (best, Counter(hits), tuple(counts)) == (want_best, Counter(want_hits), want_counts), \
         (k, l, p, target)
+    uncut_best, uncut_hits, _ = reference_scan(p, k, l, target)
+    got, want = search._orbit_stabilizers(hits, p), reference_orbits(p, uncut_hits)
+    assert (best, got, search._labeled_count(got.values(), p)) == \
+        (uncut_best, want, search._labeled_count(want.values(), p)), (k, l, p, target)
     return counts
 
 
@@ -422,7 +581,8 @@ def test_block_scan_matches_reference_above_the_word_limit():
     run = enumerate_max(Params(4, 1, 67), p_limit=67)
     assert run.max_size == Params(4, 1, 67).m + 1
     assert run.node_count == counts.node_count
-    assert (run.prunes_collision, run.prunes_size) == (counts.prunes_collision, counts.prunes_size)
+    assert (run.prunes_collision, run.prunes_size, run.prunes_ratio) == \
+        (counts.prunes_collision, counts.prunes_size, counts.prunes_ratio)
 
 
 @given(st.integers(2, 7).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k - 1))),
@@ -433,16 +593,20 @@ def test_block_scan_matches_reference_property(kl, p, t):
 
 
 def brute_force_hits(p, k, l, size):
-    """Masks of every (k,l)-sum-free size-`size` subset of Z_p containing 1."""
-    sets = (ZpSet(p, (1,) + rest) for rest in combinations(range(2, p), size - 1))
-    return sorted(a.mask for a in sets if is_kl_sumfree(a, k, l))
+    """Masks of every (k,l)-sum-free size-`size` subset of Z_p containing 1
+    whose second element is its least ratio (`least_ratio`, plain
+    arithmetic): the members of each orbit that the tree keeps."""
+    tuples = ((1,) + rest for rest in combinations(range(2, p), size - 1))
+    kept = [elems for elems in tuples if size == 1 or least_ratio(elems, p) == elems[1]]
+    return sorted(a.mask for a in (ZpSet(p, elems) for elems in kept) if is_kl_sumfree(a, k, l))
 
 
 def test_scan_hits_are_every_sumfree_set_containing_1():
-    # The orbit self-check cannot see a lost orbit with |A| = |Stab(A)|
-    # (met once by the tree), so the raw hit list is checked as a whole.
-    # Fixed targets go first: they stop at their depth even if a wrong
-    # candidate mask lets a set repeat a residue.
+    # The emission count cannot see a lost orbit met once by the tree, and
+    # the completeness check sees only the orbits the tool builds, so the
+    # raw hit list is checked as a whole.  Fixed targets go first: they stop
+    # at their depth even if a wrong candidate mask lets a set repeat a
+    # residue.
     for k, l, p in SMALL_CASES:
         for target in (2, 3, Params(k, l, p).m, None):
             best, hits, _ = search._scan(p, k, l, target)
@@ -450,8 +614,52 @@ def test_scan_hits_are_every_sumfree_set_containing_1():
             assert sorted(hits) == want, (k, l, p, target)
 
 
+def test_completeness_check_covers_every_labelled_orbit():
+    # The sets the tool builds without the search (sum-free intervals,
+    # subsets of extremal intervals, table supports) reach every orbit of
+    # both levels but three "nontrivial-unknown" ones, which surface as
+    # findings.
+    cases = [Params(k, l, p) for k in range(2, 8) for l in range(1, k) if k + l <= 8
+             for p in primes_in(7, 47) if Params(k, l, p).lambda_in_range()]
+    orbits, outside = 0, []
+    for params in cases:
+        p, k, l = params.p, params.k, params.l
+        for second in (False, True):
+            best, hits, _ = search._scan(p, k, l, params.m if second else None)
+            masks = set(search._orbit_stabilizers(hits, p))
+            built = {canon for canon, _ in search._built_orbits(params, best, second)}
+            orbits += len(masks)
+            outside += [(k, l, p, second, sorted(ZpSet.from_mask(p, m).elements()))
+                        for m in sorted(masks - built)]
+    assert orbits == 910
+    assert outside == [(4, 1, 19, True, [2, 3, 7]), (5, 1, 23, True, [1, 7, 9]),
+                       (7, 1, 31, True, [6, 7, 10])]
+    for k, l, p, _, elems in outside:
+        run = enumerate_second_level(Params(k, l, p))
+        labels = {tuple(o.elements()): rep.label for o, rep in run.second_level_orbits}
+        assert labels[tuple(elems)] == "nontrivial-unknown"
+        assert any(str(elems) in finding for finding in run.findings)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 61, 67])
+def test_ratio_table_entries(p):
+    # Entry (t, a): the residues x with x/a or a/x in [2, t-1]; the diagonal
+    # also holds those with x or 1/x in [2, t-1] (the root's a = 1).
+    table = search._ratio_table(p)
+    assert table.shape == (p, p) and not table.flags.writeable
+    for t in range(p):
+        below = set(range(2, t))
+        for a in range(1, p):
+            want = {x for x in range(1, p)
+                    if x * pow(a, -1, p) % p in below or a * pow(x, -1, p) % p in below
+                    or (a == t and (x in below or pow(x, -1, p) in below))}
+            assert int(table[t, a]) == sum(1 << x for x in want), (p, t, a)
+
+
 def test_prune_counters():
     run = enumerate_max(Params(2, 1, 11))
     assert run.to_dict()["prunes_collision"] == run.prunes_collision > 0
     assert run.to_dict()["prunes_size"] == run.prunes_size > 0
-    assert enumerate_max(Params(6, 1, 5)).prunes_collision == 0  # no tree at all
+    assert run.to_dict()["prunes_ratio"] == run.prunes_ratio > 0
+    none = enumerate_max(Params(6, 1, 5))  # no tree at all
+    assert none.prunes_collision == none.prunes_size == none.prunes_ratio == 0
