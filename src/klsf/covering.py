@@ -33,7 +33,9 @@ CPython's algorithm on the same `getrandbits` words, without the per-call
 overhead that made `Random.sample` most of a scan.  The draws of one size
 form residue rows, up to _SAMPLE_CELLS residues per batch, whose |2A| come
 from one `modmath.doubling_sizes` call; masks are built only for the rows
-the cover test flags.
+the cover test flags.  A size s whose loosest bound lies below
+min(p, 2s - 1) is drawn but not tested: by the Cauchy-Davenport theorem no
+set of that size meets a hypothesis.
 
 In both modes the sets meeting a hypothesis go, grouped by size, through one
 batched AP-cover test (`_uncovered`) on their residue rows, a batch of at
@@ -431,14 +433,20 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
         if not count:
             continue
         top = limits[s][-1]
+        # Cauchy-Davenport: |2A| >= min(p, 2s - 1), so below that no draw of
+        # size s meets a hypothesis.  Its rows are still drawn, to keep the
+        # seeded stream and the examined count.
+        reachable = top >= min(p, 2 * s - 1)
         batch = max(1, _SAMPLE_CELLS // s)
         flagged = []
         for lo in range(0, count, batch):
             rows = _sample_rows(rng, p, s, min(batch, count - lo))
+            examined += len(rows)
+            if not reachable:
+                continue
             doubling = doubling_sizes(p, rows)
             hit = doubling <= top
             hits = rows[hit]
-            examined += len(rows)
             hyp_hits += len(hits)
             if len(hits):
                 flagged += map(indices_to_mask, hits[_uncovered(hits, doubling[hit], p)].tolist())

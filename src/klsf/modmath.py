@@ -8,7 +8,10 @@ computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations, dilation
 orbits, translation stabilizers, and the doubling sizes |A + A| and shortest
 AP covers of a batch of Z_p residue rows (the one AP-cover scan: `ap_covers`
 over the widest-gap step `ap_gaps`); each operation picks its route from its
-input.  `MaskSet` is the set algebra that ZpSet and VecSet share.  Batches of
+input, after the sizes alone have had their say: a sumset with
+|A| + |B| > p^n is the whole space (pigeonhole), and a stabilizer of a set
+whose size p does not divide is {0} (Lagrange).  `MaskSet` is the set
+algebra that ZpSet and VecSet share.  Batches of
 p-bit masks of Z_p are arrays of words (`word_array`), which the word helpers
 unpack, count and rotate whatever their dtype.
 
@@ -61,6 +64,10 @@ _SPARSE_POPCOUNT = 24
 # 0.25 ms) and at p = 7, n = 3; the routes break even near 32 shifts at
 # p = 59 (0.5 ms), near 100 at p = 103 (2 ms) and near 800 at p = 503
 # (30 ms, where both axes fall back to Bluestein's algorithm).
+# Sizes settle first: |A| + |B| > p^n gives the whole space, so at n = 2 a
+# sumset takes the FFT only when 64 < min(|A|, |B|) and |A| + |B| <= p^2,
+# which first happens at p = 13 (at p = 11, 65 + 65 > 121).  Fold chains and
+# (k,l) checks above this size keep their own FFT route (`_fft_route`).
 _FFT_THRESHOLD = 64
 # Up to this many (dilation, element) pairs, p-1 dilations are cheaper as
 # Python int loops than as one `_dilation_images` call (break-even near
@@ -424,30 +431,47 @@ def ap_covers(p: int, residues, stop: int | None = None) -> tuple[np.ndarray, np
 
 
 def sumset_mask(p: int, n: int, a: int, b: int) -> int:
-    """A + B over F_p^n (componentwise mod p)."""
+    """A + B over F_p^n (componentwise mod p).
+
+    Sizes first: when |A| + |B| > p^n the sum is the whole space, with no
+    shift or transform.  For every x, A and x - B together have more
+    elements than the p^n cells, so they meet (the pigeonhole principle),
+    and a common element a = x - b makes x = a + b a sum."""
     if not a or not b:
         return 0
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
+    cells, size_a, size_b = p**n, a.bit_count(), b.bit_count()
+    if size_a + size_b > cells:
+        return _full_mask(cells)
+    if size_a > size_b:
+        a, b, size_a = b, a, size_b
     if n <= 1:
-        return _sumset_rotations(p**n, a, b)
-    if a.bit_count() > _FFT_THRESHOLD:
+        return _sumset_rotations(cells, a, b)
+    if size_a > _FFT_THRESHOLD:
         return _sumset_fft(p, n, a, b)
     return _sumset_rolls(p, n, a, b)
+
+
+@lru_cache(maxsize=256)
+def _full_mask(cells: int) -> int:
+    """The mask of the whole space of `cells` cells.  Cached, so that the
+    whole-space results the sizes settle share one int rather than each
+    holding a copy of p^n bits."""
+    return (1 << cells) - 1
 
 
 def doubling_sizes(p: int, residues) -> np.ndarray:
     """|A + A| in Z_p for each row A of an (N, s) array of distinct residues,
     as int64.  Up to _PAIR_TABLE_SIZE the distinct values of the sorted pair
     sums x_i + x_j (i <= j) of each row are counted, a chunk of rows per
-    array operation; larger (or empty) rows take `sumset_mask`."""
+    array operation; larger (or empty) rows take `sumset_mask`, which
+    settles a row of more than p/2 residues by its size alone."""
     residues = np.asarray(residues, dtype=np.int64)
     rows, size = residues.shape
     if not 0 < size <= _PAIR_TABLE_SIZE:
         masks = map(indices_to_mask, residues.tolist())
         return np.fromiter((sumset_mask(p, 1, m, m).bit_count() for m in masks),
                            dtype=np.int64, count=rows)
-    i, j = np.triu_indices(size)
+    i, j = _pair_indices(size)
     chunk = max(1, _PAIR_TABLE_CELLS // len(i))
     out = np.empty(rows, dtype=np.int64)
     for lo in range(0, rows, chunk):
@@ -455,6 +479,16 @@ def doubling_sizes(p: int, residues) -> np.ndarray:
         sums = np.sort((part[:, i] + part[:, j]) % p, axis=1)
         out[lo:lo + chunk] = 1 + np.count_nonzero(sums[:, 1:] != sums[:, :-1], axis=1)
     return out
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `np.triu_indices(size)`: the index pairs i <= j of a row's
+    pair sums, built once per size."""
+    pairs = np.triu_indices(size)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def _sumset_rotations(cells: int, small: int, large: int) -> int:
@@ -674,10 +708,16 @@ def is_kl_sumfree_mask(p: int, n: int, a: int, k: int, l: int) -> bool:
 def stabilizer_mask(p: int, n: int, a: int) -> int:
     """{g : A + g = A}, read off the autocorrelation |A cap (A + g)| = |A|
     (one forward and one inverse transform).  The whole space stabilizes the
-    empty set."""
-    cells = p**n
+    empty set.
+
+    Sizes first: when p does not divide |A| the stabilizer is {0}, with no
+    transform.  Stab(A) is a subgroup of F_p^n, of order p^j by Lagrange's
+    theorem, and A is a union of its cosets, so p^j divides |A|; p not
+    dividing |A| leaves j = 0."""
     if not a:
-        return (1 << cells) - 1
+        return _full_mask(p**n)
+    if a.bit_count() % p:
+        return 1
     bits = _indicator(p, n, a)
     fa = _forward_fft(bits)
     overlap = _exact_counts(fa * fa.conj(), bits.shape).reshape(-1)

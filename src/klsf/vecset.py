@@ -84,10 +84,6 @@ def mat_inverse(m: list[list[int]], p: int) -> list[list[int]]:
     return [row[n:] for row in a]
 
 
-def mat_vec(m: list[list[int]], x: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple(sum(mi * xi for mi, xi in zip(row, x)) % p for row in m)
-
-
 # ---------------------------------------------------------------------------
 # VecSet
 

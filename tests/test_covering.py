@@ -2,7 +2,8 @@
 
 Exhaustive scans are checked against a scalar scan of the same tree and a
 brute force over all subsets; sampled scans against a scan that draws and
-judges one trial at a time, with every route and chunk split forced."""
+judges one trial at a time, with every route and chunk split forced, and
+with the sizes that no set can make meet a hypothesis left untested."""
 
 import math
 import os
@@ -277,6 +278,35 @@ def test_sampled_scan_matches_per_trial_scan(case, seed, route, split):
     assert ([v.to_dict() for v in scan.violations], scan.tau_feasible, scan.sets_examined,
             scan.hypothesis_hits) == per_trial_sampled_scan(p, c, grid, seed, trials)
     assert scan.mode == {"kind": "sampled", "seed": seed, "trials": trials}
+
+
+# (p, c, grid top, least size tested): the loosest bound
+# floor((2 + top)s - 3) lies below min(p, 2s - 1), the least |2A| of a
+# size-s set, for s < 2/top; at p = 23 some of the tested sizes have hits.
+SKIPPING_CASES = [(101, Fraction(1, 5), Fraction(1, 5), 10),
+                  (23, Fraction(1, 3), Fraction(1, 2), 4)]
+
+
+@pytest.mark.parametrize("case", SKIPPING_CASES)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampled_scan_skips_sizes_below_cauchy_davenport(case, seed):
+    # The sizes below the least tested one are drawn but their |2A| is never
+    # counted, and the scan still matches the per-trial scan.
+    p, c, top, least = case
+    trials = 600
+    grid = tuple(t for t in default_grid() if t <= top)
+    counted = []
+    doubling = modmath.doubling_sizes
+
+    def spy(p, rows):
+        counted.append(rows.shape[1])
+        return doubling(p, rows)
+
+    with mock.patch.object(covering, "doubling_sizes", spy):
+        scan = tau_scan(p, c, mode="sampled", grid=grid, seed=seed, trials=trials)
+    assert min(counted) == least and scan.sets_examined == trials
+    assert ([v.to_dict() for v in scan.violations], scan.tau_feasible, scan.sets_examined,
+            scan.hypothesis_hits) == per_trial_sampled_scan(p, c, grid, seed, trials)
 
 
 # (n, s) on both sides of each edge of Random.sample: it tracks the picks of

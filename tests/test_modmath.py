@@ -18,7 +18,9 @@ p = 61, packed bit arrays above) against Python products c*x % p.
 Batched doubling sizes are checked against `sumset_mask` and pair sums on
 both sides of the pair-table cut-over.  The Z_p route's single wrap is
 checked at p = 2 and 3, on both sides of the 64-bit word (61, 67), at
-p = 1019 and on the one-cell space.  Set operations on ZpSet and VecSet
+p = 1019 and on the one-cell space.  Sumsets at the pigeonhole bound
+|A| + |B| = p^n take each route and one element more takes none, and
+stabilizers of sizes p does not divide take no transform.  Set operations on ZpSet and VecSet
 build their results without re-testing p, and still refuse a mask out of
 range, also under python -O.  The AP-cover scan stays in the kernel, with
 products that fit their dtype at every p (its covers are checked against
@@ -377,6 +379,54 @@ def test_row_route_edge_cases(monkeypatch):
     assert modmath._row_pair_budget(7, 3) == 0 and modmath._row_folds(7, 3, full, 3) is None
 
 
+def negated(mask, p, n):
+    return sum(1 << index(tuple(-x % p for x in digits(i, p, n)), p) for i in cells_of(mask))
+
+
+def counted_routes(monkeypatch):
+    """Record the name of every sumset route the kernel calls, in a list."""
+    calls = []
+    for name in ("_sumset_rotations", "_sumset_rolls", "_sumset_fft"):
+        route = getattr(modmath, name)
+        monkeypatch.setattr(modmath, name,
+                            lambda *args, name=name, route=route: calls.append(name) or route(*args))
+    return calls
+
+
+# (p, n, |A|, the route of a pair of sizes |A| and p^n - |A|): the rotations
+# at n = 1, the rolls at n = 2 and 3, and the FFT at p = 13, n = 2, the
+# least p at which two operands above the FFT threshold leave room below
+# the pigeonhole bound.
+PIGEONHOLE_CASES = [(13, 1, 6, "_sumset_rotations"), (67, 1, 30, "_sumset_rotations"),
+                    (7, 2, 20, "_sumset_rolls"), (13, 2, 84, "_sumset_fft"),
+                    (3, 3, 13, "_sumset_rolls"), (5, 3, 60, "_sumset_rolls")]
+
+
+@pytest.mark.parametrize("p, n, size, route", PIGEONHOLE_CASES)
+def test_sumset_pigeonhole_boundary(p, n, size, route, monkeypatch):
+    # B = -(complement of A) has |A| + |B| = p^n and 0 is not in A + B, so
+    # the bound is tight, and that pair takes its route; one more element of
+    # -A in B fills the space, which the sizes settle with no route at all.
+    cells = p**n
+    rng = random.Random(cells + size)
+    a = indices_to_mask(rng.sample(range(cells), size))
+    b = negated(a ^ ((1 << cells) - 1), p, n)
+    more = b | 1 << rng.choice(cells_of(negated(a, p, n)))
+    assert a.bit_count() + b.bit_count() == cells == more.bit_count() + a.bit_count() - 1
+    calls = counted_routes(monkeypatch)
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        want = naive_sum(x, y, p, n)
+        assert not want & 1
+        assert sumset_mask(p, n, x, y) == want and calls == [route]
+    for x, y in ((a, more), (more, a)):
+        calls.clear()
+        assert sumset_mask(p, n, x, y) == naive_sum(x, y, p, n) == (1 << cells) - 1
+        assert calls == []
+    # Whole-space results share one mask.
+    assert sumset_mask(p, n, a, more) is sumset_mask(p, n, more, a)
+
+
 # ---------------------------------------------------------------------------
 # Stabilizers
 
@@ -410,6 +460,34 @@ def test_stabilizer_of_empty_and_full_sets():
     assert stabilizer_mask(5, 2, 0) == (1 << 25) - 1
     assert stabilizer_mask(5, 2, (1 << 25) - 1) == (1 << 25) - 1
     assert stabilizer_mask(7, 0, 1) == 1
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_stabilizer_settles_by_size_when_p_does_not_divide_it(p, n, monkeypatch):
+    # Every size from the empty to the full set: a random set of each size,
+    # and for each size that p divides a union of cosets of the line through
+    # (1, 0, ..., 0), which that line stabilizes.  A size p does not divide
+    # gives {0} with no transform.
+    cells = p**n
+    line = (1 << p) - 1
+    rng = random.Random(cells)
+    transforms = []
+    forward = modmath._forward_fft
+    monkeypatch.setattr(modmath, "_forward_fft", lambda bits: transforms.append(bits) or forward(bits))
+
+    def checked(a):
+        transforms.clear()
+        stab = stabilizer_mask(p, n, a)
+        assert stab == naive_stabilizer(a, p, n)
+        if a.bit_count() % p:
+            assert stab == 1 and not transforms
+        return stab
+
+    for size in range(cells + 1):
+        checked(indices_to_mask(rng.sample(range(cells), size)))
+        if size % p == 0:
+            union = sum(line << p * t for t in rng.sample(range(cells // p), size // p))
+            assert checked(union) & line == line
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +701,7 @@ def test_fft_route_transform_counts(monkeypatch):
     # a later step needs it.
     p = 53
     a = indices_to_mask(random.Random(53).sample(range(p * p), 800))
+    stab_case = indices_to_mask(random.Random(795).sample(range(p * p), 795))
     big = TypeSpec("type5", Params(3, 1, 503, 2), s=1, pset=((1,),))
     calls = {"forward": 0, "inverse": 0}
 
@@ -646,7 +725,10 @@ def test_fft_route_transform_counts(monkeypatch):
         assert spent(is_kl_sumfree_mask, p, 2, a, k, l) == want, (k, l)
     for h in range(2, 6):
         assert spent(fold_masks, p, 2, a, h) == (h - 1, h - 1)
-    assert spent(stabilizer_mask, p, 2, a) == (1, 1)
+    # Stab(A) is settled by size when p does not divide |A| (800 = 15*53 + 5),
+    # and by one autocorrelation when it does (795 = 15*53).
+    assert spent(stabilizer_mask, p, 2, a) == (0, 0)
+    assert spent(stabilizer_mask, p, 2, stab_case) == (1, 1)
     assert spent(modmath._sumset_fft, p, 2, a, a) == (1, 1)
     # The p = 503 type-5 generator's own (3,1) check: three row classes, so
     # it takes the row-class route and no transform at all.
@@ -661,19 +743,26 @@ def test_fft_counts_off_an_integer_raise(monkeypatch):
     exact = modmath._inverse_fft
     a = VecSet.from_indices(11, 2, random.Random(11).sample(range(121), 70))
     assert len(a) > modmath._FFT_THRESHOLD and modmath._row_classes(11, 2, a.mask) is None
-    want_sum, want_stab = vsumset(a, a), sym_group(a)
+    # Sizes settle A + A (140 > 121 cells) and Stab(A) (11 does not divide
+    # 70) with no transform.  The sumset takes a p = 13 pair above the FFT
+    # threshold that does not fill the plane, and the stabilizer a set of
+    # 66 = 6*11 points.
+    b, c = (VecSet.from_indices(13, 2, random.Random(size).sample(range(169), size)) for size in (70, 90))
+    assert modmath._FFT_THRESHOLD < min(len(b), len(c)) and len(b) + len(c) <= 169
+    s = VecSet.from_indices(11, 2, random.Random(66).sample(range(121), 66))
+    want_sum, want_stab = vsumset(b, c), sym_group(s)
     want_free, want_fold = vec_is_kl_sumfree(a, 3, 1), vhfold(a, 3)
     monkeypatch.setattr(modmath, "_inverse_fft", lambda spectrum, shape: exact(spectrum, shape) + 0.3)
     with pytest.raises(GeneratorCheckError, match="FFT count off an integer"):
-        vsumset(a, a)
+        vsumset(b, c)
     with pytest.raises(GeneratorCheckError, match="FFT count off an integer"):
-        sym_group(a)
+        sym_group(s)
     with pytest.raises(GeneratorCheckError, match="FFT count off an integer"):
         vec_is_kl_sumfree(a, 3, 1)
     with pytest.raises(GeneratorCheckError, match="FFT count off an integer"):
         vhfold(a, 3)
     monkeypatch.setattr(modmath, "_inverse_fft", lambda spectrum, shape: exact(spectrum, shape) + 0.2)
-    assert vsumset(a, a) == want_sum and sym_group(a) == want_stab
+    assert vsumset(b, c) == want_sum and sym_group(s) == want_stab
     assert vec_is_kl_sumfree(a, 3, 1) == want_free and vhfold(a, 3) == want_fold
 
 

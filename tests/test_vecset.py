@@ -33,6 +33,11 @@ def naive_vsumset(a, b):
     return VecSet(a.p, a.n, {tuple((x + y) % a.p for x, y in zip(u, v)) for u in a for v in b})
 
 
+def mat_vec(m, x, p):
+    """The matrix m applied to the vector x over F_p."""
+    return tuple(sum(mi * xi for mi, xi in zip(row, x)) % p for row in m)
+
+
 def column(p, xs):
     return VecSet(p, 2, [(x, y) for x in xs for y in range(p)])
 
@@ -165,7 +170,7 @@ def test_beta_normalization():
 def test_decompose_automorphism_compatibility():
     # decomposing M(A) along (Mv, MK) gives the same part-size profile
     rng = random.Random(47)
-    from klsf.vecset import mat_det, mat_vec
+    from klsf.vecset import mat_det
 
     p = 7
     a = VecSet.from_indices(p, 2, rng.sample(range(49), 23))
