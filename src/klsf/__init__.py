@@ -16,7 +16,6 @@ from .zpset import (
     is_ap,
     is_kl_sumfree,
     min_ap_cover,
-    min_interval_cover,
     parse_zpset,
     sumset,
 )

@@ -79,7 +79,10 @@ def cmd_construct(args, argv) -> int:
     t0 = time.perf_counter()
     if args.grid:
         with open(args.grid) as fh:
-            results = [_construct_record(_spec_from_grid_item(item)) for item in json.load(fh)]
+            grid = json.load(fh)
+        if not isinstance(grid, list):
+            raise ParameterError(f"--grid must hold a list of items, got {grid!r}")
+        results = [_construct_record(_spec_from_grid_item(item)) for item in grid]
     else:
         results = _construct_record(_spec_from_grid_item(_grid_item_from_args(args)))
     _emit({"command": argv, "results": results}, args.out, t0)
@@ -96,9 +99,19 @@ def _grid_item_from_args(args) -> dict:
 
 
 def _spec_from_grid_item(item: dict):
+    if not isinstance(item, dict):
+        raise ParameterError(f"grid item must be an object, got {item!r}")
+    for key in ("k", "l", "p", "n", "j"):
+        value = item.get(key, 0)  # a missing k, l or p fails below, as a KeyError
+        if key == "j" and value is None:  # j's default, the first cuboid
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):  # True would run as 1
+            raise ParameterError(f"grid item field {key} must be an int, got {value!r}")
     params = Params(item["k"], item["l"], item["p"], item.get("n", 1))
     kind = str(item["type"]).lower()
     extras = item.get("extras") or {}
+    if not isinstance(extras, dict):
+        raise ParameterError(f"grid item extras must be an object, got {extras!r}")
     unknown = sorted(set(extras) - set(GRID_EXTRAS))
     if unknown:
         raise ParameterError(f"unknown extras {', '.join(unknown)}; known: {', '.join(GRID_EXTRAS)}")
@@ -179,14 +192,22 @@ def _write_orbit_csv(path: str, run) -> None:
                          f"\"{'; '.join(rep.notes)}\"\n")
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    """The exact value of a flag such as 1/3; a zero denominator is a parameter error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParameterError(f"{flag} {text!r} has a zero denominator") from None
+
+
 def cmd_covering(args, argv) -> int:
     t0 = time.perf_counter()
-    c = Fraction(args.c)
-    step = Fraction(args.tau_step)
-    top = Fraction(args.tau_top)
+    c = _fraction(args.c, "--c")
+    step = _fraction(args.tau_step, "--tau-step")
+    top = _fraction(args.tau_top, "--tau-top")
     grid = tuple(t for t in default_grid(step) if t <= top)
     if args.tau:
-        grid = tuple(sorted(set(grid) | {Fraction(args.tau)}))
+        grid = tuple(sorted(set(grid) | {_fraction(args.tau, "--tau")}))
     scan = tau_scan(args.p, c, mode=args.mode, grid=grid, seed=args.seed, trials=args.trials)
     doc = scan.to_dict()
     _emit({"command": argv, "seeds": {"scan": args.seed}, "results": doc}, args.out, t0)

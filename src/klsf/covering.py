@@ -14,16 +14,18 @@ Exhaustive mode (p <= 31) enumerates every set up to dilation: apart from
 {0}, each dilation orbit has a representative containing the residue 1, and
 the covering verdict is dilation-invariant, so scanning supersets of {1}
 (with and without 0) is complete.  Sets and their sumsets 2A are p-bit masks
-held in `klsf.modmath` word arrays, rotated and counted by its word
-helpers.  The limit p <= 31 bounds the run time, not the word (from p = 29
-to 31 the node count grows up to 7.2x, and no larger p has been checked
-against an oracle).  The tree is expanded a block at a time: up to
-_BLOCK_CHILDREN children of parents of one size are built, counted and
-pruned in a few array operations, deepest size first, so at most one block
-per size is pending.  The tree is cut at subtrees that can no longer meet
-the loosest doubling hypothesis on the declared grid: 2A only grows along a
-branch, so |2A| > (2 + tau_top)*s - 3 for every reachable size s certifies
-that nothing below satisfies any grid hypothesis.
+held in `klsf.modmath` word arrays and counted by its word helpers; a
+child's A and 2A come from the one fold step `modmath.child_folds`, which
+the Z_p search shares (2A is its fold at h = 2).  The limit p <= 31 bounds
+the run time, not the word (from p = 29 to 31 the node count grows up to
+7.2x, and no larger p has been checked against an oracle).  The tree is
+expanded a block at a time: up to _BLOCK_CHILDREN children of parents of
+one size are built, counted and pruned in a few array operations, deepest
+size first, so at most one block per size is pending.  The tree is cut at
+subtrees that can no longer meet the loosest doubling hypothesis on the
+declared grid: 2A only grows along a branch, so |2A| > (2 + tau_top)*s - 3
+for every reachable size s certifies that nothing below satisfies any grid
+hypothesis.
 
 Sampled mode draws trials/smax sets of each size s = 1..smax (the first
 sizes take the remainder), sizes in increasing order, from one
@@ -67,8 +69,8 @@ from fractions import Fraction
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, ap_covers, ap_gaps, dilation_orbits, doubling_sizes, indices_to_mask, is_prime,
-    rotate_words, word_array, words_popcount, words_to_residues,
+    GeneratorCheckError, ap_covers, ap_gaps, child_folds, dilation_orbits, doubling_sizes, indices_to_mask,
+    is_prime, word_array, words_popcount, words_to_residues,
 )
 from .zpset import ApCover, ZpSet, ZpSetError
 
@@ -348,9 +350,8 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
         counts, total = counts[:take], int(ends[take - 1])
         # The children of parent i add x = last[i] + 1, ..., p - 1 in turn.
         x = np.arange(total) + np.repeat(last[:take] + 1 - (ends[:take] - counts), counts)
-        bit = x.astype(masks.dtype)
-        nmasks = np.repeat(masks[:take], counts) | (1 << bit)
-        ntwos = np.repeat(twos[:take], counts) | rotate_words(nmasks, bit, p)
+        parent = np.repeat(np.arange(take), counts)
+        nmasks, ntwos = child_folds((masks, twos), parent, x.astype(masks.dtype), p)
         ndoub = words_popcount(ntwos)
         size = level + 1
         examined += total

@@ -13,7 +13,8 @@ input, after the sizes alone have had their say: a sumset with
 whose size p does not divide is {0} (Lagrange).  `MaskSet` is the set
 algebra that ZpSet and VecSet share.  Batches of
 p-bit masks of Z_p are arrays of words (`word_array`), which the word helpers
-unpack, count and rotate whatever their dtype.
+unpack, count and rotate whatever their dtype; `child_folds` is the one fold
+step of both block trees, the Z_p search and the covering lab.
 
 Over Z_p (and the one-cell space F_p^0) a sumset ORs the plain shifts
 large << x, one per element x of the smaller operand, into one int of 2p
@@ -292,6 +293,18 @@ def rotate_words(words: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:
     return ((words << shifts) | (words >> (p - shifts))) & ((1 << p) - 1)
 
 
+def child_folds(folds, parent: np.ndarray, x: np.ndarray, p: int) -> list[np.ndarray]:
+    """The fold step of a block tree over Z_p.  Given the h-fold masks
+    folds[h-1] (h = 1, 2, ...) of a block of nodes, the fold words of the
+    children A u {x[i]} of the nodes parent[i], x in [0, p) of the words'
+    dtype: the 1-fold is folds[0][parent] | (1 << x), and each higher fold
+    is folds[h-1][parent] | (the child's (h-1)-fold rotated by x)."""
+    out = [folds[0][parent] | (1 << x)]
+    for fold in folds[1:]:
+        out.append(fold[parent] | rotate_words(out[-1], x, p))
+    return out
+
+
 def dilation_masks(p: int, mask: int) -> list[int]:
     """The masks of c*A for c = 1, ..., p-1 (entry c-1), A a subset of Z_p."""
     elems = mask_to_indices(mask)
@@ -376,28 +389,27 @@ def _ap_inverses(p: int) -> np.ndarray:
     return inverses
 
 
-def ap_gaps(p: int, residues: np.ndarray, lo: int, stop: int | None = None):
+def ap_gaps(p: int, residues: np.ndarray, lo: int):
     """The widest-gap step of the AP-cover scan.  For the rows A of an (N, s)
     array of residues mod p and the block of differences d = lo+1, lo+2, ...
     that keeps an (N, D, s) array within _COVER_CELLS cells (at least one
-    difference, none past `stop`, by default p // 2), the sorted images
-    d^(-1)*A as an (N, D, s) array, and the same-shape array of the number of
-    residues missing between each image entry and its cyclic predecessor.
+    difference, none past p // 2), the sorted images d^(-1)*A as an
+    (N, D, s) array, and the same-shape array of the number of residues
+    missing between each image entry and its cyclic predecessor.
 
     The shortest AP of difference d containing A is the complement of the
     widest such gap, starting at the entry after it; d and -d give the same
     length, so d <= (p-1)/2 will do.
     """
-    block = _ap_inverses(p)[lo:stop][:max(1, _COVER_CELLS // residues.size)]
+    block = _ap_inverses(p)[lo:][:max(1, _COVER_CELLS // residues.size)]
     img = np.sort(residues.astype(block.dtype, copy=False)[:, None, :] * block[:, None] % p, axis=2)
     return img, np.diff(img, axis=2, prepend=img[:, :, -1:] - p) - 1
 
 
-def ap_covers(p: int, residues, stop: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ap_covers(p: int, residues) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shortest AP cover of each row A of an (N, s) array of s >= 1
-    distinct residues mod p, over the differences d = 1, ..., p // 2 (or up
-    to `stop`; stop = 1 gives the shortest interval), as int64 arrays
-    (d, start, length): A lies in {start + i*d : 0 <= i < length}.
+    distinct residues mod p, over the differences d = 1, ..., p // 2, as
+    int64 arrays (d, start, length): A lies in {start + i*d : 0 <= i < length}.
 
     Ties go to the smallest d, then to the smallest start of the interval
     cover of d^(-1)*A.  The differences go through `ap_gaps` in blocks; the
@@ -406,14 +418,13 @@ def ap_covers(p: int, residues, stop: int | None = None) -> tuple[np.ndarray, np
     """
     residues = np.asarray(residues).astype(_ap_inverses(p).dtype, copy=False)
     rows, size = residues.shape
-    stop = p // 2 if stop is None else stop
     every = np.arange(rows)
     best_gap = np.full(rows, -1)
     best_d = np.zeros(rows, dtype=np.int64)
     best_start = np.zeros(rows, dtype=np.int64)  # in the image d^(-1)*A
     lo = 0
-    while lo < stop and rows:
-        img, gaps = ap_gaps(p, residues, lo, stop)
+    while lo < p // 2 and rows:
+        img, gaps = ap_gaps(p, residues, lo)
         count = img.shape[1]
         img, gaps = img.reshape(rows, -1), gaps.reshape(rows, -1)
         at = gaps.argmax(axis=1)

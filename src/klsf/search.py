@@ -40,9 +40,10 @@ time: every (node, candidate) pair of a block goes through the fold updates
 and the cuts in a few array operations, with no per-node Python loop.
 A block keeps one flat word array per fold, h = 1..k (the 0-fold {0} stays
 implicit), so a pair's 1-fold is its parent's with bit x set and each
-higher fold is one gather and one rotation.  Masks are the word arrays of
+higher fold is one gather and one rotation: `modmath.child_folds`, the one
+fold step, which the covering tree shares.  Masks are the word arrays of
 `klsf.modmath` (uint64 words for p <= 61, Python ints above, which only a
-raised p_limit reaches), unpacked, counted and rotated by its word helpers.
+raised p_limit reaches), unpacked and counted by its word helpers.
 The tree is the same as a node-at-a-time scan's with the same rule:
 `node_count` counts its nodes, `prunes_collision` and `prunes_size` the
 pairs cut by each test, and `prunes_ratio` the pairs the ratio rule removes
@@ -85,7 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, dilation_orbits, rotate_words, word_array, words_popcount, words_to_bits,
+    GeneratorCheckError, child_folds, dilation_orbits, word_array, words_popcount, words_to_bits,
 )
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params
@@ -272,13 +273,12 @@ def _scan(p: int, k: int, l: int, target: int | None):
     candidates of every node that gains a.
 
     The stack holds blocks of at most _BLOCK_NODES nodes of one size: word
-    arrays of set masks and candidate masks, the nodes' second elements
-    (None for the root) and a tuple of k fold arrays, folds[h-1] the masks
-    of the h-fold sumsets, h = 1..k.  One expansion builds every (node,
-    candidate x) pair of a block and runs the fold updates on all pairs at
-    once: the 1-fold is folds[0][parent] | (1 << x) and each higher fold is
-    folds[h-1][parent] | (the pair's (h-1)-fold rotated by x).  It keeps the
-    children whose k-fold and l-fold masks stay apart.
+    arrays of candidate masks, the nodes' second elements (None for the
+    root) and a tuple of k fold arrays, folds[h-1] the masks of the h-fold
+    sumsets, h = 1..k (folds[0] the set masks).  One expansion builds every
+    (node, candidate x) pair of a block and runs the fold updates on all
+    pairs at once through `child_folds`.  It keeps the children whose
+    k-fold and l-fold masks stay apart.
     A child may only add the feasible residues of its parent above x (every
     set is met once, in increasing order) that the ratio rule leaves, and is
     cut when those cannot lift it to `best`.  The root's child {1, x} is made
@@ -294,30 +294,27 @@ def _scan(p: int, k: int, l: int, target: int | None):
     nodes = collisions = cuts = ratio_cuts = 0
     # folds[h-1] holds the h-fold masks of a block, h = 1..k; the root's are {h}
     folds = tuple(word_array(p, [1 << (h % p)]) for h in range(1, k + 1))
-    stack = [(1, word_array(p, [0b10]), word_array(p, [(1 << p) - 4]), None, folds)]
+    stack = [(1, word_array(p, [(1 << p) - 4]), None, folds)]
     while stack:
-        size, amask, cand, second, folds = stack.pop()
-        nodes += len(amask)
+        size, cand, second, folds = stack.pop()
+        nodes += len(cand)
         if size == best:
-            hits.extend(amask.tolist())
+            hits.extend(folds[0].tolist())
             if target is not None:
                 continue
         elif size > best and target is None:
             best = size
-            hits = amask.tolist()
+            hits = folds[0].tolist()
         if target is not None and size >= target:
             continue
         parent, xi = np.nonzero(words_to_bits(cand, p))
-        x = xi.astype(amask.dtype)
-        bit = 1 << x
-        nf = [folds[0][parent] | bit]  # the children's fold masks, h = 1..k
-        for fold in folds[1:]:
-            nf.append(fold[parent] | rotate_words(nf[-1], x, p))
+        x = xi.astype(cand.dtype)
+        nf = child_folds(folds, parent, x, p)  # the children's fold masks, h = 1..k
         ok = ((nf[k - 1] & nf[l - 1]) == 0).nonzero()[0]
         collisions += len(x) - len(ok)
-        parent, xi, x, bit = parent[ok], xi[ok], x[ok], bit[ok]
-        feasible = np.zeros(len(amask), dtype=amask.dtype)
-        np.bitwise_or.at(feasible, parent, bit)
+        parent, xi, x = parent[ok], xi[ok], x[ok]
+        feasible = np.zeros(len(cand), dtype=cand.dtype)
+        np.bitwise_or.at(feasible, parent, 1 << x)
         second = xi if size == 1 else second[parent]
         lost = ratio[second, xi]
         if size == 1:
@@ -326,22 +323,19 @@ def _scan(p: int, k: int, l: int, target: int | None):
             made = ((lost & 2) == 0).nonzero()[0]
             ratio_cuts += len(ok) - len(made)
             ok, parent, second = ok[made], parent[made], second[made]
-            x, bit, lost = x[made], bit[made], lost[made]
+            x, lost = x[made], lost[made]
         suffix = (feasible[parent] >> (x + 1)) << (x + 1)
         lost &= suffix
         ratio_cuts += int(words_popcount(lost).sum())
         suffix ^= lost
         keep = (size + 1 + words_popcount(suffix) >= best).nonzero()[0]
         cuts += len(ok) - len(keep)
-        child_masks = amask[parent[keep]] | bit[keep]
-        child_cand = suffix[keep]
-        child_second = second[keep]
-        rows = ok[keep]
-        child_folds = tuple(f[rows] for f in nf)
+        child_cand, child_second, rows = suffix[keep], second[keep], ok[keep]
+        kept_folds = tuple(f[rows] for f in nf)
         for lo in reversed(range(0, len(keep), _BLOCK_NODES)):
             part = slice(lo, lo + _BLOCK_NODES)
-            stack.append((size + 1, child_masks[part], child_cand[part], child_second[part],
-                          tuple(f[part] for f in child_folds)))
+            stack.append((size + 1, child_cand[part], child_second[part],
+                          tuple(f[part] for f in kept_folds)))
     return best, hits, ScanCounts(nodes, collisions, cuts, ratio_cuts)
 
 

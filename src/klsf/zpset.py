@@ -3,8 +3,8 @@
 A subset of Z_p is stored as a p-bit mask (bit i set iff residue i belongs to
 the set): the n = 1 case of the mask format of `klsf.modmath`, whose kernel
 does every conversion, every sumset, fold and sum-freeness test and every
-shortest interval or AP cover (one row of `modmath.ap_covers`, the scan the
-covering lab runs on batches of sets), so ZpSet is a typed view over it.
+shortest AP cover (one row of `modmath.ap_covers`, the scan the covering
+lab runs on batches of sets), so ZpSet is a typed view over it.
 All operations are pure: they return fresh values and never mutate their
 inputs, so values can be shared freely across threads.
 
@@ -207,25 +207,16 @@ class ApCover:
         return ZpSet(self.p, self.positions())
 
 
-def _shortest_cover(a: ZpSet, stop: int | None = None) -> ApCover:
-    if a.is_empty():
-        raise ZpSetError("empty set has no cover")
-    d, start, length = (int(x[0]) for x in ap_covers(a.p, mask_to_indices(a.mask)[None], stop))
-    return ApCover(a.p, start, d, length)
-
-
-def min_interval_cover(a: ZpSet) -> ApCover:
-    """Shortest cyclic interval containing A; ties go to the smallest start."""
-    return _shortest_cover(a, 1)
-
-
 def min_ap_cover(a: ZpSet) -> ApCover:
     """Shortest AP cover over all differences d in [1, (p-1)/2].
 
     Ties across differences go to the smallest d, then (within d) to the
     smallest start of the interval cover of d^(-1)*A.
     """
-    return _shortest_cover(a)
+    if a.is_empty():
+        raise ZpSetError("empty set has no cover")
+    d, start, length = (int(x[0]) for x in ap_covers(a.p, mask_to_indices(a.mask)[None]))
+    return ApCover(a.p, start, d, length)
 
 
 def holes(a: ZpSet, cover: ApCover) -> list[int]:

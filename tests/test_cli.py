@@ -129,6 +129,16 @@ def test_covering_scan_and_exit_codes(tmp_path, capsys):
         assert "parameter error" in err and "at least one trial" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--c", "1/0"], ["--c", "1/3", "--tau-step", "1/0"], ["--c", "1/3", "--tau", "1/0"],
+    ["--c", "1/3", "--tau-top", "1/0"],
+], ids=["c", "tau-step", "tau", "tau-top"])
+def test_covering_zero_denominator_exit_1(capsys, flags):
+    code, doc, err = run_cli(["covering", "--p", "13", *flags], capsys)
+    assert (code, doc) == (1, None)
+    assert "parameter error" in err and f"{flags[-2]} '1/0' has a zero denominator" in err
+
+
 def src_env():
     """The environment of a `python -m klsf.cli` subprocess that imports ./src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -297,6 +307,28 @@ def test_grid_item_refuses_keys_the_kind_does_not_read(tmp_path, capsys, item, u
     path.write_text(json.dumps([item]))
     code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
     assert code == 1 and doc is None and "parameter error" in err and unread in err
+
+
+@pytest.mark.parametrize("item, message", [
+    (1, "grid item must be an object, got 1"),
+    ({"k": "2", "l": 1, "p": 23, "type": "cuboid"}, "field k must be an int, got '2'"),
+    ({"k": 3, "l": 1, "p": 23, "type": "cuboid", "j": "0"}, "field j must be an int, got '0'"),
+    ({"k": 3, "l": 1, "p": 23, "n": True, "type": "cuboid"}, "field n must be an int, got True"),
+    ({"k": 3, "l": 1, "p": 23, "type": "1", "extras": [5]}, "extras must be an object, got [5]"),
+], ids=["non-object", "string-k", "string-j", "bool-n", "list-extras"])
+def test_grid_item_refuses_malformed_fields(tmp_path, capsys, item, message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([item]))
+    code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
+    assert code == 1 and doc is None and "parameter error" in err and message in err
+
+
+@pytest.mark.parametrize("grid", [5, {"k": 3, "l": 1, "p": 23, "type": "cuboid"}], ids=["number", "object"])
+def test_grid_file_refuses_a_non_list(tmp_path, capsys, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
+    assert code == 1 and doc is None and "parameter error: --grid must hold a list of items" in err
 
 
 def test_construct_j_defaults_to_the_first_cuboid(capsys):

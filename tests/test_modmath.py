@@ -16,8 +16,9 @@ ints, with cosets of multiplicative subgroups for nontrivial stabilizers,
 and the dilation images of both routes (the cached bit table up to
 p = 61, packed bit arrays above) against Python products c*x % p.
 Batched doubling sizes are checked against `sumset_mask` and pair sums on
-both sides of the pair-table cut-over.  The Z_p route's single wrap is
-checked at p = 2 and 3, on both sides of the 64-bit word (61, 67), at
+both sides of the pair-table cut-over, and the block trees' fold step
+`child_folds` against `fold_masks` of each child.  The Z_p route's single
+wrap is checked at p = 2 and 3, on both sides of the 64-bit word (61, 67), at
 p = 1019 and on the one-cell space.  Sumsets at the pigeonhole bound
 |A| + |B| = p^n take each route and one element more takes none, and
 stabilizers of sizes p does not divide take no transform.  Set operations on ZpSet and VecSet
@@ -825,6 +826,26 @@ def test_word_helpers_match_the_scalar_mask_functions(p):
             modmath.words_to_residues(modmath.word_array(p, [0b1, 0b11]), p)
 
 
+@pytest.mark.parametrize("p", [13, 61, 67])
+def test_child_folds_match_fold_masks_of_each_child(p):
+    # Every x outside each random parent A, h = 1..4: uint64 words at 13 and
+    # 61, Python ints at 67.  A parent holding p - 1 makes rotations wrap.
+    rng = random.Random(p)
+    parents = [indices_to_mask(rng.sample(range(p), rng.randrange(1, 6))) for _ in range(4)]
+    parents.append(indices_to_mask([1, p - 1]))
+    pairs = [(i, x) for i, a in enumerate(parents) for x in range(p) if not a >> x & 1]
+    parent = np.array([i for i, _ in pairs])
+    for h in range(1, 5):
+        chains = [fold_masks(p, 1, a, h) for a in parents]
+        folds = [modmath.word_array(p, [chain[j] for chain in chains]) for j in range(h)]
+        shifts = np.array([x for _, x in pairs]).astype(folds[0].dtype)
+        got = modmath.child_folds(folds, parent, shifts, p)
+        assert [f.dtype for f in got] == [folds[0].dtype] * h
+        want = [fold_masks(p, 1, parents[i] | 1 << x, h) for i, x in pairs]
+        assert [f.tolist() for f in got] == [list(fold) for fold in zip(*want)]
+    assert any((parents[i] << x) >> p for i, x in pairs)  # some 1-fold rotation wraps
+
+
 @pytest.mark.parametrize("p", [2, 3, 13, 61, 67, 101, 1009])
 def test_doubling_sizes_match_sumsets_on_both_routes(p, monkeypatch):
     # Sizes on both sides of the pair-table cut-over, s = 1 and s = p - 1;
@@ -1062,11 +1083,11 @@ for s, bad, err in ((ZpSet(7, [1]), 1 << 7, ZpSetError), (VecSet(5, 2, [(1, 1)])
 
 def test_word_format_lives_in_modmath():
     # The search and the covering lab hold batched masks only through the
-    # word helpers of klsf.modmath.
+    # word helpers of klsf.modmath, and take their fold step from it.
     src = Path(modmath.__file__).parent
     for name in ("search.py", "covering.py"):
         text = (src / name).read_text()
-        for token in ("unpackbits", "bitwise_count", "WORD_P_LIMIT", "to_bytes"):
+        for token in ("unpackbits", "bitwise_count", "WORD_P_LIMIT", "to_bytes", "rotate_words"):
             assert token not in text, f"{name} uses {token}"
 
 

@@ -23,7 +23,6 @@ from klsf.zpset import (
     is_ap,
     is_kl_sumfree,
     min_ap_cover,
-    min_interval_cover,
     parse_zpset,
     sumset,
 )
@@ -174,15 +173,11 @@ def test_is_ap_size_conventions():
 
 
 def test_cover_examples():
-    c = min_interval_cover(ZpSet(13, [0, 1, 2, 4]))
-    assert (c.start, c.diff, c.length) == (0, 1, 5)
     mc = min_ap_cover(ZpSet(11, [2, 7, 10]))
     assert mc.length == 3
     assert ZpSet(11, [2, 7, 10]).issubset(mc.as_set())
-    c2 = min_interval_cover(ZpSet(13, [x for x in range(13) if x != 5]))
-    assert c2.length == 12 and c2.start == 6
     with pytest.raises(ZpSetError, match="empty set has no cover"):
-        min_interval_cover(ZpSet(13))
+        min_ap_cover(ZpSet(13))
 
 
 def test_holes_examples():
@@ -234,14 +229,15 @@ def test_literals():
 
 
 def interval_cover_format(a):
-    """`format_zpset` with the interval test read from `min_interval_cover`."""
+    """`format_zpset` with the interval test read from the d = 1 cover of
+    the scalar scan `ap_cover_scan`."""
     p = a.p
     if a.is_full():
         return f"p={p};[0,{p - 1}]"
     if len(a) >= 2:
-        cov = min_interval_cover(a)
-        if cov.length == len(a):
-            return f"p={p};[{cov.start},{(cov.start + cov.length - 1) % p}]"
+        _, length, start = next(ap_cover_scan(a.elements(), p))
+        if length == len(a):
+            return f"p={p};[{start},{(start + length - 1) % p}]"
     return f"p={p};{{{','.join(map(str, a))}}}"
 
 
@@ -348,11 +344,8 @@ def test_min_cover_against_oracle():
     for _ in range(60):
         p = rng.choice([7, 11, 13])
         a = ZpSet(p, rng.sample(range(p), rng.randrange(1, p + 1)))
-        assert min_interval_cover(a).length == naive_min_cover_len(a)
-        cover = min_interval_cover(a)
-        assert a.issubset(cover.as_set())
         apc = min_ap_cover(a)
-        assert apc.length <= cover.length
+        assert apc.length <= naive_min_cover_len(a)
         assert a.issubset(apc.as_set())
         assert 1 <= apc.diff <= max(1, (p - 1) // 2)
 
@@ -450,8 +443,6 @@ def test_covers_match_scalar_scan_past_int32_products(p):
         length, diff, start = scalar_min_ap_cover(a)
         cover = ApCover(p, start, diff, length)
         assert min_ap_cover(a) == cover
-        _, interval, first = next(ap_cover_scan(a.elements(), p))
-        assert min_interval_cover(a) == ApCover(p, first, 1, interval)
         doubling = len(sumset(a, a))
         covered = length <= doubling - len(a) + 1
         v = covering.covering_verdict(a)
