@@ -45,7 +45,9 @@ from .criteria import CRITERIA, run_criterion
 SCHEMA = "klsf/1"
 EXIT_OK, EXIT_PARAM, EXIT_CHECK, EXIT_FINDING = 0, 1, 2, 3
 EXIT_PIPE = 128 + 13  # SIGPIPE
-# The keys a --grid item's "extras" may hold (read by the non-cuboid kinds).
+# The keys every --grid item must hold, and those its "extras" may hold (read
+# by the non-cuboid kinds).
+GRID_REQUIRED = ("k", "l", "p", "type")
 GRID_EXTRAS = ("a", "s", "vbasis", "pset")
 
 
@@ -82,7 +84,7 @@ def cmd_construct(args, argv) -> int:
             grid = json.load(fh)
         if not isinstance(grid, list):
             raise ParameterError(f"--grid must hold a list of items, got {grid!r}")
-        results = [_construct_record(_spec_from_grid_item(item)) for item in grid]
+        results = [_construct_record(_spec_from_grid_item(item, i)) for i, item in enumerate(grid)]
     else:
         results = _construct_record(_spec_from_grid_item(_grid_item_from_args(args)))
     _emit({"command": argv, "results": results}, args.out, t0)
@@ -98,11 +100,15 @@ def _grid_item_from_args(args) -> dict:
             "extras": {key: v for key, v in extras.items() if v is not None}}
 
 
-def _spec_from_grid_item(item: dict):
+def _spec_from_grid_item(item: dict, position: int = 0):
     if not isinstance(item, dict):
         raise ParameterError(f"grid item must be an object, got {item!r}")
+    missing = [key for key in GRID_REQUIRED if key not in item]
+    if missing:
+        raise ParameterError(f"grid item {position} has no {', '.join(missing)}"
+                             f" (required: {', '.join(GRID_REQUIRED)})")
     for key in ("k", "l", "p", "n", "j"):
-        value = item.get(key, 0)  # a missing k, l or p fails below, as a KeyError
+        value = item.get(key, 0)
         if key == "j" and value is None:  # j's default, the first cuboid
             continue
         if not isinstance(value, int) or isinstance(value, bool):  # True would run as 1

@@ -9,12 +9,13 @@ orbits, translation stabilizers, and the doubling sizes |A + A| and shortest
 AP covers of a batch of Z_p residue rows (the one AP-cover scan: `ap_covers`
 over the widest-gap step `ap_gaps`); each operation picks its route from its
 input, after the sizes alone have had their say: a sumset with
-|A| + |B| > p^n is the whole space (pigeonhole), and a stabilizer of a set
-whose size p does not divide is {0} (Lagrange).  `MaskSet` is the set
-algebra that ZpSet and VecSet share.  Batches of
-p-bit masks of Z_p are arrays of words (`word_array`), which the word helpers
-unpack, count and rotate whatever their dtype; `child_folds` is the one fold
-step of both block trees, the Z_p search and the covering lab.
+|A| + |B| > p^n is the whole space (pigeonhole), and so is every jA, j >= 2,
+of a fold chain or (k,l) check with 2|A| > p^n; a stabilizer of a set whose
+size p does not divide is {0} (Lagrange).  `MaskSet` is the set algebra that
+ZpSet and VecSet share.  Batches of p-bit masks of Z_p are arrays of words
+(`word_array`), which the word helpers unpack, count and rotate whatever
+their dtype; `child_folds` is the one fold step of both block trees, the Z_p
+search and the covering lab.
 
 Over Z_p (and the one-cell space F_p^0) a sumset ORs the plain shifts
 large << x, one per element x of the smaller operand, into one int of 2p
@@ -23,15 +24,18 @@ fold onto 0..p-2.  That route serves every Z_p sumset, h-fold chain and
 (k,l) check, the Z_p factors T + U of the row-class route and the large rows
 of `doubling_sizes`.
 
-Over F_p^n, n >= 2, sets above the roll route's size take the FFT route,
-except for the fold chains and (k,l) checks of a set in F_p^2 with few row
-classes.  A row is the p^(n-1)-bit block of one last coordinate, and a set
-with few distinct rows is a disjoint union of products T x F, F a row and T
-the last coordinates that carry it.  Since (T x F) + (U x G) =
-(T + U) x (F + G), the row-class route sums such a set's chain pair by
-pair, two Z_p sumsets each, in exact bit arithmetic, while the pairs stay
-within a budget measured against the FFT route.  The paper's structures are
-unions of bands I x F over one axis and have one to three row classes.
+Over F_p^n, n >= 2, a sumset takes one array roll per element of its
+smaller operand up to the roll route's size and the FFT route above it.
+Fold chains and (k,l) checks in F_p^2 try the row-class route first, at
+every size, and fall back by the same size to the rolls or the FFT when a
+set has too many row classes.  A row is the p^(n-1)-bit block of one last
+coordinate, and a set with few distinct rows is a disjoint union of
+products T x F, F a row and T the last coordinates that carry it.  Since
+(T x F) + (U x G) = (T + U) x (F + G), the row-class route sums such a
+set's chain pair by pair, two Z_p sumsets each, in exact bit arithmetic,
+while the pairs stay within a budget measured against the FFT route (and so
+conservative against the slower rolls).  The paper's structures are unions
+of bands I x F over one axis and have one to three row classes.
 
 The FFT route uses real-input transforms (`rfftn`/`irfftn`) of the 0/1
 indicators.  Every inverse transform goes through `_inverse_fft` and
@@ -68,7 +72,8 @@ _SPARSE_POPCOUNT = 24
 # Sizes settle first: |A| + |B| > p^n gives the whole space, so at n = 2 a
 # sumset takes the FFT only when 64 < min(|A|, |B|) and |A| + |B| <= p^2,
 # which first happens at p = 13 (at p = 11, 65 + 65 > 121).  Fold chains and
-# (k,l) checks above this size keep their own FFT route (`_fft_route`).
+# (k,l) checks settle 2|A| > p^n by size too, then try the row-class route
+# in F_p^2 at every size, and only then cut over here (`_fft_route`).
 _FFT_THRESHOLD = 64
 # Up to this many (dilation, element) pairs, p-1 dilations are cheaper as
 # Python int loops than as one `_dilation_images` call (break-even near
@@ -555,6 +560,13 @@ def _row_pair_budget(p: int, n: int) -> int:
     0.26 ms at p = 53), and their 24-pair (3,1) checks tie at p = 19-47 and
     win at p = 503 (3.2 against 50 ms).
 
+    Fold chains and (k,l) checks try this route first at every size, so
+    below _FFT_THRESHOLD the route it saves is the rolls, slower than the
+    FFT it was measured against, and the budget is conservative there.
+    One-class sets at p = 11 (best of 7, same machine): the (2,1) check of
+    the type-1 set takes 0.023 ms by rows against 0.34 ms of rolls, and the
+    (3,1) check of the (3,1) cuboid 0.025 ms against 1.26 ms.
+
     At n >= 3 the budget is 0 and the route is not taken: no benchmark
     workload builds sets there.  A pair is then a whole sumset over
     F_p^(n-1); one class beat the FFT route at p = 17, n = 3 (0.1-0.2 ms
@@ -675,14 +687,36 @@ def _fft_folds(p: int, n: int, a: int, h: int) -> tuple[list, list]:
     return supports, spectra
 
 
+def _row_chain(p: int, n: int, a: int, h: int) -> list | None:
+    # The row-class route is open where its pair budget is: F_p^2 only.
+    return _row_folds(p, n, a, h) if _row_pair_budget(p, n) else None
+
+
+def _fills_space(p: int, n: int, a: int) -> bool:
+    # |A| + |A| > p^n: 2A is the whole space (pigeonhole, as in `sumset_mask`),
+    # and so is every jA + A after it.
+    return 2 * a.bit_count() > p**n
+
+
 def fold_masks(p: int, n: int, a: int, h: int) -> list[int]:
-    """The h-fold chain [A, 2A, ..., hA], each step (j+1)A = jA + A."""
+    """The h-fold chain [A, 2A, ..., hA], each step (j+1)A = jA + A.
+
+    Sizes first: when 2|A| > p^n, 2A onward is the whole space.  Otherwise
+    a set in F_p^2 tries the row-class route, and what it refuses takes one
+    sumset per step up to _FFT_THRESHOLD elements and the FFT above."""
+    if h > 1 and _fills_space(p, n, a):
+        return [a] + [_full_mask(p**n)] * (h - 1)
+    chain = _row_chain(p, n, a, h)
+    if chain is not None:
+        return [a] + [_terms_to_mask(p, n, terms) for terms in chain[1:]]
     if _fft_route(n, a):
-        chain = _row_folds(p, n, a, h)
-        if chain is not None:
-            return [a] + [_terms_to_mask(p, n, terms) for terms in chain[1:]]
         supports, _ = _fft_folds(p, n, a, h)
         return [a] + [bits_to_mask(s.reshape(-1)) for s in supports[1:]]
+    return _step_folds(p, n, a, h)
+
+
+def _step_folds(p: int, n: int, a: int, h: int) -> list[int]:
+    # One sumset per step: the one-wrap shifts over Z_p, the rolls over F_p^n.
     folds = [a]
     for _ in range(h - 1):
         folds.append(sumset_mask(p, n, folds[-1], a))
@@ -692,21 +726,24 @@ def fold_masks(p: int, n: int, a: int, h: int) -> list[int]:
 def is_kl_sumfree_mask(p: int, n: int, a: int, k: int, l: int) -> bool:
     """True iff kA and lA are disjoint (k > l >= 1).
 
-    On the FFT route the two sides are balanced: a_1 + ... + a_k equals
-    b_1 + ... + b_l iff a_1 + ... + a_{k-j} equals
-    b_1 + ... + b_l - a_{k-j+1} - ... - a_k, so with j = (k-l)//2, kA and lA
-    are disjoint iff (k-j)A and lA - jA are.  lA - jA is read off
+    The routes run in the order of `fold_masks`.  Sizes first: when
+    2|A| > p^n, kA is the whole space and meets lA.  On the row-class route
+    kA and lA are unions of products, and they meet iff some product of
+    each does, in its T and in its F.  On the FFT route the two sides are
+    balanced: a_1 + ... + a_k equals b_1 + ... + b_l iff a_1 + ... + a_{k-j}
+    equals b_1 + ... + b_l - a_{k-j+1} - ... - a_k, so with j = (k-l)//2,
+    kA and lA are disjoint iff (k-j)A and lA - jA are.  lA - jA is read off
     F(lA) conj(F(jA)), and lA - 0A = lA; a (3,1) check is 2A against A - A,
-    one forward and two inverse transforms.  On the row-class route kA and
-    lA are unions of products, and they meet iff some product of each does,
-    in its T and in its F.
+    one forward and two inverse transforms.
     """
-    if not _fft_route(n, a):
-        folds = fold_masks(p, n, a, k)
-        return folds[k - 1] & folds[l - 1] == 0
-    chain = _row_folds(p, n, a, k)
+    if _fills_space(p, n, a):
+        return False
+    chain = _row_chain(p, n, a, k)
     if chain is not None:
         return not any(t & u and f & g for t, f in chain[k - 1] for u, g in chain[l - 1])
+    if not _fft_route(n, a):
+        folds = _step_folds(p, n, a, k)
+        return folds[k - 1] & folds[l - 1] == 0
     j = (k - l) // 2
     supports, spectra = _fft_folds(p, n, a, k - j)
     if j:

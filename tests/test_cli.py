@@ -323,6 +323,19 @@ def test_grid_item_refuses_malformed_fields(tmp_path, capsys, item, message):
     assert code == 1 and doc is None and "parameter error" in err and message in err
 
 
+GRID_ITEM = {"k": 3, "l": 1, "p": 23, "type": "cuboid"}
+
+
+@pytest.mark.parametrize("key", ["k", "l", "p", "type"])
+def test_grid_item_refuses_a_missing_key(tmp_path, capsys, key):
+    # The message names the item's position in the grid and the missing key.
+    item = {field: value for field, value in GRID_ITEM.items() if field != key}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([GRID_ITEM, item]))
+    code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
+    assert code == 1 and doc is None and f"parameter error: grid item 1 has no {key} (" in err
+
+
 @pytest.mark.parametrize("grid", [5, {"k": 3, "l": 1, "p": 23, "type": "cuboid"}], ids=["number", "object"])
 def test_grid_file_refuses_a_non_list(tmp_path, capsys, grid):
     path = tmp_path / "grid.json"

@@ -10,10 +10,13 @@ in F_p^2 (generated structures, cuboids and random sets under random GL_2
 maps or left unmoved) also pin the row-class and FFT routes to the roll
 route, and the FFT route's transforms are counted.  Unions of products
 T x F in F_p^2 and F_p^3 check the sumsets, and the row-class route under
-drawn pair budgets, against pair sums.  Batched dilation orbits are checked
-against `zpset.dilate` one dilate at a time, on uint64 words and on Python
-ints, with cosets of multiplicative subgroups for nontrivial stabilizers,
-and the dilation images of both routes (the cached bit table up to
+drawn pair budgets, against pair sums.  The routes each fold chain and
+(k,l) check calls are pinned: the row-class route for the p = 11 generator
+outputs below the FFT threshold, the rolls for a random set of their size,
+never the row-class route in F_p^3, and no route at all once 2|A| > p^n.
+Batched dilation orbits are checked against `zpset.dilate` one dilate at a
+time, on uint64 words and on Python ints, with cosets of multiplicative
+subgroups for nontrivial stabilizers, and the dilation images of both routes (the cached bit table up to
 p = 61, packed bit arrays above) against Python products c*x % p.
 Batched doubling sizes are checked against `sumset_mask` and pair sums on
 both sides of the pair-table cut-over, and the block trees' fold step
@@ -385,9 +388,11 @@ def negated(mask, p, n):
 
 
 def counted_routes(monkeypatch):
-    """Record the name of every sumset route the kernel calls, in a list."""
+    """Record the name of every route the kernel calls, in a list: the
+    sumset routes, and the row-class and FFT routes of fold chains and
+    (k,l) checks (whose roll fallback is one `_sumset_rolls` per step)."""
     calls = []
-    for name in ("_sumset_rotations", "_sumset_rolls", "_sumset_fft"):
+    for name in ("_sumset_rotations", "_sumset_rolls", "_sumset_fft", "_row_folds", "_fft_folds"):
         route = getattr(modmath, name)
         monkeypatch.setattr(modmath, name,
                             lambda *args, name=name, route=route: calls.append(name) or route(*args))
@@ -426,6 +431,77 @@ def test_sumset_pigeonhole_boundary(p, n, size, route, monkeypatch):
         assert calls == []
     # Whole-space results share one mask.
     assert sumset_mask(p, n, a, more) is sumset_mask(p, n, more, a)
+
+
+# The p = 11 outputs of the (2,1) generators whose sets classify2d checks:
+# rz with |P| = 3 (three row classes), type 1 (one) and type 2 with V = {0}
+# (two), 33 points each, below the FFT threshold.  Each tuple carries the
+# routes the 3-fold chain takes: one class fits the pair budget of 9, while
+# the chain estimates of two and three classes (4 + 6 and 9 + 15 pairs) do
+# not, and those chains fall back to one roll per step.
+ROW_ROUTE = {"_row_folds", "_sumset_rotations"}
+P11_SPECS = [
+    (TypeSpec("rz", Params(2, 1, 11, 2), s=1, pset=((1,), (5,), (7,))), 3,
+     ["_row_folds", "_sumset_rolls", "_sumset_rolls"]),
+    (TypeSpec("type1", Params(2, 1, 11, 2), a=6), 1, ROW_ROUTE),
+    (TypeSpec("type2", Params(2, 1, 11, 2), vbasis=()), 2,
+     ["_row_folds", "_sumset_rolls", "_sumset_rolls"]),
+]
+
+
+def routes_of(calls):
+    # Row-route calls are one `_row_folds` and its Z_p sumsets, in any number.
+    return set(calls) if set(calls) == ROW_ROUTE else calls
+
+
+@pytest.mark.parametrize("spec, classes, three_fold", P11_SPECS, ids=[s.which for s, *_ in P11_SPECS])
+def test_structured_sets_below_the_fft_threshold_take_the_row_route(spec, classes, three_fold,
+                                                                     monkeypatch):
+    p = spec.params.p
+    calls = counted_routes(monkeypatch)
+    a = gen_type(spec).mask
+    # The generator's own (2,1) self-check rolls no array.
+    assert routes_of(calls) == ROW_ROUTE
+    assert a.bit_count() <= modmath._FFT_THRESHOLD
+    assert len(modmath._row_classes(p, 2, a)) == classes
+    want = [a, naive_sum(a, a, p, 2)]
+    want.append(naive_sum(want[-1], a, p, 2))
+    calls.clear()
+    assert is_kl_sumfree_mask(p, 2, a, 2, 1) and want[1] & a == 0
+    assert routes_of(calls) == ROW_ROUTE
+    calls.clear()
+    assert fold_masks(p, 2, a, 3) == want
+    assert routes_of(calls) == three_fold
+    # A random set of the same size has more rows than the row-class route
+    # admits, so it still rolls: 2A, and then 2A + A unless the sizes fill
+    # the plane.
+    other = indices_to_mask(random.Random(p).sample(range(p * p), a.bit_count()))
+    assert modmath._row_classes(p, 2, other) is None
+    want = [other, naive_sum(other, other, p, 2)]
+    want.append(naive_sum(want[-1], other, p, 2))
+    calls.clear()
+    assert is_kl_sumfree_mask(p, 2, other, 2, 1) == (want[1] & other == 0)
+    assert calls == ["_row_folds", "_sumset_rolls"]
+    calls.clear()
+    assert fold_masks(p, 2, other, 3) == want
+    rolls = 1 + (want[1].bit_count() + other.bit_count() <= p * p)
+    assert calls == ["_row_folds"] + ["_sumset_rolls"] * rolls
+
+
+@pytest.mark.parametrize("p, rows, route", [(5, 2, "_sumset_rolls"), (7, 3, "_fft_folds")])
+def test_no_set_in_three_dimensions_reaches_the_row_route(p, rows, route, monkeypatch):
+    # A band of `rows` whole planes of F_p^3 has one row class, but the pair
+    # budget is 0 at n = 3: below the FFT threshold (50 points at p = 5) it
+    # rolls, above it (147 points at p = 7) it takes the FFT, and neither
+    # calls `_row_folds`.  Both stay under half the space.
+    a = products_mask([((1 << rows) - 1, (1 << p * p) - 1)], p, 3)
+    assert 2 * a.bit_count() <= p**3
+    want = [a, pair_sum(a, a, p, 3)]
+    want.append(pair_sum(want[-1], a, p, 3))
+    calls = counted_routes(monkeypatch)
+    assert fold_masks(p, 3, a, 3) == want
+    assert is_kl_sumfree_mask(p, 3, a, 3, 1) == (want[2] & a == 0)
+    assert "_row_folds" not in calls and set(calls) == {route}
 
 
 # ---------------------------------------------------------------------------
@@ -742,17 +818,24 @@ def test_fft_route_transform_counts(monkeypatch):
 
 def test_fft_counts_off_an_integer_raise(monkeypatch):
     exact = modmath._inverse_fft
-    a = VecSet.from_indices(11, 2, random.Random(11).sample(range(121), 70))
-    assert len(a) > modmath._FFT_THRESHOLD and modmath._row_classes(11, 2, a.mask) is None
-    # Sizes settle A + A (140 > 121 cells) and Stab(A) (11 does not divide
-    # 70) with no transform.  The sumset takes a p = 13 pair above the FFT
+    a = VecSet.from_indices(13, 2, random.Random(13).sample(range(169), 70))
+    assert len(a) > modmath._FFT_THRESHOLD and modmath._row_classes(13, 2, a.mask) is None
+    # Sizes settle everything about a 70-point set at p = 11 (140 > 121
+    # cells): A + A, its fold chain and (k,l) checks, and Stab(A) (11 does
+    # not divide 70), with no route and no transform.  The fold chain and
+    # check take the p = 13 set above, whose rows are too varied for the
+    # row-class route; the sumset takes a p = 13 pair above the FFT
     # threshold that does not fill the plane, and the stabilizer a set of
     # 66 = 6*11 points.
+    filled = VecSet.from_indices(11, 2, random.Random(11).sample(range(121), 70))
+    assert 2 * len(filled) > 121 and len(filled) % 11
     b, c = (VecSet.from_indices(13, 2, random.Random(size).sample(range(169), size)) for size in (70, 90))
     assert modmath._FFT_THRESHOLD < min(len(b), len(c)) and len(b) + len(c) <= 169
     s = VecSet.from_indices(11, 2, random.Random(66).sample(range(121), 66))
     want_sum, want_stab = vsumset(b, c), sym_group(s)
     want_free, want_fold = vec_is_kl_sumfree(a, 3, 1), vhfold(a, 3)
+    filled_free, filled_fold = vec_is_kl_sumfree(filled, 3, 1), vhfold(filled, 3)
+    assert not filled_free and filled_fold.is_full()
     monkeypatch.setattr(modmath, "_inverse_fft", lambda spectrum, shape: exact(spectrum, shape) + 0.3)
     with pytest.raises(GeneratorCheckError, match="FFT count off an integer"):
         vsumset(b, c)
@@ -762,6 +845,10 @@ def test_fft_counts_off_an_integer_raise(monkeypatch):
         vec_is_kl_sumfree(a, 3, 1)
     with pytest.raises(GeneratorCheckError, match="FFT count off an integer"):
         vhfold(a, 3)
+    calls = counted_routes(monkeypatch)
+    assert vec_is_kl_sumfree(filled, 3, 1) == filled_free and vhfold(filled, 3) == filled_fold
+    assert vsumset(filled, filled) == filled_fold and sym_group(filled).mask == 1
+    assert calls == []
     monkeypatch.setattr(modmath, "_inverse_fft", lambda spectrum, shape: exact(spectrum, shape) + 0.2)
     assert vsumset(b, c) == want_sum and sym_group(s) == want_stab
     assert vec_is_kl_sumfree(a, 3, 1) == want_free and vhfold(a, 3) == want_fold
@@ -770,8 +857,9 @@ def test_fft_counts_off_an_integer_raise(monkeypatch):
 def test_fft_exactness_check_survives_optimize():
     # The check is an explicit raise: with every inverse transform off by
     # 0.3 it fires under python -O, and `klsf verify` exits 2.  The set is
-    # the band {3..8} x F_11 sheared by (x, y) -> (x + y, y), so each of its
-    # 11 rows is a different interval and it stays on the FFT route.
+    # the band {3..8} x F_13 sheared by (x, y) -> (x + y, y), so each of its
+    # 13 rows is a different interval and it stays on the FFT route, and its
+    # 78 points leave room in the 169 cells, so its size settles nothing.
     script = """
 import sys
 from klsf import cli, modmath
@@ -779,8 +867,8 @@ from klsf.vecset import parse_vecset
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-literal = "p=11;n=2;{" + ",".join(f"({(x + y) % 11},{y})" for x in range(3, 9) for y in range(11)) + "}"
-if modmath._row_classes(11, 2, parse_vecset(literal).mask) is not None:
+literal = "p=13;n=2;{" + ",".join(f"({(x + y) % 13},{y})" for x in range(3, 9) for y in range(13)) + "}"
+if modmath._row_classes(13, 2, parse_vecset(literal).mask) is not None:
     sys.exit("the set takes the row-class route")
 argv = ["verify", "--k", "3", "--l", "1", "--set", literal]
 print("exit", cli.main(argv))
