@@ -32,7 +32,6 @@ from .vecset import (
     format_vecset,
     kneser_gap,
     parse_vecset,
-    support_contained,
     sym_group,
     vec_is_kl_sumfree,
     vhfold,
@@ -52,12 +51,11 @@ from .constructions import (
     nontriviality_check,
     type1_a_values,
 )
-from .classify import ClassReport, balance_deviation, check_balance_bound, classify, weight_scan
+from .classify import ClassReport, classify
 from .search import SearchLimitError, SearchResult, canonical_form, enumerate_max, enumerate_second_level
 from .covering import CoveringVerdict, TauScan, covering_verdict, covering_verdicts, tau_scan
 from .spectral import (
     Spectrum,
-    kernel_decomposition,
     kl_vanishing_sum,
     spectrum,
     spectrum_direct,

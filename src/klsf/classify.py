@@ -32,17 +32,14 @@ from .modmath import (
     mod_inverse,
     rotate_mask,
 )
-from .zpset import ZpSet, dilate, holes, min_ap_cover
+from .zpset import ZpSet, dilate
 from .vecset import (
     Decomposition,
-    DecompProfile,
     Params,
     VecSet,
     VecSetError,
     apply_automorphism,
-    beta_value,
     decompose,
-    decompositions_2d,
     line_decomposition,
     line_part_sizes,
     mat_inverse,
@@ -266,12 +263,12 @@ def classify(a: VecSet, k: int, l: int) -> ClassReport:
             f"the trivial/nontrivial taxonomy needs lam in [0, k+l-3]; "
             f"(k,l,p)=({k},{l},{a.p}) has lam={params.lam}"
         )
+    if a.n > 2:
+        raise VecSetError("classification is complete only for n <= 2")
     if a.is_empty():
         return ClassReport("trivial", params, {"reason": "empty set"}, [])
     if not vec_is_kl_sumfree(a, k, l):
         return ClassReport("not-sum-free", params, None, [])
-    if a.n > 2:
-        raise VecSetError("classification is complete only for n <= 2")
     if a.n == 1:
         triv = nontriviality_check(a, params)
     else:
@@ -280,87 +277,3 @@ def classify(a: VecSet, k: int, l: int) -> ClassReport:
     if triv.status == "trivial":
         return ClassReport("trivial", params, triv.witness, [triv.detail])
     return _classify_1d(a.to_zpset(), params) if a.n == 1 else _classify_2d(a, params, counts)
-
-
-@dataclass(frozen=True)
-class WeightScanRow:
-    line: int
-    v: tuple[int, ...]
-    kbasis: tuple[tuple[int, ...], ...]
-    omega: int
-    beta_head: tuple
-    small_weight: bool
-    cm_cover: object | None
-    cm_holes: tuple[int, ...] | None
-
-
-def weight_scan(a: VecSet, k: int, l: int) -> list[WeightScanRow]:
-    """Per-decomposition weight summary over all p+1 hyperplanes (n = 2).
-
-    A decomposition is flagged when m <= omega <= m+2; for those the
-    shortest AP cover of C_m (best dilation) and its hole profile are
-    reported, since the small-weight regime is where the structural case
-    analysis lives.  Every row is read off one `line_part_sizes` matrix.
-    """
-    params = Params(k, l, a.p, a.n)
-    if a.n != 2:
-        raise VecSetError("weight_scan needs n = 2")
-    p, m = params.p, params.m
-    counts = line_part_sizes(a)
-    # b_1..b_p of each line: residues by non-increasing part size, ties by residue.
-    orders = np.argsort(-counts, axis=1, kind="stable")
-    rows = []
-    for line, dec in enumerate(decompositions_2d(p)):
-        sizes = counts[line]
-        order = orders[line].tolist()
-        weight = int(np.count_nonzero(sizes))
-        flag = m <= weight <= m + 2
-        cover = hole_list = None
-        if flag:
-            if m < 1:
-                raise VecSetError("prefix index out of range")
-            cm = ZpSet(p, order[:m])
-            cover = min_ap_cover(cm)
-            hole_list = tuple(holes(cm, cover))
-        beta_head = tuple(beta_value(int(sizes[i]), p, 2) for i in order[:4])
-        rows.append(WeightScanRow(line, dec.v, dec.kbasis, weight, beta_head, flag,
-                                  cover, hole_list))
-    return rows
-
-
-def balance_deviation(profile: DecompProfile, u: int) -> int:
-    """Total deviation sum_i ||A_i| - u| over all p parts."""
-    if u < 0:
-        raise VecSetError("u must be nonnegative")
-    return sum(abs(len(x) - u) for x in profile.parts)
-
-
-@dataclass(frozen=True)
-class BalanceCheck:
-    u: int
-    deviation: int
-    bound: int
-    applicable: bool
-    holds: bool
-
-
-def check_balance_bound(a: VecSet, k: int, l: int, profile: DecompProfile,
-                        u: int | None = None) -> BalanceCheck:
-    """Deviation against the (2 + theta) * p^(n-1) bound.
-
-    The bound is asserted for (k,l)-sum-free sets with omega > p - theta and
-    size at least m * p^(n-1); u defaults to the median part size
-    |B_(p+1)/2|.  Outside those hypotheses the check is reported but flagged
-    not applicable.
-    """
-    params = Params(k, l, a.p, a.n)
-    if u is None:
-        u = profile.sizes[(params.p + 1) // 2 - 1]
-    dev = balance_deviation(profile, u)
-    bound = (2 + params.theta) * params.p ** (params.n - 1)
-    applicable = (
-        profile.weight > params.p - params.theta
-        and len(a) >= params.m * params.p ** (params.n - 1)
-        and vec_is_kl_sumfree(a, k, l)
-    )
-    return BalanceCheck(u, dev, bound, applicable, dev <= bound)

@@ -687,11 +687,6 @@ def _fft_folds(p: int, n: int, a: int, h: int) -> tuple[list, list]:
     return supports, spectra
 
 
-def _row_chain(p: int, n: int, a: int, h: int) -> list | None:
-    # The row-class route is open where its pair budget is: F_p^2 only.
-    return _row_folds(p, n, a, h) if _row_pair_budget(p, n) else None
-
-
 def _fills_space(p: int, n: int, a: int) -> bool:
     # |A| + |A| > p^n: 2A is the whole space (pigeonhole, as in `sumset_mask`),
     # and so is every jA + A after it.
@@ -706,7 +701,7 @@ def fold_masks(p: int, n: int, a: int, h: int) -> list[int]:
     sumset per step up to _FFT_THRESHOLD elements and the FFT above."""
     if h > 1 and _fills_space(p, n, a):
         return [a] + [_full_mask(p**n)] * (h - 1)
-    chain = _row_chain(p, n, a, h)
+    chain = _row_folds(p, n, a, h) if _row_pair_budget(p, n) else None
     if chain is not None:
         return [a] + [_terms_to_mask(p, n, terms) for terms in chain[1:]]
     if _fft_route(n, a):
@@ -738,7 +733,7 @@ def is_kl_sumfree_mask(p: int, n: int, a: int, k: int, l: int) -> bool:
     """
     if _fills_space(p, n, a):
         return False
-    chain = _row_chain(p, n, a, k)
+    chain = _row_folds(p, n, a, k) if _row_pair_budget(p, n) else None
     if chain is not None:
         return not any(t & u and f & g for t, f in chain[k - 1] for u, g in chain[l - 1])
     if not _fft_route(n, a):

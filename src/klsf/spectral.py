@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modmath import GeneratorCheckError, indicator_fft, indices_to_rows, rows_to_indices
-from .vecset import Decomposition, VecSet, VecSetError, vec_is_kl_sumfree
+from .vecset import VecSet, VecSetError, vec_is_kl_sumfree
 
 SIZE_LIMIT = 1 << 20
 COEFF_ZERO_TOL = 1e-12
@@ -47,11 +47,17 @@ class Spectrum:
         return float(np.abs(self.values[1:]).max())
 
 
-def spectrum(a: VecSet) -> Spectrum:
-    """Full coefficient table via the FFT; refuses spaces above SIZE_LIMIT."""
+def _check_size(a: VecSet) -> int:
+    """The number of cells p^n of A's space, after refusing spaces above SIZE_LIMIT."""
     cells = a.p**a.n
     if cells > SIZE_LIMIT:
         raise VecSetError(f"space of size {cells} exceeds the spectrum limit {SIZE_LIMIT}")
+    return cells
+
+
+def spectrum(a: VecSet) -> Spectrum:
+    """Full coefficient table via the FFT; refuses spaces above SIZE_LIMIT."""
+    cells = _check_size(a)
     values = (indicator_fft(a.p, a.n, a.mask) / cells).reshape(-1)
     alpha = len(a) / cells
     if not abs(values[0] - alpha) <= COEFF_ZERO_TOL:
@@ -115,13 +121,14 @@ class SpectralCheck:
 def verify_spectral_lemma(a: VecSet, k: int, l: int) -> SpectralCheck:
     """Check the spectral lower bound and the vanishing identity on A.
 
-    Not applicable (all checks skipped) when A is not (k,l)-sum-free.
+    Not applicable (all checks skipped) when A is not (k,l)-sum-free.  The
+    space is checked against SIZE_LIMIT first, so the answer for a space
+    above it never depends on A.
     """
+    _check_size(a)
     if a.is_empty() or not vec_is_kl_sumfree(a, k, l):
         return SpectralCheck(False, 0.0, 0.0, 0.0, False, 0j, False)
     spec = spectrum(a)
-    if a.is_full():
-        raise VecSetError("a full set is never sum-free")  # unreachable, guards alpha=1
     bound = sumfree_spectral_bound(spec.alpha, k, l)
     max_nz = spec.max_nonzero_modulus()
     vanish = kl_vanishing_sum(spec, k, l)
@@ -130,31 +137,3 @@ def verify_spectral_lemma(a: VecSet, k: int, l: int) -> SpectralCheck:
         max_nz >= bound - BOUND_TOL,
         vanish, abs(vanish) <= VANISHING_TOL,
     )
-
-
-def kernel_decomposition(p: int, t) -> Decomposition:
-    """The decomposition (v, K) with K the kernel of x -> <t, x> and v the
-    least vector (in index order) with <t, v> = p - 1.
-
-    With j the first nonzero coordinate of t, that v is (p-1) * t_j^(-1) * e_j:
-    a vector that is zero past coordinate j has <t, x> = t_j * x_j, and one
-    that is not has index at least p^(j+1).
-    """
-    t = tuple(int(c) % p for c in t)
-    n = len(t)
-    if n < 2:
-        raise VecSetError("kernel decompositions need n >= 2")
-    if all(c == 0 for c in t):
-        raise VecSetError("the zero character has no kernel decomposition")
-    j0 = next(i for i in range(n) if t[i])
-    inv = pow(t[j0], -1, p)
-    basis = []
-    for i in range(n):
-        if i == j0:
-            continue
-        b = [0] * n
-        b[i] = 1
-        b[j0] = (-t[i] * inv) % p
-        basis.append(tuple(b))
-    v = tuple((p - 1) * inv % p if i == j0 else 0 for i in range(n))
-    return Decomposition(p, n, v, tuple(basis))

@@ -11,24 +11,19 @@ the little-endian byte string of that integer.
 A decomposition is a pair (v, K) with K a hyperplane (spanned by n-1 basis
 vectors) and v a transversal vector, so every x splits uniquely as
 x = i*v + x' with i in Z_p and x' in K.  The induced parts
-A_i = (A - i*v) cap K are reported in K-basis coordinates (dimension n-1);
-their sizes sorted non-increasingly give the b/B/beta bookkeeping used by the
-weight and balance analyses, with beta_i = |B_i| / p^(n-2) kept as an exact
-Fraction (for n = 1 the normalization degenerates, so beta_i = |B_i| * p and
-all inequality checks clear denominators).
+A_i = (A - i*v) cap K are reported in K-basis coordinates (dimension n-1).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, MaskSet, bits_to_mask, dilation_masks, fold_masks, indices_to_mask, indices_to_rows,
+    GeneratorCheckError, MaskSet, bits_to_mask, fold_masks, indices_to_mask, indices_to_rows,
     is_kl_sumfree_mask, is_prime, mask_to_bits, mask_to_indices, mod_inverse, rows_to_indices,
     stabilizer_mask, sumset_mask,
 )
@@ -351,7 +346,7 @@ def line_part_sizes(a: VecSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompProfile:
-    """Parts, support and sorted part-size statistics of A under (v, K)."""
+    """Parts and support of A under (v, K)."""
 
     decomposition: Decomposition
     p: int
@@ -359,26 +354,9 @@ class DecompProfile:
     parts: tuple[VecSet, ...]           # indexed by i in Z_p, in K-basis coordinates
     support: ZpSet
     weight: int
-    order: tuple[int, ...]              # b_1..b_p: residues by non-increasing part size
-    sizes: tuple[int, ...]              # |B_i| = |A_{b_i}|
-    beta: tuple[Fraction, ...] = field(repr=False)
 
     def part(self, i: int) -> VecSet:
         return self.parts[i % self.p]
-
-    def prefix(self, i: int) -> ZpSet:
-        """C_i = {b_1, ..., b_i}."""
-        if not 1 <= i <= self.p:
-            raise VecSetError("prefix index out of range")
-        return ZpSet(self.p, self.order[:i])
-
-    def total(self) -> int:
-        return sum(len(x) for x in self.parts)
-
-
-def beta_value(size: int, p: int, n: int) -> Fraction:
-    """|B_i| / p^(n-2) as an exact rational; for n=1 this is |B_i| * p."""
-    return Fraction(size * p ** max(0, 2 - n), p ** max(0, n - 2))
 
 
 def decompose(a: VecSet, d: Decomposition) -> DecompProfile:
@@ -393,18 +371,14 @@ def decompose(a: VecSet, d: Decomposition) -> DecompProfile:
         coords = indices_to_rows(a.index_array(), p, n) @ np.array(binv, dtype=np.int64).T % p
         bits[coords[:, 0], rows_to_indices(coords[:, 1:], p)] = True
     parts = tuple(VecSet._new(p, n - 1, m) for m in bits_to_mask(bits))
-    sizes_by_i = [len(x) for x in parts]
-    if sum(sizes_by_i) != len(a):
+    if sum(len(x) for x in parts) != len(a):
         raise GeneratorCheckError(f"parts along {d.v} miss elements of A: implementation bug")
-    support = ZpSet(p, [i for i in range(p) if sizes_by_i[i]])
-    order = tuple(sorted(range(p), key=lambda i: (-sizes_by_i[i], i)))
-    sizes = tuple(sizes_by_i[i] for i in order)
-    beta = tuple(beta_value(s, p, n) for s in sizes)
-    return DecompProfile(d, p, n, parts, support, len(support), order, sizes, beta)
+    support = ZpSet(p, [i for i, x in enumerate(parts) if x.mask])
+    return DecompProfile(d, p, n, parts, support, len(support))
 
 
 # ---------------------------------------------------------------------------
-# Stabilizers, Kneser's bound, support containment
+# Stabilizers and Kneser's bound
 
 
 def sym_group(s: VecSet) -> VecSet:
@@ -435,31 +409,6 @@ def kneser_gap(sets: list[VecSet]) -> tuple[int, int]:
     if lhs < rhs:
         raise GeneratorCheckError(f"Kneser bound violated ({lhs} < {rhs}): implementation bug")
     return lhs, rhs
-
-
-def max_part_size(profile: DecompProfile) -> int:
-    return profile.sizes[0] if profile.sizes else 0
-
-
-def support_contained(a_profile: DecompProfile, b_profile: DecompProfile):
-    """Smallest s != 0 with s*Supp(A) inside Supp(B), or None.
-
-    Sound as a necessary condition for "A embeds into B under an
-    automorphism" only when A has a full part (max |A_i| = p^{n-1}) and
-    Supp(B) is proper; outside those hypotheses a CriterionError is raised.
-    """
-    p = a_profile.p
-    if a_profile.p != b_profile.p or a_profile.n != b_profile.n:
-        raise VecSetError("profiles live in different spaces")
-    if max_part_size(a_profile) != p ** (a_profile.n - 1):
-        raise CriterionError("criterion needs a full part on the left profile")
-    if b_profile.weight >= p:
-        raise CriterionError("criterion needs a proper support on the right profile")
-    sa, sb = a_profile.support, b_profile.support
-    for s, image in enumerate(dilation_masks(p, sa.mask), 1):
-        if image & ~sb.mask == 0:
-            return s
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from klsf.zpset import ZpSet, dilate, holes, min_ap_cover
+from klsf.zpset import ZpSet, dilate
 from klsf.vecset import (
-    Decomposition, Params, VecSet, decompose, decompositions_2d, apply_automorphism, mat_det,
+    Decomposition, Params, VecSet, VecSetError, decompose, decompositions_2d, apply_automorphism,
+    mat_det,
 )
 from klsf.classify import (
-    LABEL_PRIORITY, ClassReport, _classify_1d, _descriptors_2d, _match_descriptor_2d, balance_deviation, check_balance_bound, classify,
-    weight_scan,
+    LABEL_PRIORITY, ClassReport, _classify_1d, _descriptors_2d, _match_descriptor_2d, classify,
 )
 from klsf.constructions import (
     P, TYPE_KINDS, CuboidSpec, TypeSpec, band_layout, gen_cuboid, gen_type, reference_specs,
@@ -187,30 +187,20 @@ def test_classify_cuboid_subsets_trivial():
     assert classify(sub, 2, 1).label == "trivial"
 
 
-def test_weight_scan_examples():
-    cub = gen_cuboid(CuboidSpec(Params(2, 1, 11, 2), 0))
-    rows = weight_scan(cub, 2, 1)
-    omegas = sorted(r.omega for r in rows)
-    assert omegas == [4] + [11] * 11
-    flagged = [r for r in rows if r.small_weight]
-    assert len(flagged) == 1
-    assert flagged[0].cm_cover.length == 3 and flagged[0].cm_holes == ()
-    t2 = gen_type(TypeSpec("type2", Params(3, 1, 23, 2), vbasis=()))
-    rows2 = weight_scan(t2, 3, 1)
-    assert sorted(r.omega for r in rows2).count(6) == 1  # m+1 on the natural axis
-    dense = VecSet.full(11, 2)
-    assert all(not r.small_weight and r.omega == 11 for r in weight_scan(dense, 2, 1))
+def deviation(parts, u):
+    """The paper's balance deviation sum_i ||A_i| - u| over all p parts."""
+    return sum(abs(len(x) - u) for x in parts)
 
 
 def test_balance_examples():
     natural = Decomposition(11, 2, (1, 0), ((0, 1),))
-    cub = gen_cuboid(CuboidSpec(Params(2, 1, 11, 2), 0))
+    params = Params(2, 1, 11, 2)
+    cub = gen_cuboid(CuboidSpec(params, 0))
     prof = decompose(cub, natural)
-    assert balance_deviation(prof, 11) == (11 - 3 - 1) * 11
-    assert balance_deviation(decompose(VecSet.full(11, 2), natural), 11) == 0
-    chk = check_balance_bound(cub, 2, 1, prof)
-    assert not chk.applicable  # omega = m+1, far below p - theta
-    assert chk.holds
+    assert deviation(prof.parts, 11) == (11 - 3 - 1) * 11
+    assert deviation(decompose(VecSet.full(11, 2), natural).parts, 11) == 0
+    # omega = m+1, far below p - theta: outside the bound's hypotheses
+    assert prof.weight == params.m + 1 <= params.p - params.theta
 
 
 def test_classify_fuzz_sound_labels_1d():
@@ -243,6 +233,19 @@ def test_classify_outside_lambda_window_raises():
         classify(VecSet.from_zpset(ZpSet(13, [1])), 3, 1)  # lam = 3 > k+l-3
 
 
+def test_classify_refuses_n_above_2_whatever_the_set(capsys):
+    # {1,2,3}e0 is not (2,1)-sum-free and {2,3}e0 is: both are refused on n alone
+    from klsf import cli
+
+    for xs in ((1, 2, 3), (2, 3)):
+        a = VecSet(5, 3, [(x, 0, 0) for x in xs])
+        with pytest.raises(VecSetError, match="only for n <= 2"):
+            classify(a, 2, 1)
+        lit = "p=5;n=3;{" + ",".join(f"({x},0,0)" for x in xs) + "}"
+        assert cli.main(["classify", "--k", "2", "--l", "1", "--set", lit]) == 1
+        assert "only for n <= 2" in capsys.readouterr().err
+
+
 def test_weight_dichotomy_on_generator_outputs():
     # sum-free sets of size >= m*p^(n-1) never land between the small-weight
     # window [m, m+2] and the near-full window (p - theta, p]
@@ -265,16 +268,19 @@ def test_weight_dichotomy_on_generator_outputs():
 
 
 def test_balance_bound_on_big_weight_decompositions():
-    # generator outputs seen through a non-natural axis have omega = p > p - theta
+    # generator outputs seen through a non-natural axis have omega = p > p - theta,
+    # so their deviation from the median part size |B_(p+1)/2| is at most
+    # (2 + theta) * p (beta_i = |B_i| at n = 2)
     for spec in [TypeSpec("type5", Params(3, 1, 19, 2), s=1, pset=((1,),)),
                  TypeSpec("rz", Params(2, 1, 17, 2), s=1, pset=((1,),))]:
         out = gen_type(spec)
-        p = spec.params.p
+        params = spec.params
+        p = params.p
         skew = Decomposition(p, 2, (1, 0), ((1, 1),))
         prof = decompose(out, skew)
-        chk = check_balance_bound(out, spec.params.k, spec.params.l, prof)
-        if chk.applicable:
-            assert chk.holds
+        sizes = sorted((len(x) for x in prof.parts), reverse=True)
+        assert prof.weight > p - params.theta and len(out) >= params.m * p
+        assert deviation(prof.parts, sizes[(p + 1) // 2 - 1]) <= (2 + params.theta) * p
 
 
 @st.composite
@@ -282,44 +288,6 @@ def gl2(draw, p):
     m = draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4)
              .filter(lambda e: (e[0] * e[3] - e[1] * e[2]) % p))
     return [m[:2], m[2:]]
-
-
-def reference_weight_scan(a, k, l):
-    """weight_scan rebuilt from one full decomposition per line."""
-    m = Params(k, l, a.p, 2).m
-    rows = []
-    for line, dec in enumerate(decompositions_2d(a.p)):
-        prof = decompose(a, dec)
-        flag = m <= prof.weight <= m + 2
-        cover = hole_list = None
-        if flag:
-            cm = prof.prefix(m)
-            cover = min_ap_cover(cm)
-            hole_list = tuple(holes(cm, cover))
-        rows.append((line, dec.v, dec.kbasis, prof.weight, tuple(prof.beta[:4]), flag,
-                     cover, hole_list))
-    return rows
-
-
-@st.composite
-def generated_images(draw):
-    """A cuboid or structure output in F_p^2 (p <= 29) under a random automorphism."""
-    k, l, p = draw(st.sampled_from([(k, l, p) for k, l in ((2, 1), (3, 1), (3, 2), (4, 1))
-                                    for p in (7, 11, 13, 17, 19, 23, 29)
-                                    if Params(k, l, p, 2).lambda_in_range()]))
-    kind, _, spec = draw(st.sampled_from(reference_specs(Params(k, l, p, 2))))
-    out = gen_cuboid(spec) if kind == "cuboid" else gen_type(spec)
-    return k, l, apply_automorphism(out, draw(gl2(p)))
-
-
-@given(generated_images())
-def test_weight_scan_matches_per_line_reference(case):
-    k, l, a = case
-    rows = weight_scan(a, k, l)
-    got = [(r.line, r.v, r.kbasis, r.omega, r.beta_head, r.small_weight, r.cm_cover, r.cm_holes)
-           for r in rows]
-    assert got == reference_weight_scan(a, k, l)
-    assert any(r.small_weight for r in rows)
 
 
 def nonzero_free_pset(h):

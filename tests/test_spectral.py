@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +11,8 @@ import pytest
 
 from klsf import spectral
 from klsf.zpset import ZpSet
-from klsf.vecset import VecSet, VecSetError, decompose
-from klsf.classify import balance_deviation
+from klsf.vecset import VecSet, VecSetError, _line_functionals, line_part_sizes
 from klsf.spectral import (
-    kernel_decomposition,
     kl_vanishing_sum,
     spectrum,
     spectrum_direct,
@@ -121,50 +118,37 @@ def test_vanishing_identity_on_sumfree_sets():
         assert abs(kl_vanishing_sum(spec, 3, 1)) < 1e-9
 
 
-def test_kernel_decomposition_examples():
-    d = kernel_decomposition(5, (1, 0))
-    assert d.v == (4, 0) and d.kbasis == ((0, 1),)
-    d2 = kernel_decomposition(5, (0, 1))
-    assert d2.kbasis == ((1, 0),) and d2.v == (0, 4)
-    d3 = kernel_decomposition(5, (1, 1))
-    assert d3.v == (4, 0)
-    assert sum(x * t for x, t in zip(d3.kbasis[0], (1, 1))) % 5 == 0
-    with pytest.raises(VecSetError):
-        kernel_decomposition(5, (0, 0))
-
-
-def _least_v_by_scan(p, t):
-    """The least vector in index order (coordinate 0 least significant) with <t, v> = p-1."""
-    for idx in range(p ** len(t)):
-        v = tuple(idx // p**i % p for i in range(len(t)))
-        if sum(ti * vi for ti, vi in zip(t, v)) % p == p - 1:
-            return v
-
-
-def test_kernel_decomposition_v_matches_scan():
-    for p in (2, 3, 5, 7):
-        for n in (2, 3):
-            for t in product(range(p), repeat=n):
-                if any(t):
-                    d = kernel_decomposition(p, t)
-                    assert d.v == _least_v_by_scan(p, t), (p, t)
-                    assert all(sum(ti * bi for ti, bi in zip(t, b)) % p == 0 for b in d.kbasis)
+def kernel_line(p, t):
+    """The line of F_p^2 that is the kernel of x -> <t, x>: the one whose
+    `_line_functionals` row is proportional to t."""
+    f = _line_functionals(p)
+    return next(line for line in range(p + 1)
+                if (f[line, 0] * t[1] - f[line, 1] * t[0]) % p == 0)
 
 
 def test_balance_link_via_kernel_decomposition():
+    # |coeff(t)| <= sum_i ||A_i| - u| / p^2 along the kernel of t, for every u
     a = VecSet(11, 2, [(x, y) for x in (4, 5, 6, 7) for y in range(11)])
     spec = spectrum(a)
+    counts = line_part_sizes(a)
     for t in ((1, 0), (2, 3), (0, 1), (5, 5)):
-        dec = kernel_decomposition(11, t)
-        prof = decompose(a, dec)
+        sizes = counts[kernel_line(11, t)]
         for u in (0, 5, 11):
-            assert abs(spec.coeff(t)) <= balance_deviation(prof, u) / 11**2 + 1e-9
+            assert abs(spec.coeff(t)) <= np.abs(sizes - u).sum() / 11**2 + 1e-9
 
 
 def test_size_limit(monkeypatch):
     monkeypatch.setattr(spectral, "SIZE_LIMIT", 1)
     with pytest.raises(VecSetError, match="exceeds the spectrum limit"):
         spectrum(VecSet(2, 1, [(0,)]))
+
+
+def test_lemma_checks_size_limit_before_sum_freeness(monkeypatch):
+    # F_5^2 has 25 cells: a set that is not (2,1)-sum-free is refused like one that is
+    monkeypatch.setattr(spectral, "SIZE_LIMIT", 10)
+    for a in (VecSet(5, 2, [(1, 0), (2, 0)]), VecSet(5, 2, [(2, 0), (3, 0)])):
+        with pytest.raises(VecSetError, match="exceeds the spectrum limit"):
+            verify_spectral_lemma(a, 2, 1)
 
 
 def test_self_checks_survive_optimize():
