@@ -19,13 +19,18 @@ child's A and 2A come from the one fold step `modmath.child_folds`, which
 the Z_p search shares (2A is its fold at h = 2).  The limit p <= 31 bounds
 the run time, not the word (from p = 29 to 31 the node count grows up to
 7.2x, and no larger p has been checked against an oracle).  The tree is
-expanded a block at a time: up to _BLOCK_CHILDREN children of parents of
-one size are built, counted and pruned in a few array operations, deepest
-size first, so at most one block per size is pending.  The tree is cut at
-subtrees that can no longer meet the loosest doubling hypothesis on the
-declared grid: 2A only grows along a branch, so |2A| > (2 + tau_top)*s - 3
-for every reachable size s certifies that nothing below satisfies any grid
-hypothesis.
+expanded a block at a time: up to _BLOCK_CHILDREN children of pending
+parents of one size are built, counted and pruned in a few array
+operations.  The deepest size whose pending parents have a full block of
+children goes first; only when no size has one is the shallowest pending
+size expanded, whole.  No shallower size can refill it, so each size has
+at most one partial block, and a size never holds more than a block's
+worth of parents plus one expansion's output (fewer than 2*_BLOCK_CHILDREN
+parents).  The tree is cut at subtrees that can no longer meet the loosest
+doubling hypothesis on the declared grid: 2A only grows along a branch, so
+|2A| > (2 + tau_top)*s - 3 for every reachable size s certifies that
+nothing below satisfies any grid hypothesis.  That bound depends only on a
+child's size and largest member, so it is read from one per-scan table.
 
 Sampled mode draws trials/smax sets of each size s = 1..smax (the first
 sizes take the remainder), sizes in increasing order, from one
@@ -80,9 +85,12 @@ DEFAULT_SAMPLED_LIMIT = 10_000
 DEFAULT_GRID_STEP = Fraction(1, 20)
 # Children built per block expansion of the exhaustive tree.  A block costs
 # about 25 numpy calls whatever its size, and its arrays hold a few words per
-# child, so 4096 runs the p = 29 and p = 31 benchmark trees about 4.7x faster
-# than 256 (2048: 3.2x, 1024: 2.3x), while a whole scan's numpy and Python
-# allocations still peak below 1 MB.
+# child, so 4096 runs the five largest benchmark trees 3.0-4.3x faster than
+# 256 (2048: 2.1-3.3x, 1024: 1.4-2.5x; best of 3 to 7, three runs on a
+# shared 2-vCPU host).  A whole scan's numpy and Python allocations peak
+# (tracemalloc) at 1.30, 0.70 and 0.85 MB on the three largest benchmark
+# trees, (p, c, top of grid) = (29, 1/3, 3/5), (31, 1/3, 1/4) and
+# (29, 1/4, 3/4).
 _BLOCK_CHILDREN = 4096
 # Flagged sets per `dilation_orbits` call, and so at most as many new orbits
 # per `covering_verdicts` call.  A verdict call costs a few dozen numpy
@@ -323,9 +331,17 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
     smax = int(c * p)  # the largest size with |A| <= c*p, at least 1
     limits = _doubling_limits(smax, grid)
     top = np.array([row[-1] for row in limits])
+    # 2A only grows along a branch, so no descendant of a child of size s
+    # with largest member x meets any hypothesis once its |2A| exceeds the
+    # loosest bound at every size it can reach: bound[s][x] is that bound,
+    # -1 at x = p - 1, which has no children.
+    bound = top[np.minimum(np.arange(smax + 1)[:, None] + (p - 1) - np.arange(p), smax)]
+    bound[:, p - 1] = -1
     found: dict[int, list] = {}  # size >= 3 -> [(masks, doublings)] meeting a hypothesis
-    # Pending parents per size, as arrays (largest member, mask, mask of 2A).
-    frontier: list[tuple | None] = [None] * (smax + 1)
+    # Pending parents per size, as parts (largest member, mask, mask of 2A),
+    # and the number of their children.
+    frontier: list[list[tuple]] = [[] for _ in range(smax + 1)]
+    pending = [0] * (smax + 1)
 
     examined = 2  # {0} (the lone orbit without nonzero elements) and {1}
     hyp_hits = 2 if 1 <= top[1] else 0
@@ -334,20 +350,25 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
         examined += 1  # {0, 1}
         hyp_hits += 1 if 3 <= top[2] else 0
         # size 2: always a 2-term AP with target >= 2; never a violation
-        frontier[1] = (np.array([1]), word_array(p, [0b10]), word_array(p, [0b100]))  # {1}, 2A = {2}
+        frontier[1].append((np.array([1]), word_array(p, [0b10]), word_array(p, [0b100])))  # {1}, 2A = {2}
+        pending[1] = p - 2
         if smax > 2:  # {0, 1}, 2A = {0, 1, 2}
-            frontier[2] = (np.array([1]), word_array(p, [0b11]), word_array(p, [0b111]))
-    level = min(2, smax - 1)  # the deepest size with pending parents
-    while level >= 1:
-        if frontier[level] is None:
-            level -= 1
-            continue
-        last, masks, twos = frontier[level]
+            frontier[2].append((np.array([1]), word_array(p, [0b11]), word_array(p, [0b111])))
+            pending[2] = p - 2
+    sizes = range(smax - 1, 0, -1)
+    while True:
+        # The deepest size with a full block, else the shallowest pending one.
+        level = next((s for s in sizes if pending[s] >= _BLOCK_CHILDREN),
+                     next((s for s in reversed(sizes) if pending[s]), 0))
+        if not level:
+            break
+        last, masks, twos = (np.concatenate(a) for a in zip(*frontier[level]))
         counts = (p - 1) - last
         ends = np.cumsum(counts)
         take = max(1, int(np.searchsorted(ends, _BLOCK_CHILDREN, side="right")))
-        frontier[level] = None if take == len(last) else (last[take:], masks[take:], twos[take:])
         counts, total = counts[:take], int(ends[take - 1])
+        frontier[level] = [(last[take:], masks[take:], twos[take:])] if take < len(last) else []
+        pending[level] -= total
         # The children of parent i add x = last[i] + 1, ..., p - 1 in turn.
         x = np.arange(total) + np.repeat(last[:take] + 1 - (ends[:take] - counts), counts)
         parent = np.repeat(np.arange(take), counts)
@@ -361,13 +382,11 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
         if hits and size >= 3:
             found.setdefault(size, []).append((nmasks[hit], ndoub[hit]))
         if size < smax:
-            # 2A only grows, so no descendant of a child that misses the
-            # loosest hypothesis at every reachable size meets any of them.
-            reach = np.minimum(size + (p - 1) - x, smax)
-            keep = (ndoub <= top[reach]) & (x < p - 1)
+            keep = ndoub <= bound[size][x]
             if keep.any():
-                frontier[size] = (x[keep], nmasks[keep], ntwos[keep])
-                level = size
+                x = x[keep]
+                frontier[size].append((x, nmasks[keep], ntwos[keep]))
+                pending[size] += int((p - 1) * len(x) - x.sum())
 
     violations: dict[int, Violation] = {}
     for size, parts in found.items():

@@ -91,7 +91,7 @@ from .modmath import (
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params
 from .constructions import extremal_embeddings, extremal_intervals
-from .classify import ClassReport, _classify_1d, _supports_1d
+from .classify import _classify_1d, _supports_1d
 
 
 class SearchLimitError(ValueError):

@@ -194,6 +194,38 @@ def test_benchmark_exhaustive_counters(case):
             scan.tau_feasible) == BENCHMARK_EXHAUSTIVE_CASES[case]
 
 
+def test_tree_expands_full_blocks():
+    # A size is expanded before it holds a full block only once nothing
+    # pending fills one, and then it is drained, so apart from at most one
+    # partial block per size every expansion is full.
+    p, c, top = 31, Fraction(1, 3), Fraction(1, 4)
+    blocks = []
+
+    def counted(folds, parent, x, p):
+        blocks.append(len(x))
+        return child_folds(folds, parent, x, p)
+
+    child_folds = covering.child_folds
+    with mock.patch.object(covering, "child_folds", counted):
+        scan = tau_scan(p, c, grid=tuple(t for t in default_grid() if t <= top))
+    assert sum(blocks) == scan.sets_examined - 3  # all but {0}, {1} and {0, 1}
+    assert max(blocks) <= covering._BLOCK_CHILDREN
+    assert len(blocks) <= -(-sum(blocks) // covering._BLOCK_CHILDREN) + int(c * p) == 228
+
+
+@pytest.mark.parametrize("case", [case for case, counts in BENCHMARK_EXHAUSTIVE_CASES.items() if counts[2]])
+def test_small_blocks_give_the_same_violations(case):
+    # 64-child blocks merge and split every size's pending parts hundreds of
+    # times on the benchmark's violation-heavy trees.
+    p, c, top = case
+    grid = tuple(t for t in default_grid() if t <= top)
+    scans = [tau_scan(p, c, grid=grid)]
+    with mock.patch.object(covering, "_BLOCK_CHILDREN", 64):
+        scans.append(tau_scan(p, c, grid=grid))
+    want, got = ((s.violations, s.tau_feasible, s.sets_examined, s.hypothesis_hits) for s in scans)
+    assert got == want
+
+
 # The benchmark's sampled scans (p = 101, c = 10/107, grid (2/5,), 1000
 # trials) under the first three scan seeds of its seed-1 covering workload,
 # and one scan with hits and violations:
