@@ -21,14 +21,10 @@ from .zpset import (
 )
 from .vecset import (
     CriterionError,
-    Decomposition,
-    DecompProfile,
     Params,
     VecSet,
     VecSetError,
     apply_automorphism,
-    decompose,
-    decompositions_2d,
     format_vecset,
     kneser_gap,
     parse_vecset,

@@ -6,14 +6,14 @@ Any label besides the last two carries a witness that regenerates the set:
 for n = 1 a dilation onto a generator output, for n = 2 a full automorphism
 matrix together with the matching TypeSpec.
 
-The n = 2 matcher only searches automorphisms that fix a candidate
-hyperplane: f(i*v + w) = (s*i)*e0 + (w + i*u)*e1 in the basis of the flagged
-decomposition.  Every generator structure is axis bands times fibres in
-K = F_p, each fibre {0}, its complement, F_p or the open P of type 5 and rz,
-so this family recognizes all of them; sets outside it fall through to the
-honest "nontrivial-unknown".  A scalar w -> c*w on K needs no search: it
-fixes every fixed fibre and maps P to c*P, so (s, c, u) matches exactly when
-(s, 1, u/c) matches the same kind with P scaled by 1/c.
+The n = 2 matcher only searches automorphisms that fix a candidate line:
+f(i*v + w) = (s*i)*e0 + (w + i*u)*e1 in the basis (v, k) of one of the p+1
+lines of F_p^2 (`vecset.line_basis`).  Every generator structure is axis
+bands times fibres in K = F_p, each fibre {0}, its complement, F_p or the
+open P of type 5 and rz, so this family recognizes all of them; sets outside
+it fall through to the honest "nontrivial-unknown".  A scalar w -> c*w on K
+needs no search: it fixes every fixed fibre and maps P to c*P, so (s, c, u)
+matches exactly when (s, 1, u/c) matches the same kind with P scaled by 1/c.
 """
 
 from __future__ import annotations
@@ -34,15 +34,13 @@ from .modmath import (
 )
 from .zpset import ZpSet, dilate
 from .vecset import (
-    Decomposition,
     Params,
     VecSet,
     VecSetError,
     apply_automorphism,
-    decompose,
-    line_decomposition,
+    line_bases,
     line_part_sizes,
-    mat_inverse,
+    line_parts,
     vec_is_kl_sumfree,
 )
 from .constructions import (
@@ -133,7 +131,7 @@ def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
 
 
 # ---------------------------------------------------------------------------
-# n = 2: support match plus fibre solving on the axis decomposition
+# n = 2: support match plus fibre solving on the parts along each line
 
 
 @lru_cache(maxsize=16)
@@ -199,7 +197,7 @@ def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
     """Match every descriptor on every line of the part-size matrix `counts`.
 
     A descriptor matches only a line whose support has exactly its number of
-    bands, so only proper, nonempty supports of such a weight are decomposed.
+    bands, so only proper, nonempty supports of such a weight are split into parts.
     """
     p = params.p
     matches = []
@@ -207,16 +205,15 @@ def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
     widths = {len(bands) for _, bands, _ in descriptors}
     weights = (counts > 0).sum(axis=1)
     for line in np.flatnonzero(np.isin(weights, list(widths - {0, p}))).tolist():
-        dec = line_decomposition(p, line)
-        profile = decompose(a, dec)
-        parts = [x.mask for x in profile.parts]
+        parts = line_parts(a, line)
+        support = bits_to_mask(counts[line] > 0)
         for desc in descriptors:
-            found = _match_descriptor_2d(desc, parts, profile.support.mask, p)
+            found = _match_descriptor_2d(desc, parts, support, p)
             if found is None:
                 continue
             s, u, pset = found
             spec = _build_spec(desc, pset, params)
-            matrix = _block_matrix(dec, s, u, p)
+            matrix = _block_matrix(p, line, s, u)
             if apply_automorphism(a, matrix) == gen_type(spec):
                 matches.append((desc[0], spec, line, matrix))
     if not matches:
@@ -239,10 +236,10 @@ def _build_spec(desc: tuple, pset: int, params: Params) -> TypeSpec:
     return TypeSpec(kind, params, **fields)
 
 
-def _block_matrix(dec: Decomposition, s: int, u: int, p: int) -> list[list[int]]:
-    """Matrix of f with f(v) = s*e0 + u*e1 and f(k1) = e1, in standard coordinates."""
-    (a, b), (c, d) = mat_inverse(dec.basis_matrix(), p)
-    return [[s * a % p, s * b % p], [(u * a + c) % p, (u * b + d) % p]]
+def _block_matrix(p: int, line: int, s: int, u: int) -> list[list[int]]:
+    """Matrix of f with f(v) = s*e0 + u*e1 and f(k) = e1 for line `line`'s
+    (v, k), in standard coordinates: [[s, 0], [u, 1]] times its `line_bases` entry."""
+    return (np.array([[s, 0], [u, 1]]) @ line_bases(p)[line] % p).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +251,8 @@ def classify(a: VecSet, k: int, l: int) -> ClassReport:
 
     n = 2 works from one `line_part_sizes` matrix, built once and shared by
     the triviality scan and the structure matcher: triviality reads every
-    line support off it, and the matcher decomposes only the lines whose
-    support weight some structure has.
+    line support off it, and the matcher splits into parts only the lines
+    whose support weight some structure has.
     """
     params = Params(k, l, a.p, a.n)
     if not params.lambda_in_range():

@@ -111,7 +111,7 @@ def _spec_from_grid_item(item: dict, position: int = 0):
         value = item.get(key, 0)
         if key == "j" and value is None:  # j's default, the first cuboid
             continue
-        if not isinstance(value, int) or isinstance(value, bool):  # True would run as 1
+        if type(value) is not int:  # not a bool either: True would run as 1
             raise ParameterError(f"grid item field {key} must be an int, got {value!r}")
     params = Params(item["k"], item["l"], item["p"], item.get("n", 1))
     kind = str(item["type"]).lower()
@@ -121,6 +121,18 @@ def _spec_from_grid_item(item: dict, position: int = 0):
     unknown = sorted(set(extras) - set(GRID_EXTRAS))
     if unknown:
         raise ParameterError(f"unknown extras {', '.join(unknown)}; known: {', '.join(GRID_EXTRAS)}")
+    fields = {}
+    for key, value in extras.items():
+        if key in ("a", "s"):
+            if type(value) is not int:
+                raise ParameterError(f"grid item extras field {key} must be an int, got {value!r}")
+            fields[key] = value
+        elif isinstance(value, (list, tuple)) and all(
+                isinstance(v, (list, tuple)) and all(type(c) is int for c in v) for v in value):
+            fields[key] = tuple(map(tuple, value))
+        else:
+            raise ParameterError(f"grid item extras field {key} must be a list of lists of ints,"
+                                 f" got {value!r}")
     j = item.get("j")
     if kind == "cuboid":
         if extras:
@@ -129,14 +141,7 @@ def _spec_from_grid_item(item: dict, position: int = 0):
     kind = kind if kind.startswith(("type", "rz")) else f"type{kind}"
     if j is not None:
         raise ParameterError(f"{kind} does not read j")
-    return TypeSpec(
-        kind,
-        params,
-        a=extras.get("a"),
-        vbasis=tuple(tuple(v) for v in extras["vbasis"]) if "vbasis" in extras else None,
-        s=extras.get("s"),
-        pset=tuple(tuple(v) for v in extras["pset"]) if "pset" in extras else None,
-    )
+    return TypeSpec(kind, params, **fields)
 
 
 def _construct_record(spec) -> dict:

@@ -30,7 +30,7 @@ from .vecset import (
     CriterionError,
     Params,
     VecSet,
-    line_decomposition,
+    line_basis,
     line_part_sizes,
     vec_is_kl_sumfree,
 )
@@ -495,10 +495,10 @@ def _nontriviality_2d(counts: np.ndarray, intervals: list[ZpSet]) -> TrivialityR
     for line, hit in zip(lines, hits):
         if hit is not None:
             s, j = hit
-            dec = line_decomposition(p, line)
+            v, k = line_basis(p, line)
             return TrivialityReport(
                 "trivial",
-                {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis},
+                {"line": line, "dilation": s, "j": j, "v": v, "kbasis": (k,)},
                 f"axis support of line {line} embeds into extremal interval j={j}",
             )
     return TrivialityReport(

@@ -1,4 +1,4 @@
-"""Subsets of F_p^n: group arithmetic, automorphisms, and hyperplane decompositions.
+"""Subsets of F_p^n: group arithmetic, automorphisms, and the lines of F_p^2.
 
 A subset of F_p^n is a bit mask over p^n cells indexed in little-endian mixed
 radix: index(x) = sum x_i * p^i, so coordinate 0 is the least significant
@@ -8,10 +8,10 @@ every sumset, fold, sum-freeness test and stabilizer; VecSet is a typed view
 over it.  Masks are portable integers; the hex dump used in golden files is
 the little-endian byte string of that integer.
 
-A decomposition is a pair (v, K) with K a hyperplane (spanned by n-1 basis
-vectors) and v a transversal vector, so every x splits uniquely as
-x = i*v + x' with i in Z_p and x' in K.  The induced parts
-A_i = (A - i*v) cap K are reported in K-basis coordinates (dimension n-1).
+Line l of F_p^2 is a line K = span{k} through the origin together with a
+transversal v (`line_basis`), so every x splits uniquely as x = i*v + c*k.
+The part A_i = {c : i*v + c*k in A} is a subset of Z_p, and one table,
+`line_bases`, holds the map x -> (i, c) of every line.
 """
 
 from __future__ import annotations
@@ -60,23 +60,6 @@ def mat_det(m: list[list[int]], p: int) -> int:
             if f:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
     return det % p
-
-
-def mat_inverse(m: list[list[int]], p: int) -> list[list[int]]:
-    n = len(m)
-    a = [[m[r][c] % p for c in range(n)] + [1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            raise VecSetError("matrix is singular mod p")
-        a[col], a[piv] = a[piv], a[col]
-        inv = mod_inverse(a[col][col], p)
-        a[col] = [x * inv % p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -266,75 +249,44 @@ class Params:
 
 
 # ---------------------------------------------------------------------------
-# Decompositions (v, K) and part profiles
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A hyperplane K (given by a basis) plus a transversal vector v."""
-
-    p: int
-    n: int
-    v: tuple[int, ...]
-    kbasis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.kbasis) != self.n - 1:
-            raise VecSetError("K must have codimension 1")
-        rows = [list(self.v)] + [list(b) for b in self.kbasis]
-        if self.n >= 1 and mat_det(rows, self.p) == 0:
-            raise VecSetError("v together with the K basis must be a basis of the space")
-
-    def basis_matrix(self) -> list[list[int]]:
-        """Columns are v, k_1, ..., k_{n-1}."""
-        cols = [self.v, *self.kbasis]
-        return [[cols[c][r] for c in range(self.n)] for r in range(self.n)]
-
-
-def decompositions_2d(p: int):
-    """The p+1 decompositions of F_p^2, one per line through the origin.
-
-    K runs over span{(0,1)} then span{(1,t)} for t = 0..p-1; v is the least
-    standard basis vector outside K.
-    """
-    return (line_decomposition(p, line) for line in range(p + 1))
-
-
-def line_decomposition(p: int, line: int) -> Decomposition:
-    """Decomposition number `line` of F_p^2, in `decompositions_2d` order."""
-    if line == 0:
-        return Decomposition(p, 2, (1, 0), ((0, 1),))
-    t = line - 1
-    return Decomposition(p, 2, (0, 1) if t == 0 else (1, 0), ((1, t),))
+# The p+1 lines of F_p^2
 
 
 @lru_cache(maxsize=16)
-def _line_functionals(p: int) -> np.ndarray:
-    """(p+1, 2) array: row l is row 0 of the inverse basis matrix of
-    decomposition l, the functional x -> i with x = i*v + (element of K).
+def line_bases(p: int) -> np.ndarray:
+    """Read-only (p+1, 2, 2) table: entry l inverts line l's basis matrix
+    [v | k], so it maps x to the (i, c) with x = i*v + c*k (`line_basis`).
 
-    In closed form: (1, 0) for K = span{(0,1)}, (0, 1) for span{(1,0)} and
-    (1, -1/t) for span{(1,t)}, t != 0, since i*(1,0) + (x1/t)*(1,t) = x.
+    In closed form: the identity for line 0, the swap for line 1, and rows
+    (1, -1/t), (0, 1/t) for line t+1, since x = (x0 - x1/t)*e0 + (x1/t)*(1, t).
     """
-    f = np.zeros((p + 1, 2), dtype=np.int64)
-    f[0, 0] = f[1, 1] = 1
-    f[2:, 0] = 1
-    f[2:, 1] = [-mod_inverse(t, p) % p for t in range(1, p)]
-    f.setflags(write=False)
-    return f
+    inv = [mod_inverse(t, p) for t in range(1, p)]
+    b = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]] + [[[1, p - x], [0, x]] for x in inv],
+                 dtype=np.int64)
+    b.setflags(write=False)
+    return b
+
+
+def line_basis(p: int, line: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(v, k) of line `line` of F_p^2: the line K = span{k} runs over
+    span{(0,1)} and then span{(1,t)} for t = 0..p-1, and v is the least
+    standard basis vector outside K."""
+    if line == 0:
+        return (1, 0), (0, 1)
+    return (0, 1) if line == 1 else (1, 0), (1, line - 1)
 
 
 def line_part_sizes(a: VecSet) -> np.ndarray:
-    """(p+1, p) part-size matrix of A in F_p^2: entry (l, i) is |A_i| under
-    decomposition l of `decompositions_2d`, i.e. len(decompose(a, dec).part(i)).
+    """(p+1, p) part-size matrix of A in F_p^2: entry (l, i) is |A_i| along
+    line l, the number of c with i*v + c*k in A.
 
-    One product of A's coordinate rows with every line functional and one
-    offset bincount give all p+1 line profiles at once.
+    One product of A's coordinate rows with row 0 of every `line_bases`
+    entry and one offset bincount give all p+1 line profiles at once.
     """
     p = a.p
     if a.n != 2:
         raise VecSetError("line part sizes need n = 2")
-    f = _line_functionals(p)
+    f = line_bases(p)[:, 0]
     coords = indices_to_rows(a.index_array(), p, 2) @ f.T
     coords %= p
     coords += np.arange(len(f), dtype=np.int64) * p
@@ -344,37 +296,18 @@ def line_part_sizes(a: VecSet) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class DecompProfile:
-    """Parts and support of A under (v, K)."""
-
-    decomposition: Decomposition
-    p: int
-    n: int
-    parts: tuple[VecSet, ...]           # indexed by i in Z_p, in K-basis coordinates
-    support: ZpSet
-    weight: int
-
-    def part(self, i: int) -> VecSet:
-        return self.parts[i % self.p]
-
-
-def decompose(a: VecSet, d: Decomposition) -> DecompProfile:
-    """Split A along (v, K): A_i = (A - i*v) cap K, reported in K coordinates."""
-    p, n = a.p, a.n
-    if (d.p, d.n) != (p, n):
-        raise VecSetError("decomposition does not match the ambient space")
-    binv = mat_inverse(d.basis_matrix(), p)
-    # One bit array over (i, index in K): row i is the mask of the part A_i.
-    bits = np.zeros((p, p ** (n - 1)), dtype=bool)
-    if not a.is_empty():
-        coords = indices_to_rows(a.index_array(), p, n) @ np.array(binv, dtype=np.int64).T % p
-        bits[coords[:, 0], rows_to_indices(coords[:, 1:], p)] = True
-    parts = tuple(VecSet._new(p, n - 1, m) for m in bits_to_mask(bits))
-    if sum(len(x) for x in parts) != len(a):
-        raise GeneratorCheckError(f"parts along {d.v} miss elements of A: implementation bug")
-    support = ZpSet(p, [i for i, x in enumerate(parts) if x.mask])
-    return DecompProfile(d, p, n, parts, support, len(support))
+def line_parts(a: VecSet, line: int) -> list[int]:
+    """The p part masks of A in F_p^2 along line `line`: bit c of mask i is
+    set iff i*v + c*k lies in A, with (v, k) = line_basis(p, line)."""
+    p = a.p
+    if a.n != 2:
+        raise VecSetError("line parts need n = 2")
+    coords = indices_to_rows(a.index_array(), p, 2) @ line_bases(p)[line].T % p
+    bits = np.zeros((p, p), dtype=bool)
+    bits[coords[:, 0], coords[:, 1]] = True
+    if np.count_nonzero(bits) != len(a):
+        raise GeneratorCheckError(f"parts along line {line} miss elements of A: implementation bug")
+    return bits_to_mask(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +368,25 @@ def parse_vecset(text: str) -> VecSet:
 
 def parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
     """A list of vectors: "(1,0);(0,1)" or "{(1,0),(0,1)}" (groups in
-    parentheses, any separators between them), or "1,5" / "{1,5}" for
-    one-coordinate vectors.  Blank text, "{}" and a bare "()" are no vectors."""
-    text = text.strip()
-    if text == "()":
+    parentheses, separated by commas, semicolons or whitespace), or "1,5" /
+    "{1,5}" for one-coordinate vectors.  Blank text, "{}" and a bare "()" are
+    no vectors; any other text, an unclosed group or an empty coordinate is
+    refused."""
+    body = text.strip()
+    if body == "()":
         return ()
-    body = text.strip("{}").strip()
-    if not body:
-        return ()
-    if "(" in body:
-        return tuple(tuple(int(c) for c in grp.split(",") if c.strip())
-                     for grp in re.findall(r"\(([^()]*)\)", body))
-    return tuple((int(tok),) for tok in body.split(","))
+    if body.startswith("{") and body.endswith("}"):
+        body = body[1:-1]
+    pieces = re.split(r"\(([^()]*)\)", body)
+    stray = next((x for x in pieces[::2] if not re.fullmatch(r"[\s,;]*", x)), None)
+    if len(pieces) > 1 and stray is not None:
+        raise VecSetError(f"unexpected {stray.strip()!r} between the groups of {text!r}")
+    try:
+        if len(pieces) == 1:
+            return tuple((int(tok),) for tok in body.split(",")) if body.strip() else ()
+        return tuple(tuple(map(int, grp.split(","))) if grp.strip() else () for grp in pieces[1::2])
+    except ValueError as exc:
+        raise VecSetError(f"malformed vector list {text!r}: {exc}") from None
 
 
 def _parse_kv(tok: str, key: str) -> int:

@@ -10,10 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, dilate
-from klsf.vecset import (
-    Decomposition, Params, VecSet, VecSetError, decompose, decompositions_2d, apply_automorphism,
-    mat_det,
-)
+from klsf.vecset import Params, VecSet, VecSetError, apply_automorphism, mat_det
 from klsf.classify import (
     LABEL_PRIORITY, ClassReport, _classify_1d, _descriptors_2d, _match_descriptor_2d, classify,
 )
@@ -22,6 +19,7 @@ from klsf.constructions import (
     type1_a_values, type_support,
 )
 from klsf.modmath import dilation_masks, mod_inverse, primes_in
+from test_vecset import reference_line_parts, reference_line_profile
 
 
 def test_classify_1d_examples():
@@ -193,14 +191,14 @@ def deviation(parts, u):
 
 
 def test_balance_examples():
-    natural = Decomposition(11, 2, (1, 0), ((0, 1),))
+    # along line 0: v = e0, K = span{e1}
     params = Params(2, 1, 11, 2)
     cub = gen_cuboid(CuboidSpec(params, 0))
-    prof = decompose(cub, natural)
-    assert deviation(prof.parts, 11) == (11 - 3 - 1) * 11
-    assert deviation(decompose(VecSet.full(11, 2), natural).parts, 11) == 0
+    parts, support = reference_line_profile(cub, 0)
+    assert deviation(parts, 11) == (11 - 3 - 1) * 11
+    assert deviation(reference_line_profile(VecSet.full(11, 2), 0)[0], 11) == 0
     # omega = m+1, far below p - theta: outside the bound's hypotheses
-    assert prof.weight == params.m + 1 <= params.p - params.theta
+    assert len(support) == params.m + 1 <= params.p - params.theta
 
 
 def test_classify_fuzz_sound_labels_1d():
@@ -249,8 +247,6 @@ def test_classify_refuses_n_above_2_whatever_the_set(capsys):
 def test_weight_dichotomy_on_generator_outputs():
     # sum-free sets of size >= m*p^(n-1) never land between the small-weight
     # window [m, m+2] and the near-full window (p - theta, p]
-    from klsf.vecset import decompositions_2d, decompose
-
     specs = [
         TypeSpec("type1", Params(3, 1, 23, 2), a=5),
         TypeSpec("type2", Params(3, 1, 23, 2), vbasis=()),
@@ -262,8 +258,8 @@ def test_weight_dichotomy_on_generator_outputs():
     for spec in specs:
         out = gen_type(spec)
         params = spec.params
-        for dec in decompositions_2d(params.p):
-            w = decompose(out, dec).weight
+        for line in range(params.p + 1):
+            w = len(reference_line_profile(out, line)[1])
             assert w <= params.m + 2 or w > params.p - params.theta, (spec.which, w)
 
 
@@ -276,11 +272,10 @@ def test_balance_bound_on_big_weight_decompositions():
         out = gen_type(spec)
         params = spec.params
         p = params.p
-        skew = Decomposition(p, 2, (1, 0), ((1, 1),))
-        prof = decompose(out, skew)
-        sizes = sorted((len(x) for x in prof.parts), reverse=True)
-        assert prof.weight > p - params.theta and len(out) >= params.m * p
-        assert deviation(prof.parts, sizes[(p + 1) // 2 - 1]) <= (2 + params.theta) * p
+        parts = reference_line_parts(out, (1, 0), (1, 1))
+        sizes = sorted((len(x) for x in parts), reverse=True)
+        assert sum(1 for x in parts if x) > p - params.theta and len(out) >= params.m * p
+        assert deviation(parts, sizes[(p + 1) // 2 - 1]) <= (2 + params.theta) * p
 
 
 @st.composite
@@ -339,39 +334,59 @@ def test_classify_label_and_witness_invariant_under_automorphisms(data):
     assert apply_automorphism(image, matrix) == gen_type(rep.witness["spec"])
 
 
-def test_part_size_check_survives_optimize():
-    # The row-sum check on the line part-size matrix is an explicit raise:
-    # with one line functional lost it fires under python -O, and the CLI
-    # maps it to exit code 2.
-    script = """
+OPTIMIZED_CLASSIFY = """
 import sys
 from klsf import cli, vecset
 from klsf.classify import classify
 from klsf.constructions import GeneratorCheckError, TypeSpec, gen_type
-from klsf.vecset import Params
+from klsf.vecset import Params, format_vecset
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-full = vecset._line_functionals
-vecset._line_functionals = lambda p: full(p)[:-1]
+full = vecset.line_bases
+{patch}
 out = gen_type(TypeSpec("type5", Params(3, 1, 11, 2), s=1, pset=((1,),)))
 try:
     classify(out, 3, 1)
     print("no error")
 except GeneratorCheckError as exc:
     print("raised:", exc)
-print("exit", cli.main(["classify", "--k", "2", "--l", "1", "--set", "p=11;n=2;{(3,0),(4,1)}"]))
+print("exit", cli.main(["classify", "--k", "3", "--l", "1", "--set", format_vecset(out)]))
 """
+
+
+def assert_check_fires_under_optimize(patch):
+    """Run OPTIMIZED_CLASSIFY with `patch` under python -O: classify raises
+    the check and the CLI exits with code 2."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CLASSIFY.format(patch=patch)],
+                         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0].startswith("raised:") and "implementation bug" in lines[0]
     assert lines[-1] == "exit 2"
     assert "check failed" in run.stderr
+
+
+def test_part_size_check_survives_optimize():
+    # The row-sum check on the line part-size matrix is an explicit raise:
+    # with one line lost from the line table it fires under python -O, and
+    # the CLI maps it to exit code 2.
+    assert_check_fires_under_optimize("vecset.line_bases = lambda p: full(p)[:-1]")
+
+
+def test_line_parts_check_survives_optimize():
+    # So is the check that one line's parts cover A: with line 0's entry made
+    # singular (its row 0, which the part sizes read, kept) the parts the
+    # matcher reads collide under python -O, and the CLI exits with code 2.
+    assert_check_fires_under_optimize("""
+def singular(p):
+    table = full(p).copy()
+    table[0] = [[1, 0], [0, 0]]
+    return table
+vecset.line_bases = singular""")
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +462,12 @@ def reference_check_fibers(special, parts_by_target, c, u, s, p):
     return images[pj] if images[cop] == images[pj].complement() else None
 
 
-def reference_match_descriptor(desc, profile, p):
-    """First (s, c, u) in scan order carrying the profile onto the descriptor, plus P."""
+def reference_match_descriptor(desc, parts, supp, p):
+    """First (s, c, u) in scan order carrying the parts (ZpSets, support
+    `supp`) onto the descriptor, plus P."""
     target_support = ZpSet(p, list(desc["bands"]))
-    supp = profile.support
     if len(supp) != len(target_support):
         return None
-    parts = [x.to_zpset() for x in profile.parts]
     for s, image in enumerate(dilation_masks(p, supp.mask), 1):
         if image != target_support.mask:
             continue
@@ -519,12 +533,12 @@ def test_mask_matcher_matches_scalar_scan_reference(case):
     pairs = list(zip(_descriptors_2d(params), reference_descriptors(params)))
     assert [d[0] for d, _ in pairs] == [r["kind"] for _, r in pairs]
     hits = 0
-    for dec in decompositions_2d(p):
-        profile = decompose(a, dec)
-        parts = [x.mask for x in profile.parts]
+    for line in range(p + 1):
+        parts, support = reference_line_profile(a, line)
+        masks = [x.mask for x in parts]
         for desc, ref_desc in pairs:
-            ref = reference_match_descriptor(ref_desc, profile, p)
-            got = _match_descriptor_2d(desc, parts, profile.support.mask, p)
+            ref = reference_match_descriptor(ref_desc, parts, support, p)
+            got = _match_descriptor_2d(desc, masks, support.mask, p)
             if ref is None:
                 assert got is None
                 continue

@@ -80,6 +80,30 @@ def test_classify_2d_literal(capsys):
     assert code == 0 and doc["results"]["label"] == "trivial"
 
 
+@pytest.mark.parametrize("v, k, line", [((1, 0), (0, 1), 0), ((0, 1), (1, 0), 1), ((1, 0), (1, 2), 3)],
+                         ids=["line-0", "line-1", "skew-line-3"])
+def test_classify_pins_the_triviality_witness(capsys, v, k, line):
+    # A = {i*v + c*k : i in {2, 3}} has support {2, 3} along its own line
+    # alone, and 2*{2, 3} lies in the extremal interval [4, 7] at (2,1,11).
+    cells = sorted({((i * v[0] + c * k[0]) % 11, (i * v[1] + c * k[1]) % 11)
+                    for i in (2, 3) for c in range(11)})
+    lit = "p=11;n=2;{" + ",".join(f"({x},{y})" for x, y in cells) + "}"
+    code, doc, _ = run_cli(["classify", "--k", "2", "--l", "1", "--set", lit], capsys)
+    assert code == 0 and doc["results"]["label"] == "trivial"
+    assert doc["results"]["witness"] == {"line": line, "dilation": 2, "j": 0,
+                                         "v": list(v), "kbasis": [list(k)]}
+
+
+@pytest.mark.parametrize("lit, message", [
+    ("p=5;n=2;{(1,2),(3,4}", "unexpected ',(3,4' between the groups"),
+    ("p=5;n=2;{(1,,2)}", "malformed vector list '{(1,,2)}'"),
+    ("p=5;n=2;{(1,2) junk (3,4)}", "unexpected 'junk' between the groups"),
+], ids=["unclosed-group", "empty-coordinate", "junk"])
+def test_malformed_set_literal_exit_1(capsys, lit, message):
+    code, doc, err = run_cli(["verify", "--k", "2", "--l", "1", "--set", lit], capsys)
+    assert code == 1 and doc is None and "parameter error" in err and message in err
+
+
 def test_enumerate_json_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "orbits.csv"
     code, doc, _ = run_cli(
@@ -315,7 +339,22 @@ def test_grid_item_refuses_keys_the_kind_does_not_read(tmp_path, capsys, item, u
     ({"k": 3, "l": 1, "p": 23, "type": "cuboid", "j": "0"}, "field j must be an int, got '0'"),
     ({"k": 3, "l": 1, "p": 23, "n": True, "type": "cuboid"}, "field n must be an int, got True"),
     ({"k": 3, "l": 1, "p": 23, "type": "1", "extras": [5]}, "extras must be an object, got [5]"),
-], ids=["non-object", "string-k", "string-j", "bool-n", "list-extras"])
+    ({"k": 3, "l": 1, "p": 23, "type": "1", "extras": {"a": "5"}},
+     "extras field a must be an int, got '5'"),
+    ({"k": 3, "l": 1, "p": 23, "type": "1", "extras": {"a": 5.0}}, "extras field a must be an int, got 5.0"),
+    ({"k": 3, "l": 1, "p": 23, "type": "1", "extras": {"a": True}}, "extras field a must be an int, got True"),
+    ({"k": 3, "l": 1, "p": 23, "n": 2, "type": "5", "extras": {"s": "1", "pset": [[1]]}},
+     "extras field s must be an int, got '1'"),
+    ({"k": 3, "l": 1, "p": 23, "n": 2, "type": "2", "extras": {"vbasis": 5}},
+     "extras field vbasis must be a list of lists of ints, got 5"),
+    ({"k": 3, "l": 1, "p": 23, "n": 2, "type": "5", "extras": {"s": 1, "pset": [["1"]]}},
+     "extras field pset must be a list of lists of ints, got [['1']]"),
+    ({"k": 3, "l": 1, "p": 23, "n": 2, "type": "5", "extras": {"s": 1, "pset": [[1.5]]}},
+     "extras field pset must be a list of lists of ints, got [[1.5]]"),
+    ({"k": 3, "l": 1, "p": 23, "n": 2, "type": "5", "extras": {"s": 1, "pset": [[True]]}},
+     "extras field pset must be a list of lists of ints, got [[True]]"),
+], ids=["non-object", "string-k", "string-j", "bool-n", "list-extras", "string-a", "float-a", "bool-a",
+        "string-s", "int-vbasis", "string-pset", "float-pset", "bool-pset"])
 def test_grid_item_refuses_malformed_fields(tmp_path, capsys, item, message):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps([item]))

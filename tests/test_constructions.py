@@ -9,10 +9,9 @@ from hypothesis import given, strategies as st
 from klsf.zpset import ZpSet, dilate, ed_profile, is_kl_sumfree
 from klsf.modmath import dilation_orbits, primes_in, word_array
 from klsf.search import enumerate_second_level
-from klsf.vecset import (
-    Params, VecSet, apply_automorphism, decompose, decompositions_2d, vec_is_kl_sumfree,
-)
+from klsf.vecset import Params, VecSet, apply_automorphism, line_basis, vec_is_kl_sumfree
 from klsf import constructions, search
+from test_vecset import reference_line_profile
 from klsf.constructions import (
     CuboidSpec,
     extremal_embedding,
@@ -268,13 +267,14 @@ def scalar_extremal_embedding(s, intervals):
 
 
 def per_line_nontriviality(a, params):
-    """The n = 2 scan with one full decomposition per line: (status, witness)."""
+    """The n = 2 scan with the brute-force parts of each line: (status, witness)."""
     intervals = extremal_intervals(params)
-    for line, dec in enumerate(decompositions_2d(params.p)):
-        hit = scalar_extremal_embedding(decompose(a, dec).support, intervals)
+    for line in range(params.p + 1):
+        hit = scalar_extremal_embedding(reference_line_profile(a, line)[1], intervals)
         if hit is not None:
             s, j = hit
-            return "trivial", {"line": line, "dilation": s, "j": j, "v": dec.v, "kbasis": dec.kbasis}
+            v, k = line_basis(params.p, line)
+            return "trivial", {"line": line, "dilation": s, "j": j, "v": v, "kbasis": (k,)}
     return "nontrivial", None
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from klsf import spectral
 from klsf.zpset import ZpSet
-from klsf.vecset import VecSet, VecSetError, _line_functionals, line_part_sizes
+from klsf.vecset import VecSet, VecSetError, line_bases, line_part_sizes
 from klsf.spectral import (
     kl_vanishing_sum,
     spectrum,
@@ -120,8 +120,8 @@ def test_vanishing_identity_on_sumfree_sets():
 
 def kernel_line(p, t):
     """The line of F_p^2 that is the kernel of x -> <t, x>: the one whose
-    `_line_functionals` row is proportional to t."""
-    f = _line_functionals(p)
+    functional x -> i (row 0 of its `line_bases` entry) is proportional to t."""
+    f = line_bases(p)[:, 0]
     return next(line for line in range(p + 1)
                 if (f[line, 0] * t[1] - f[line, 1] * t[0]) % p == 0)
 

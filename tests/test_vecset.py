@@ -1,4 +1,4 @@
-"""F_p^n sets: sumsets vs naive oracle, decompositions, stabilizers, Kneser."""
+"""F_p^n sets: sumsets vs naive oracle, the lines of F_p^2, stabilizers, Kneser."""
 
 import random
 
@@ -7,18 +7,19 @@ from hypothesis import given, strategies as st
 
 from klsf.zpset import ZpSet, hfold
 from klsf.vecset import (
-    Decomposition,
     Params,
     VecSet,
     VecSetError,
     apply_automorphism,
-    decompose,
-    decompositions_2d,
     format_vecset,
     kneser_gap,
-    line_decomposition,
+    line_bases,
+    line_basis,
     line_part_sizes,
+    line_parts,
+    mat_det,
     parse_vecset,
+    parse_vectors,
     sym_group,
     vhfold,
     vsumset,
@@ -37,6 +38,22 @@ def mat_vec(m, x, p):
 
 def column(p, xs):
     return VecSet(p, 2, [(x, y) for x in xs for y in range(p)])
+
+
+def reference_line_parts(a, v, k):
+    """The parts of A in F_p^2 along the basis (v, k), by brute force: part i
+    holds every c with i*v + c*k in A, trying each of the p^2 pairs (i, c)."""
+    p = a.p
+    members = set(a.vectors())
+    return [ZpSet(p, [c for c in range(p)
+                      if ((i * v[0] + c * k[0]) % p, (i * v[1] + c * k[1]) % p) in members])
+            for i in range(p)]
+
+
+def reference_line_profile(a, line):
+    """(parts, support) of A along line `line`, the (v, k) of `line_basis`."""
+    parts = reference_line_parts(a, *line_basis(a.p, line))
+    return parts, ZpSet(a.p, [i for i, x in enumerate(parts) if x])
 
 
 def test_vsumset_examples():
@@ -86,8 +103,6 @@ def test_automorphism_examples():
     rng = random.Random(41)
     for _ in range(10):
         m = [[rng.randrange(5) for _ in range(2)] for _ in range(2)]
-        from klsf.vecset import mat_det
-
         if mat_det(m, 5) == 0:
             continue
         assert apply_automorphism(vhfold(v, 2), m) == vhfold(apply_automorphism(v, m), 2)
@@ -95,79 +110,92 @@ def test_automorphism_examples():
 
 def test_decompose_examples():
     v = column(5, [1, 2])
-    natural = Decomposition(5, 2, (1, 0), ((0, 1),))
-    prof = decompose(v, natural)
-    assert prof.support == ZpSet(5, [1, 2]) and prof.weight == 2
-    assert prof.part(1).is_full() and prof.part(2).is_full()
-    other = Decomposition(5, 2, (0, 1), ((1, 0),))
-    prof2 = decompose(v, other)
-    assert prof2.weight == 5 and {len(x) for x in prof2.parts} == {2}
-    empty = decompose(VecSet(5, 2), natural)
-    assert empty.weight == 0 and all(x.is_empty() for x in empty.parts)
+    full = (1 << 5) - 1
+    parts = line_parts(v, 0)
+    assert [i for i, x in enumerate(parts) if x] == [1, 2]
+    assert parts[1] == parts[2] == full
+    assert sorted(x.bit_count() for x in line_parts(v, 1)) == [2] * 5
+    assert line_parts(VecSet(5, 2), 0) == [0] * 5
+    with pytest.raises(VecSetError, match="n = 2"):
+        line_parts(VecSet(5, 1, [(1,)]), 0)
 
 
 def test_decompose_partition_identity_and_order():
-    # parts come in residue order: x = i*v + c*k1 lies in part i at K coordinate c
+    # parts come in residue order: x = i*v + c*k lies in part i at K coordinate c
     rng = random.Random(43)
     for _ in range(25):
         p = rng.choice([5, 7, 11])
         cells = p * p
         a = VecSet.from_indices(p, 2, rng.sample(range(cells), rng.randrange(1, cells)))
-        for dec in decompositions_2d(p):
-            prof = decompose(a, dec)
-            assert sum(len(x) for x in prof.parts) == len(a)
-            assert prof.support == ZpSet(p, [i for i in range(p) if prof.part(i)])
-            (v0, v1), (k0, k1) = dec.v, dec.kbasis[0]
+        counts = line_part_sizes(a)
+        for line in range(p + 1):
+            parts = line_parts(a, line)
+            assert sum(x.bit_count() for x in parts) == len(a)
+            assert (counts[line] > 0).tolist() == [x != 0 for x in parts]
+            (v0, v1), (k0, k1) = line_basis(p, line)
             for i in range(p):
-                for (c,) in prof.part(i).vectors():
+                for c in ZpSet.from_mask(p, parts[i]).elements():
                     assert ((i * v0 + c * k0) % p, (i * v1 + c * k1) % p) in a
 
 
-def assert_part_sizes_match_decompose(a):
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_line_bases_invert_each_line_basis(p):
+    # entry l of the table times the basis matrix [v | k] of line l is the
+    # identity mod p, and the p+1 lines K = span{k} are distinct
+    table = line_bases(p)
+    assert table.shape == (p + 1, 2, 2) and not table.flags.writeable
+    for line in range(p + 1):
+        v, k = line_basis(p, line)
+        assert (table[line] @ [[v[0], k[0]], [v[1], k[1]]] % p == [[1, 0], [0, 1]]).all(), line
+    lines = {frozenset((c * x % p, c * y % p) for c in range(p))
+             for x, y in (line_basis(p, line)[1] for line in range(p + 1))}
+    assert len(lines) == p + 1
+
+
+def assert_parts_match_reference(a):
     counts = line_part_sizes(a)
     assert counts.shape == (a.p + 1, a.p)
-    for line, dec in enumerate(decompositions_2d(a.p)):
-        prof = decompose(a, dec)
-        assert counts[line].tolist() == [len(prof.part(i)) for i in range(a.p)], line
+    for line in range(a.p + 1):
+        parts, _ = reference_line_profile(a, line)
+        assert counts[line].tolist() == [len(x) for x in parts], line
+        assert line_parts(a, line) == [x.mask for x in parts], line
 
 
 @given(st.sampled_from((2, 3, 5, 7, 11, 13)).flatmap(
     lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p * p - 1)))))
-def test_line_part_sizes_match_decompose(case):
+def test_line_part_sizes_match_reference(case):
     p, cells = case
-    assert_part_sizes_match_decompose(VecSet.from_indices(p, 2, cells))
+    assert_parts_match_reference(VecSet.from_indices(p, 2, cells))
 
 
 def test_line_part_sizes_edge_sets():
     for p in (2, 5, 13):
-        assert_part_sizes_match_decompose(VecSet(p, 2))
-        assert_part_sizes_match_decompose(VecSet.full(p, 2))
+        assert_parts_match_reference(VecSet(p, 2))
+        assert_parts_match_reference(VecSet.full(p, 2))
         for cell in range(p * p):
-            assert_part_sizes_match_decompose(VecSet.from_indices(p, 2, [cell]))
+            assert_parts_match_reference(VecSet.from_indices(p, 2, [cell]))
     assert not line_part_sizes(VecSet(7, 2)).any()
     assert (line_part_sizes(VecSet.full(7, 2)) == 7).all()
-    assert [line_decomposition(7, line) for line in range(8)] == list(decompositions_2d(7))
+    assert [line_basis(7, line) for line in range(8)] == [
+        ((1, 0), (0, 1)), ((0, 1), (1, 0))] + [((1, 0), (1, t)) for t in range(1, 7)]
     with pytest.raises(VecSetError, match="n = 2"):
         line_part_sizes(VecSet(5, 3, [(1, 2, 3)]))
 
 
 def test_decompose_automorphism_compatibility():
-    # decomposing M(A) along (Mv, MK) gives the same part-size profile
+    # decomposing M(A) along (Mv, Mk) gives the same part-size profile
     rng = random.Random(47)
-    from klsf.vecset import mat_det
-
     p = 7
     a = VecSet.from_indices(p, 2, rng.sample(range(49), 23))
+    parts = reference_line_parts(a, (1, 0), (0, 1))
     for _ in range(8):
         m = [[rng.randrange(p) for _ in range(2)] for _ in range(2)]
         if mat_det(m, p) == 0:
             continue
-        dec = Decomposition(p, 2, (1, 0), ((0, 1),))
-        img_dec = Decomposition(p, 2, mat_vec(m, (1, 0), p), (mat_vec(m, (0, 1), p),))
-        prof = decompose(a, dec)
-        prof_img = decompose(apply_automorphism(a, m), img_dec)
-        assert sorted(map(len, prof.parts)) == sorted(map(len, prof_img.parts))
-        assert prof.support == prof_img.support
+        parts_img = reference_line_parts(apply_automorphism(a, m), mat_vec(m, (1, 0), p),
+                                         mat_vec(m, (0, 1), p))
+        assert sorted(map(len, parts)) == sorted(map(len, parts_img))
+        assert [bool(x) for x in parts] == [bool(x) for x in parts_img]
 
 
 def test_sym_group_examples():
@@ -244,6 +272,39 @@ def test_vec_literals_and_hex():
         parse_vecset("p=5;n=2;{(1,2),(1,2)}")
 
 
+@pytest.mark.parametrize("text, vectors", [
+    ("(1,0);(0,1)", ((1, 0), (0, 1))),
+    ("{(1,0),(0,1)}", ((1, 0), (0, 1))),
+    (" { ( 1 , 2 )\n; (3,4) , } ", ((1, 2), (3, 4))),
+    ("1,5", ((1,), (5,))),
+    ("{1,5}", ((1,), (5,))),
+    ("", ()),
+    ("  ", ()),
+    ("{}", ()),
+    ("()", ()),
+])
+def test_parse_vectors_accepts(text, vectors):
+    assert parse_vectors(text) == vectors
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{(1,2),(3,4}", "unexpected ',(3,4' between the groups of '{(1,2),(3,4}'"),
+    ("{(1,2) junk (3,4)}", "unexpected 'junk' between the groups of '{(1,2) junk (3,4)}'"),
+    ("{(1,2)}}", "unexpected '}' between the groups of '{(1,2)}}'"),
+    ("(1,2", ": '(1'"),
+    ("{(1,,2)}", ": ''"),
+    ("1,,5", ": ''"),
+    ("{1,5", ": '{1'"),
+    ("1 5", ": '1 5'"),
+])
+def test_parse_vectors_refuses_malformed_text(text, message):
+    # An unclosed group, text between groups or a coordinate that is not an
+    # integer is refused, not dropped; the message ends with the offending text.
+    with pytest.raises(VecSetError) as exc:
+        parse_vectors(text)
+    assert repr(text) in str(exc.value) and str(exc.value).endswith(message)
+
+
 def test_sumset_dual_routes_at_medium_scale():
     # The large spot checks lean on the row-class and FFT routes; pin both
     # against the roll-and-OR route on a structured 2575-element set over
@@ -286,10 +347,10 @@ def test_part_sum_bound_on_solved_index_equations():
                 else TypeSpec("type5", params, s=1, pset=((1,),)))
         a = gen_type(spec)
         bound = p + (k + l - 2)
-        for dec in decompositions_2d(p):
-            prof = decompose(a, dec)
-            supp = sorted(prof.support.elements())
-            if prof.weight <= params.m + 2:
+        for line in range(p + 1):
+            parts, support = reference_line_profile(a, line)
+            supp = sorted(support.elements())
+            if len(support) <= params.m + 2:
                 pairs = (
                     (left, right)
                     for left in itertools.combinations_with_replacement(supp, k)
@@ -303,9 +364,7 @@ def test_part_sum_bound_on_solved_index_equations():
                 )
             for left, right in pairs:
                 if sum(left) % p == sum(right) % p:
-                    total = sum(len(prof.parts[i]) for i in left) + sum(
-                        len(prof.parts[i]) for i in right
-                    )
+                    total = sum(len(parts[i]) for i in left) + sum(len(parts[i]) for i in right)
                     assert total <= bound
 
 
@@ -321,13 +380,13 @@ def test_beta_sum_bound_on_large_index_sums():
         spec = (TypeSpec("rz", params, s=1, pset=((1,),)) if k == 2
                 else TypeSpec("type5", params, s=1, pset=((1,),)))
         a = gen_type(spec)
-        for dec in decompositions_2d(p):
-            prof = decompose(a, dec)
-            w = prof.weight
+        for line in range(p + 1):
+            parts, support = reference_line_profile(a, line)
+            w = len(support)
             if w > params.m + 2:
                 continue
             # beta_i = |B_i|, the i-th largest part size, at n = 2
-            beta = sorted(map(len, prof.parts), reverse=True)
+            beta = sorted(map(len, parts), reverse=True)
             for idx in itertools.combinations_with_replacement(range(1, w + 1), k + l):
                 if sum(idx) >= p + k + l - 1:
                     total = sum(beta[i - 1] for i in idx)
