@@ -4,7 +4,11 @@ Labels: "trivial" (inside an extremal cuboid up to isomorphism), "type1" ..
 "type5", "rz", "nontrivial-unknown" (honest fallback) and "not-sum-free".
 Any label besides the last two carries a witness that regenerates the set:
 for n = 1 a dilation onto a generator output, for n = 2 a full automorphism
-matrix together with the matching TypeSpec.
+matrix together with the matching TypeSpec.  Every witness spec comes from
+`constructions.make_spec`, with the fields of a STRUCTURES variant (and, for
+an open P, the P the matcher solved for), and a witness that does not
+regenerate the set raises GeneratorCheckError.  Labels rank in TYPE_KINDS
+order.
 
 The n = 2 matcher only searches automorphisms that fix a candidate line:
 f(i*v + w) = (s*i)*e0 + (w + i*u)*e1 in the basis (v, k) of one of the p+1
@@ -44,7 +48,6 @@ from .vecset import (
     vec_is_kl_sumfree,
 )
 from .constructions import (
-    ANY_P,
     CO_P,
     P,
     TYPE_KINDS,
@@ -54,12 +57,11 @@ from .constructions import (
     band_layout,
     extremal_intervals,
     gen_type,
+    make_spec,
     nontriviality_check,
     reference_specs,
     type_support,
 )
-
-LABEL_PRIORITY = ("type1", "type2", "type3", "type4", "type5", "rz")
 
 
 @dataclass
@@ -87,13 +89,7 @@ def _plain(v):
     if isinstance(v, tuple):
         return [_plain(x) for x in v]
     if isinstance(v, TypeSpec):
-        return {
-            "which": v.which,
-            "a": v.a,
-            "vbasis": _plain(v.vbasis) if v.vbasis is not None else None,
-            "s": v.s,
-            "pset": _plain(v.pset) if v.pset is not None else None,
-        }
+        return {f: _plain(x) for f, x in vars(v).items() if f not in ("params", "notes")}
     return v
 
 
@@ -119,7 +115,7 @@ def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
     if not matches:
         return ClassReport("nontrivial-unknown", params,
                            notes=[f"size {len(zp)} vs m={params.m}; no generator matches"])
-    matches.sort(key=lambda t: LABEL_PRIORITY.index(t[0]))
+    matches.sort(key=lambda t: TYPE_KINDS.index(t[0]))
     kind, spec, s = matches[0]
     back = mod_inverse(s, p)
     regen = gen_type(spec).to_zpset()
@@ -154,7 +150,7 @@ def _descriptors_2d(params: Params) -> tuple:
 def _match_descriptor_2d(desc: tuple, parts: list[int], support: int, p: int):
     """Find (s, u, P) such that (i, x) -> (s*i, x + i*u) carries the part
     masks `parts` (A_i by axis index i, support mask `support`) onto the
-    descriptor's bands; P is the image mask of an open P, else 0.
+    descriptor's bands; P is the image mask of an open P, else None.
 
     Dilations s are tried in ascending order.  For each, u is forced by the
     first band whose fibre is one point or all but one (every u is tried if
@@ -189,7 +185,7 @@ def _match_descriptor_2d(desc: tuple, parts: list[int], support: int, p: int):
                     break
             else:
                 if not images or images[CO_P] == full ^ images[P]:
-                    return s, u, images.get(P, 0)
+                    return s, u, images.get(P)
     return None
 
 
@@ -211,29 +207,26 @@ def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
             found = _match_descriptor_2d(desc, parts, support, p)
             if found is None:
                 continue
-            s, u, pset = found
-            spec = _build_spec(desc, pset, params)
+            kind, _, fields = desc
+            s, u, image = found
+            if image is not None:  # the open P, solved
+                fields = {**fields, "pset": tuple((x,) for x in mask_to_indices(image).tolist())}
+            spec = make_spec(kind, params, **fields)
             matrix = _block_matrix(p, line, s, u)
-            if apply_automorphism(a, matrix) == gen_type(spec):
-                matches.append((desc[0], spec, line, matrix))
+            if apply_automorphism(a, matrix) != gen_type(spec):
+                raise GeneratorCheckError(
+                    f"{kind} witness on line {line} does not regenerate the set: implementation bug")
+            matches.append((kind, spec, line, matrix))
     if not matches:
         return ClassReport("nontrivial-unknown", params,
                            notes=[f"size {len(a)} vs m*p={params.m * p}; no generator matches"])
-    matches.sort(key=lambda t: (LABEL_PRIORITY.index(t[0]), t[2]))
+    matches.sort(key=lambda t: (TYPE_KINDS.index(t[0]), t[2]))
     kind, spec, line, matrix = matches[0]
     notes = sorted({f"also matches {k}" for k, _, _, _ in matches[1:] if k != kind})
     notes += list(spec.notes)
     return ClassReport(kind, params,
                        {"spec": spec, "line": line, "matrix": tuple(tuple(r) for r in matrix)},
                        notes)
-
-
-def _build_spec(desc: tuple, pset: int, params: Params) -> TypeSpec:
-    kind, _, fields = desc
-    fields = dict(fields)
-    if fields.get("pset") is ANY_P:
-        fields["pset"] = tuple((x,) for x in mask_to_indices(pset).tolist())
-    return TypeSpec(kind, params, **fields)
 
 
 def _block_matrix(p: int, line: int, s: int, u: int) -> list[list[int]]:

@@ -11,6 +11,12 @@ Exit codes:
        rest of the output is dropped without a message, and the code is the
        128 + SIGPIPE a shell reports for a process that SIGPIPE ended
 
+`klsf construct` builds its spec with `constructions.make_spec`, from the
+flags or from each --grid item.  A kind takes the fields its STRUCTURES row
+reads (cuboid --j, type 1 --a, types 2 and 4 --vbasis, type 5 and rz --s and
+--pset; in a --grid item j sits at the top level and the rest in "extras"),
+and any other field given is refused.
+
 Every command emits a manifest-style JSON document: schema id, the exact
 command line, parameters and seeds, then results.  Every clock reading lives
 in the top-level `timing` block, so reruns are byte-identical outside it.
@@ -28,12 +34,14 @@ from fractions import Fraction
 from .zpset import format_zpset
 from .vecset import Params, VecSet, format_vecset, parse_vecset, parse_vectors, vec_is_kl_sumfree
 from .constructions import (
+    STRUCTURES,
+    TYPE_KINDS,
     CuboidSpec,
     GeneratorCheckError,
     ParameterError,
-    TypeSpec,
     gen_cuboid,
     gen_type,
+    make_spec,
     nontriviality_check,
 )
 from .classify import classify
@@ -45,10 +53,9 @@ from .criteria import CRITERIA, run_criterion
 SCHEMA = "klsf/1"
 EXIT_OK, EXIT_PARAM, EXIT_CHECK, EXIT_FINDING = 0, 1, 2, 3
 EXIT_PIPE = 128 + 13  # SIGPIPE
-# The keys every --grid item must hold, and those its "extras" may hold (read
-# by the non-cuboid kinds).
+# The keys every --grid item must hold.  Its "extras" may hold the fields
+# that the STRUCTURES rows of the non-cuboid kinds read.
 GRID_REQUIRED = ("k", "l", "p", "type")
-GRID_EXTRAS = ("a", "s", "vbasis", "pset")
 
 
 def _emit(doc: dict, out_path: str | None, t0: float, timing: dict | None = None) -> None:
@@ -118,9 +125,10 @@ def _spec_from_grid_item(item: dict, position: int = 0):
     extras = item.get("extras") or {}
     if not isinstance(extras, dict):
         raise ParameterError(f"grid item extras must be an object, got {extras!r}")
-    unknown = sorted(set(extras) - set(GRID_EXTRAS))
+    known = list(dict.fromkeys(f for name in TYPE_KINDS for f in STRUCTURES[name].reads))
+    unknown = sorted(set(extras) - set(known))
     if unknown:
-        raise ParameterError(f"unknown extras {', '.join(unknown)}; known: {', '.join(GRID_EXTRAS)}")
+        raise ParameterError(f"unknown extras {', '.join(unknown)}; known: {', '.join(known)}")
     fields = {}
     for key, value in extras.items():
         if key in ("a", "s"):
@@ -133,15 +141,8 @@ def _spec_from_grid_item(item: dict, position: int = 0):
         else:
             raise ParameterError(f"grid item extras field {key} must be a list of lists of ints,"
                                  f" got {value!r}")
-    j = item.get("j")
-    if kind == "cuboid":
-        if extras:
-            raise ParameterError(f"cuboid does not read {', '.join(extras)}")
-        return CuboidSpec(params, 0 if j is None else j)
-    kind = kind if kind.startswith(("type", "rz")) else f"type{kind}"
-    if j is not None:
-        raise ParameterError(f"{kind} does not read j")
-    return TypeSpec(kind, params, **fields)
+    kind = kind if kind.startswith(("cuboid", "type", "rz")) else f"type{kind}"
+    return make_spec(kind, params, j=item.get("j"), **fields)
 
 
 def _construct_record(spec) -> dict:

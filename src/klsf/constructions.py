@@ -8,11 +8,14 @@ when either fails (the structures are only guaranteed for large enough m, so
 small-m corner cases are reported rather than assumed).
 
 The structures (extremal cuboids, types 1-5 and the Reiher-Zotova family rz)
-are catalogued once, in STRUCTURES: each row gives the parameter window, the
-base point on axis 0 and the bands {base + offset} x fibre.  Generation, axis
-supports, the classifier's band descriptors and the reference specs of the
-A3 grid are all read off that table.  With p = (k+l)m + 2 + lam, cuboids have
-size (m+1)p^{n-1} and every type has size m*p^{n-1}.
+are catalogued once, in STRUCTURES: each row names the spec fields the kind
+reads (cuboid j, type 1 a, types 2 and 4 vbasis, type 5 and rz s and pset)
+and gives the parameter window, the base point on axis 0 and the bands
+{base + offset} x fibre.  Generation, axis supports, the classifier's band
+descriptors and the reference specs of the A3 grid are all read off that
+table, and every spec built from fields goes through one builder, `make_spec`.
+With p = (k+l)m + 2 + lam, cuboids have size (m+1)p^{n-1} and every type has
+size m*p^{n-1}.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, bits_to_mask, dilation_masks, mod_inverse, word_array
+from .modmath import GeneratorCheckError, bits_to_mask, dilation_masks, fold_masks, mod_inverse, word_array
 from .zpset import ZpSet, ed_profile
 from .vecset import (
     CriterionError,
@@ -92,30 +95,22 @@ ANY_P = "any P"
 class Structure:
     """One structure kind: the bands {base + offset} x fibre on axis 0.
 
+    `reads` names the spec fields the kind reads; a spec refuses any other.
     `variants` lists the spec fields of the reference members, in A3 grid
     order.  The variant with an open P (the generic member) is the kind's
     reference spec; a kind without one takes its first variant.
     """
 
+    reads: tuple[str, ...]
     requires: str                                # the parameter window, in words
     window: Callable[[Params], bool]
     base: Callable[[Params, dict], int]          # axis-0 point the offsets count from
     bands: Callable[[int], tuple]                # m -> runs (first, last, fibre) of offsets
     variants: Callable[[Params], list[dict]]
-    subspace: Callable | None = None             # (p, dim, spec fields) -> V over F_p^dim
 
 
 def _indicator(s: VecSet) -> np.ndarray:
     return s.bit_array().astype(bool)
-
-
-def _span_v(p: int, dim: int, fields: dict) -> np.ndarray:
-    return _indicator(subspace_span(p, dim, tuple(fields["vbasis"] or ())))
-
-
-def _axes_v(p: int, dim: int, fields: dict) -> np.ndarray:
-    s = fields["s"] or 0
-    return np.tile(_indicator(VecSet(p, s, [(0,) * s])), p ** (dim - s))
 
 
 def _pinched(m: int) -> tuple:
@@ -124,61 +119,64 @@ def _pinched(m: int) -> tuple:
 
 STRUCTURES: dict[str, Structure] = {
     "cuboid": Structure(
-        "m >= 1 and lam <= k+l-3", lambda pr: pr.lambda_in_range(),
+        ("j",), "m >= 1 and lam <= k+l-3", lambda pr: pr.lambda_in_range(),
         lambda pr, f: -(pr.k * pr.m + 1 + f["j"]) * mod_inverse(pr.k - pr.l, pr.p),
         lambda m: ((0, m, W),),
         lambda pr: [{"j": j} for j in range(pr.extremal_orbit_count())]),
     "type1": Structure(
-        "m >= 2", lambda pr: pr.m >= 2,
+        ("a",), "m >= 2", lambda pr: pr.m >= 2,
         lambda pr, f: f["a"],
         lambda m: ((0, m - 1, W),),
         lambda pr: [{"a": a} for a in type1_a_values(pr)]),
     "type2": Structure(
-        "l = 1, n >= 2 and m >= 2", lambda pr: pr.l == 1 and pr.n >= 2 and pr.m >= 2,
+        ("vbasis",), "l = 1, n >= 2 and m >= 2", lambda pr: pr.l == 1 and pr.n >= 2 and pr.m >= 2,
         lambda pr, f: type2_a(pr),
         lambda m: ((0, 0, CO_V), (1, m - 1, W), (m, m, V)),
-        lambda pr: [{"vbasis": ()}], _span_v),
+        lambda pr: [{"vbasis": ()}]),
     "type3": Structure(
-        "k+l >= 5, lam = k+l-4 and m >= 2",
+        (), "k+l >= 5, lam = k+l-4 and m >= 2",
         lambda pr: pr.k + pr.l >= 5 and pr.lam == pr.k + pr.l - 4 and pr.m >= 2,
         lambda pr, f: type3_a(pr),
         lambda m: ((-1, -1, W), (1, m - 2, W), (m, m, W)),
         lambda pr: [{}]),
     "type4": Structure(
-        "(k+l, lam) = (5, 1), n >= 2 and m >= 2",
+        ("vbasis",), "(k+l, lam) = (5, 1), n >= 2 and m >= 2",
         lambda pr: (pr.k + pr.l, pr.lam) == (5, 1) and pr.n >= 2 and pr.m >= 2,
         lambda pr, f: 2 * pr.m + 1,
         lambda m: ((0, 0, V), (1, 1, CO_V), (2, m - 1, W), (m, m, CO_V), (m + 1, m + 1, V)),
-        lambda pr: [{"vbasis": ()}], _span_v),
+        lambda pr: [{"vbasis": ()}]),
     "type5": Structure(
-        "(k, l, lam) = (3, 1, 1) and m >= 2",
+        ("s", "pset"), "(k, l, lam) = (3, 1, 1) and m >= 2",
         lambda pr: (pr.k, pr.l, pr.lam) == (3, 1, 1) and pr.m >= 2,
         lambda pr, f: type5_a(pr) - 1,
         _pinched,
-        lambda pr: [{"s": 1, "pset": ANY_P}], _axes_v),
+        lambda pr: [{"s": 1, "pset": ANY_P}]),
     "rz": Structure(
-        "(k, l, lam) = (2, 1, 0), i.e. p = 3m+2, and m >= 2",
+        ("s", "pset"), "(k, l, lam) = (2, 1, 0), i.e. p = 3m+2, and m >= 2",
         lambda pr: (pr.k, pr.l, pr.lam) == (2, 1, 0) and pr.m >= 2,
         lambda pr, f: pr.m,
         _pinched,
-        lambda pr: [{"s": 0, "pset": ()}, {"s": 1, "pset": ()}, {"s": 1, "pset": ANY_P}],
-        _axes_v),
+        lambda pr: [{"s": 0, "pset": ()}, {"s": 1, "pset": ()}, {"s": 1, "pset": ANY_P}]),
 }
 
 TYPE_KINDS = tuple(kind for kind in STRUCTURES if kind != "cuboid")
 
 
 def _fibre(row: Structure, sym: str, p: int, dim: int, fields: dict) -> np.ndarray | None:
-    """Indicator over F_p^dim of one band's fibre; None for an open P."""
+    """Indicator over F_p^dim of one band's fibre; None for an open P.
+
+    V is span(vbasis) for a kind that reads vbasis, else the P-product with
+    P = {0^s}."""
     if sym == W:
         return np.ones(p**dim, dtype=bool)
-    if sym in (V, CO_V):
-        fib = row.subspace(p, dim, fields)
-    elif fields["pset"] is ANY_P:
-        return None
+    if sym in (V, CO_V) and "vbasis" in row.reads:
+        fib = _indicator(subspace_span(p, dim, tuple(fields["vbasis"] or ())))
     else:
         s = fields["s"] or 0
-        fib = np.tile(_indicator(VecSet(p, s, fields["pset"] or ())), p ** (dim - s))
+        pset = fields["pset"] if sym in (P, CO_P) else ((0,) * s,)
+        if pset is ANY_P:
+            return None
+        fib = np.tile(_indicator(VecSet(p, s, pset or ())), p ** (dim - s))
     return fib if sym in (V, P) else ~fib
 
 
@@ -224,18 +222,33 @@ def reference_specs(params: Params, kinds: tuple[str, ...] = tuple(STRUCTURES)) 
     for kind in kinds:
         for fields in STRUCTURES[kind].variants(params):
             try:
-                out.append((kind, fields, _make_spec(kind, params, fields)))
+                out.append((kind, fields, make_spec(kind, params, **fields)))
             except ParameterError:
                 continue
     return out
 
 
-def _make_spec(kind: str, params: Params, fields: dict):
+def make_spec(kind: str, params: Params, **fields):
+    """The CuboidSpec or TypeSpec of `kind` at `params`: the one builder of
+    specs from fields.  A field given as None counts as not given; a field
+    that the kind's STRUCTURES row does not read is refused, and an open P
+    (pset=ANY_P) is instantiated as P = {1}."""
+    if kind not in STRUCTURES:
+        raise ParameterError(f"unknown structure kind {kind!r}")
+    fields = {f: v for f, v in fields.items() if v is not None}
+    _refuse_unread(kind, fields)
     if kind == "cuboid":
         return CuboidSpec(params, **fields)
     if fields.get("pset") is ANY_P:
-        fields = {**fields, "pset": ((1,),)}
+        fields["pset"] = ((1,),)
     return TypeSpec(kind, params, **fields)
+
+
+def _refuse_unread(kind: str, fields: dict) -> None:
+    """Refuse every field given (not None) that `kind`'s row does not read."""
+    unread = [f for f, v in fields.items() if v is not None and f not in STRUCTURES[kind].reads]
+    if unread:
+        raise ParameterError(f"{kind} does not read {', '.join(unread)}")
 
 
 def _verify_emission(out: VecSet, pr: Params, want_size: int, label: str) -> None:
@@ -272,7 +285,7 @@ class CuboidSpec:
 
 
 def extremal_interval(params: Params, j: int) -> ZpSet:
-    spec = CuboidSpec(params, j)
+    spec = make_spec("cuboid", params, j=j)
     return _support("cuboid", params, vars(spec))
 
 
@@ -295,23 +308,19 @@ def gen_cuboid(spec: CuboidSpec) -> VecSet:
 
 @dataclass(frozen=True)
 class TypeSpec:
+    """A type 1-5 or rz structure; `which`'s STRUCTURES row names the fields
+    it reads, and a field it does not read must stay None."""
+
     which: str
     params: Params
-    a: int | None = None                                  # type 1
-    vbasis: tuple[tuple[int, ...], ...] | None = None     # types 2 and 4
-    s: int | None = None                                  # type 5 and rz
-    pset: tuple[tuple[int, ...], ...] | None = None       # type 5 and rz
+    a: int | None = None
+    vbasis: tuple[tuple[int, ...], ...] | None = None
+    s: int | None = None
+    pset: tuple[tuple[int, ...], ...] | None = None
     notes: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "notes", tuple(validate_type_spec(self)))
-
-
-# The TypeSpec fields that each kind never reads; validate_type_spec refuses them.
-_UNREAD_FIELDS = {
-    "type1": ("vbasis", "s", "pset"), "type2": ("a", "s", "pset"), "type3": ("a", "vbasis", "s", "pset"),
-    "type4": ("a", "s", "pset"), "type5": ("a", "vbasis"), "rz": ("a", "vbasis"),
-}
 
 
 def validate_type_spec(spec: TypeSpec) -> list[str]:
@@ -321,9 +330,7 @@ def validate_type_spec(spec: TypeSpec) -> list[str]:
     notes: list[str] = []
     if which not in TYPE_KINDS:
         raise ParameterError(f"unknown structure kind {which!r}")
-    unread = [f for f in _UNREAD_FIELDS[which] if getattr(spec, f) is not None]
-    if unread:
-        raise ParameterError(f"{which} does not read {', '.join(unread)}")
+    _refuse_unread(which, {f: v for f, v in vars(spec).items() if f not in ("which", "params", "notes")})
     _check_window(which, pr)
     if which == "type1":
         if spec.a is None:
@@ -342,44 +349,33 @@ def validate_type_spec(spec: TypeSpec) -> list[str]:
                 f"{which.replace('type', 'type ')} requires V to be a proper subspace of F_p^(n-1)"
             )
         subspace_span(pr.p, pr.n - 1, basis)  # raises on dependent basis
-    elif which == "type5":
-        s, pset = _check_sp(spec, pr)
-        if not pset:
+    elif which in ("type5", "rz"):
+        s = spec.s or 0
+        if not 0 <= s <= pr.n - 1:
+            raise ParameterError(f"s={s} outside [0, n-1]")
+        pset = tuple(spec.pset or ())
+        for v in pset:
+            if len(v) != s:
+                raise ParameterError(f"P entry {v} does not live in F_p^{s}")
+        if which == "type5" and not pset:
             raise ParameterError("type 5 requires a nonempty P (P = {} collapses to type 1/2)")
-        if s == 0:
+        if which == "type5" and s == 0:
             # P nonempty in F_p^0 forces P = {0}, and then 0 lies in 3P.
             raise ParameterError("type 5 requires 0 not in 3P; s = 0 admits no valid P")
-        triple = {
-            tuple(sum(t) % pr.p for t in zip(x, y, z))
-            for x in pset
-            for y in pset
-            for z in pset
-        }
-        if (0,) * s in triple:
-            raise ParameterError("type 5 requires 0 not in 3P")
-    elif which == "rz":
-        s, pset = _check_sp(spec, pr)
-        double = {tuple((x[i] + y[i]) % pr.p for i in range(s)) for x in pset for y in pset}
-        if (0,) * s in double:
-            raise ParameterError("rz requires 0 not in P+P")
-        if s == 0:
+        # Both windows have l = 1, so the bands need 0 outside kP (k = 3 for
+        # type 5, k = 2 for rz).  Cell sum_i v_i p^i of a mask holds v, so
+        # bit 0 is the zero vector.
+        cells = {sum(c % pr.p * pr.p**i for i, c in enumerate(v)) for v in pset}
+        if fold_masks(pr.p, s, sum(1 << c for c in cells), pr.k)[-1] & 1:
+            raise ParameterError("type 5 requires 0 not in 3P" if which == "type5"
+                                 else "rz requires 0 not in P+P")
+        if which == "rz" and s == 0:
             # The published classification takes s >= 1, yet the s = 0 slice
             # (a plain interval times the full hyperplane) demonstrably occurs
             # in 1-dimensional enumerations; accept it and flag the choice.
             notes.append("s=0 accepted: interval slice [m, 2m-1] x F_p^(n-1); "
                          "the published classification states s >= 1")
     return notes
-
-
-def _check_sp(spec: TypeSpec, pr: Params):
-    s = spec.s if spec.s is not None else 0
-    if not 0 <= s <= pr.n - 1:
-        raise ParameterError(f"s={s} outside [0, n-1]")
-    pset = tuple(spec.pset) if spec.pset is not None else ()
-    for v in pset:
-        if len(v) != s:
-            raise ParameterError(f"P entry {v} does not live in F_p^{s}")
-    return s, pset
 
 
 def gen_type(spec: TypeSpec) -> VecSet:
@@ -411,15 +407,10 @@ class TrivialityReport:
 _EMBED_CELLS = 1 << 16
 
 
-def extremal_embedding(s: ZpSet, intervals: list[ZpSet]) -> tuple[int, int] | None:
-    """The first (c, j), scanning c = 1..p-1 and for each c every j, with
-    c*S inside intervals[j]; the one-row call of `extremal_embeddings`."""
-    return extremal_embeddings(s.p, [s.mask], intervals)[0]
-
-
 def extremal_embeddings(p: int, masks, intervals: list[ZpSet]) -> list[tuple[int, int] | None]:
-    """`extremal_embedding` of each of a batch of subsets S of Z_p (p-bit
-    masks, as a list or a word array), in the order of `masks`.
+    """For each of a batch of subsets S of Z_p (p-bit masks, as a list or a
+    word array), in the order of `masks`: the first (c, j), scanning
+    c = 1..p-1 and for each c every j, with c*S inside intervals[j], or None.
 
     c*S lies in I_j iff S misses the complement of c^(-1) I_j, so one array
     test of the masks against the cached complements, laid out by c and then
@@ -466,7 +457,7 @@ def nontriviality_check(a: VecSet, params: Params) -> TrivialityReport:
     """
     intervals = extremal_intervals(params)
     if a.n == 1:
-        hit = extremal_embedding(a.to_zpset(), intervals)
+        hit = extremal_embeddings(a.p, [a.mask], intervals)[0]
         if hit is None:
             return TrivialityReport(
                 "nontrivial", None, "no dilation lands in any extremal interval (full scan)"
@@ -524,7 +515,7 @@ def _reference_spec(kind: str, params: Params) -> TypeSpec:
     variants = STRUCTURES[kind].variants(params)
     if not variants:
         raise ParameterError(f"{kind} has no reference variant at {params}")
-    return _make_spec(kind, params, next((f for f in variants if f.get("pset") is ANY_P), variants[0]))
+    return make_spec(kind, params, **next((f for f in variants if f.get("pset") is ANY_P), variants[0]))
 
 
 def available_kinds(params: Params) -> list[str]:

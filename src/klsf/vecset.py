@@ -354,8 +354,8 @@ def parse_vecset(text: str) -> VecSet:
         return VecSet.from_zpset(parse_zpset(text))
     if len(parts) != 3:
         raise VecSetError(f"malformed vector-set literal: {text!r}")
-    p = _parse_kv(parts[0], "p")
-    n = _parse_kv(parts[1], "n")
+    p = _parse_kv(parts[0], "p", text)
+    n = _parse_kv(parts[1], "n", text)
     body = parts[2].strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise VecSetError(f"malformed vector-set literal: {text!r}")
@@ -389,11 +389,14 @@ def parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
         raise VecSetError(f"malformed vector list {text!r}: {exc}") from None
 
 
-def _parse_kv(tok: str, key: str) -> int:
+def _parse_kv(tok: str, key: str, text: str) -> int:
     k, _, v = tok.partition("=")
-    if k.strip() != key:
-        raise VecSetError(f"expected {key}=<int>, got {tok!r}")
-    return int(v)
+    try:
+        if k.strip() != key:
+            raise ValueError
+        return int(v)
+    except ValueError:
+        raise VecSetError(f"expected {key}=<int>, got {tok!r} in {text!r}") from None
 
 
 def format_vecset(a: VecSet) -> str:

@@ -291,8 +291,10 @@ def parse_zpset(text: str) -> ZpSet:
         raise ZpSetError(f"malformed set literal: {text!r}") from None
     body = body.strip()
     if body.startswith("[") and body.endswith("]"):
-        a_s, b_s = body[1:-1].split(",")
-        a, b = int(a_s), int(b_s)
+        try:
+            a, b = map(int, body[1:-1].split(","))
+        except ValueError:
+            raise ZpSetError(f"interval bounds must be two ints [a,b] in {text!r}") from None
         if not (0 <= a < p and 0 <= b < p):
             raise ZpSetError(f"interval bounds out of range in {text!r}")
         return ZpSet.interval(p, a, (b - a) % p + 1)
@@ -300,7 +302,10 @@ def parse_zpset(text: str) -> ZpSet:
         inner = body[1:-1].strip()
         if not inner:
             return ZpSet(p)
-        elems = [int(tok) for tok in inner.split(",")]
+        try:
+            elems = [int(tok) for tok in inner.split(",")]
+        except ValueError:
+            raise ZpSetError(f"set elements must be ints in {text!r}") from None
         if len(elems) != len(set(elems)):
             raise ZpSetError(f"duplicate residues in {text!r}")
         return ZpSet(p, elems)

@@ -10,6 +10,8 @@ import pytest
 
 from klsf import cli
 from klsf.cli import main
+from klsf.constructions import STRUCTURES, ParameterError, TypeSpec, make_spec
+from klsf.vecset import Params
 
 
 def run_cli(args, capsys):
@@ -98,7 +100,15 @@ def test_classify_pins_the_triviality_witness(capsys, v, k, line):
     ("p=5;n=2;{(1,2),(3,4}", "unexpected ',(3,4' between the groups"),
     ("p=5;n=2;{(1,,2)}", "malformed vector list '{(1,,2)}'"),
     ("p=5;n=2;{(1,2) junk (3,4)}", "unexpected 'junk' between the groups"),
-], ids=["unclosed-group", "empty-coordinate", "junk"])
+    ("p=7;[1,2,3]", "interval bounds must be two ints [a,b] in 'p=7;[1,2,3]'"),
+    ("p=7;[1]", "interval bounds must be two ints [a,b] in 'p=7;[1]'"),
+    ("p=7;[a,3]", "interval bounds must be two ints [a,b] in 'p=7;[a,3]'"),
+    ("p=7;{1,x}", "set elements must be ints in 'p=7;{1,x}'"),
+    ("p=7;{1,,2}", "set elements must be ints in 'p=7;{1,,2}'"),
+    ("p=x;n=2;{(1,2)}", "expected p=<int>, got 'p=x' in 'p=x;n=2;{(1,2)}'"),
+    ("p=7;n=y;{(1,2)}", "expected n=<int>, got 'n=y' in 'p=7;n=y;{(1,2)}'"),
+], ids=["unclosed-group", "empty-coordinate", "junk", "three-bounds", "one-bound", "bound-not-int",
+        "element-not-int", "empty-element", "p-not-int", "n-not-int"])
 def test_malformed_set_literal_exit_1(capsys, lit, message):
     code, doc, err = run_cli(["verify", "--k", "2", "--l", "1", "--set", lit], capsys)
     assert code == 1 and doc is None and "parameter error" in err and message in err
@@ -331,6 +341,38 @@ def test_grid_item_refuses_keys_the_kind_does_not_read(tmp_path, capsys, item, u
     path.write_text(json.dumps([item]))
     code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
     assert code == 1 and doc is None and "parameter error" in err and unread in err
+
+
+# One value of each spec field: as a library argument, as a construct flag's
+# text and as a --grid JSON value.
+FIELD_VALUES = {"j": (0, "0", 0), "a": (5, "5", 5), "vbasis": ((), "", []), "s": (1, "1", 1),
+                "pset": (((1,),), "{1}", [[1]])}
+SPEC_FIELDS = list(dict.fromkeys(f for row in STRUCTURES.values() for f in row.reads))
+UNREAD = [(kind, f) for kind, row in STRUCTURES.items() for f in SPEC_FIELDS if f not in row.reads]
+
+
+@pytest.mark.parametrize("kind, field", UNREAD, ids=[f"{kind}-{f}" for kind, f in UNREAD])
+def test_every_entry_point_refuses_a_field_the_kind_does_not_read(tmp_path, capsys, kind, field):
+    # Each (kind, field) pair that the STRUCTURES rows leave unread gets the
+    # same refusal from the spec dataclass, the builder, the construct flags
+    # and a --grid item.
+    message = f"{kind} does not read {field}"
+    value, flag, item_value = FIELD_VALUES[field]
+    params = Params(3, 1, 23, 2)
+    if kind != "cuboid" and field != "j":  # CuboidSpec has no field the cuboid leaves unread
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            TypeSpec(kind, params, **{field: value})
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        make_spec(kind, params, **{field: value})
+    code, doc, err = run_cli(["construct", "--type", kind, "--k", "3", "--l", "1", "--p", "23",
+                              "--n", "2", f"--{field}", flag], capsys)
+    assert (code, doc, err) == (1, None, f"parameter error: {message}\n")
+    item = {"k": 3, "l": 1, "p": 23, "n": 2, "type": kind}
+    item.update({"j": item_value} if field == "j" else {"extras": {field: item_value}})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([item]))
+    code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
+    assert (code, doc, err) == (1, None, f"parameter error: {message}\n")
 
 
 @pytest.mark.parametrize("item, message", [

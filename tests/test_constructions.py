@@ -14,7 +14,6 @@ from klsf import constructions, search
 from test_vecset import reference_line_profile
 from klsf.constructions import (
     CuboidSpec,
-    extremal_embedding,
     extremal_embeddings,
     ParameterError,
     TypeSpec,
@@ -299,7 +298,7 @@ def test_extremal_embeddings_match_scalar_scan_on_second_level_orbits():
         for masks in (orbits, hits):
             want = [scalar_extremal_embedding(ZpSet.from_mask(p, m), intervals) for m in masks]
             assert extremal_embeddings(p, masks, intervals) == want, (k, l, p)
-            assert [extremal_embedding(ZpSet.from_mask(p, m), intervals) for m in masks] == want
+            assert [extremal_embeddings(p, [m], intervals)[0] for m in masks] == want
         nontrivial = [m for m in orbits
                       if scalar_extremal_embedding(ZpSet.from_mask(p, m), intervals) is None]
         run = enumerate_second_level(params)

@@ -23,3 +23,26 @@ def test_modules_read_every_name_they_import():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unused += [f"{path.name}:{line} imports {name}" for name, line in imported.items() if name not in read]
     assert not unused, unused
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so every self-check in the
+    # package is an explicit raise.
+    found = []
+    for path in sorted(Path(klsf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not found, found
+
+
+def test_structure_rows_name_every_spec_field():
+    # The STRUCTURES rows are where a kind's spec fields are named: together
+    # they read exactly the fields of CuboidSpec and TypeSpec other than the
+    # kind, the parameters and the notes.
+    from dataclasses import fields
+
+    from klsf.constructions import STRUCTURES, CuboidSpec, TypeSpec
+
+    read = {f for row in STRUCTURES.values() for f in row.reads}
+    spec_fields = {f.name for spec in (CuboidSpec, TypeSpec) for f in fields(spec)}
+    assert read == spec_fields - {"which", "params", "notes"}

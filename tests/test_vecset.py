@@ -272,6 +272,16 @@ def test_vec_literals_and_hex():
         parse_vecset("p=5;n=2;{(1,2),(1,2)}")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p=x;n=2;{(1,2)}", "expected p=<int>, got 'p=x'"),
+    ("p=7;n=y;{(1,2)}", "expected n=<int>, got 'n=y'"),
+])
+def test_parse_vecset_refuses_a_header_that_is_not_an_int(text, message):
+    with pytest.raises(VecSetError) as exc:
+        parse_vecset(text)
+    assert message in str(exc.value) and repr(text) in str(exc.value)
+
+
 @pytest.mark.parametrize("text, vectors", [
     ("(1,0);(0,1)", ((1, 0), (0, 1))),
     ("{(1,0),(0,1)}", ((1, 0), (0, 1))),

@@ -228,6 +228,21 @@ def test_literals():
         parse_zpset("p=11;{11}")
 
 
+@pytest.mark.parametrize("text, field", [
+    ("p=7;[1,2,3]", "interval bounds"),
+    ("p=7;[1]", "interval bounds"),
+    ("p=7;[a,3]", "interval bounds"),
+    ("p=7;{1,x}", "set elements"),
+    ("p=7;{1,,2}", "set elements"),
+])
+def test_parse_zpset_refuses_malformed_numbers(text, field):
+    # A wrong count of interval bounds or a token that is not an integer is
+    # a ZpSetError naming the field and the literal, not a bare ValueError.
+    with pytest.raises(ZpSetError) as exc:
+        parse_zpset(text)
+    assert field in str(exc.value) and repr(text) in str(exc.value)
+
+
 def interval_cover_format(a):
     """`format_zpset` with the interval test read from the d = 1 cover of
     the scalar scan `ap_cover_scan`."""
