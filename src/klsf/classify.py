@@ -31,7 +31,7 @@ import numpy as np
 from .modmath import (
     GeneratorCheckError,
     bits_to_mask,
-    dilation_masks,
+    dilation_images,
     mask_to_indices,
     mod_inverse,
     rotate_mask,
@@ -108,7 +108,7 @@ def _supports_1d(params: Params) -> tuple:
 def _classify_1d(zp: ZpSet, params: Params) -> ClassReport:
     p = params.p
     matches = []
-    images = dilation_masks(p, zp.mask)
+    images = dilation_images(p, [zp.mask])[0].tolist()
     for kind, support, spec in _supports_1d(params):
         if support in images:
             matches.append((kind, spec, images.index(support) + 1))
@@ -147,10 +147,11 @@ def _descriptors_2d(params: Params) -> tuple:
     return tuple(out)
 
 
-def _match_descriptor_2d(desc: tuple, parts: list[int], support: int, p: int):
+def _match_descriptor_2d(desc: tuple, parts: list[int], dilates: list[int], p: int):
     """Find (s, u, P) such that (i, x) -> (s*i, x + i*u) carries the part
-    masks `parts` (A_i by axis index i, support mask `support`) onto the
-    descriptor's bands; P is the image mask of an open P, else None.
+    masks `parts` (A_i by axis index i) onto the descriptor's bands, given
+    `dilates`, the masks of s*S for s = 1..p-1 (entry s-1), S the support;
+    P is the image mask of an open P, else None.
 
     Dilations s are tried in ascending order.  For each, u is forced by the
     first band whose fibre is one point or all but one (every u is tried if
@@ -158,10 +159,10 @@ def _match_descriptor_2d(desc: tuple, parts: list[int], support: int, p: int):
     """
     _, bands, _ = desc
     target = sum(1 << j for j, _ in bands)
-    if support.bit_count() != target.bit_count():
+    if dilates[0].bit_count() != target.bit_count():
         return None
     full = (1 << p) - 1
-    for s, image in enumerate(dilation_masks(p, support), 1):
+    for s, image in enumerate(dilates, 1):
         if image != target:
             continue
         sinv = mod_inverse(s, p)
@@ -193,7 +194,8 @@ def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
     """Match every descriptor on every line of the part-size matrix `counts`.
 
     A descriptor matches only a line whose support has exactly its number of
-    bands, so only proper, nonempty supports of such a weight are split into parts.
+    bands, so only proper, nonempty supports of such a weight are split into
+    parts, and each such support is dilated once for all the descriptors.
     """
     p = params.p
     matches = []
@@ -202,9 +204,9 @@ def _classify_2d(a: VecSet, params: Params, counts: np.ndarray) -> ClassReport:
     weights = (counts > 0).sum(axis=1)
     for line in np.flatnonzero(np.isin(weights, list(widths - {0, p}))).tolist():
         parts = line_parts(a, line)
-        support = bits_to_mask(counts[line] > 0)
+        dilates = dilation_images(p, [bits_to_mask(counts[line] > 0)])[0].tolist()
         for desc in descriptors:
-            found = _match_descriptor_2d(desc, parts, support, p)
+            found = _match_descriptor_2d(desc, parts, dilates, p)
             if found is None:
                 continue
             kind, _, fields = desc

@@ -148,7 +148,11 @@ def _spec_from_grid_item(item: dict, position: int = 0):
 def _construct_record(spec) -> dict:
     params = spec.params
     out = gen_cuboid(spec) if isinstance(spec, CuboidSpec) else gen_type(spec)
-    verdict = nontriviality_check(out, params) if params.n <= 2 else None
+    # Triviality is containment in an extremal cuboid, decided for n <= 2;
+    # the cuboids exist only inside the lambda window, and outside it the
+    # verdict is null.
+    decided = params.n <= 2 and params.lambda_in_range()
+    verdict = nontriviality_check(out, params) if decided else None
     return {
         "params": {"k": params.k, "l": params.l, "p": params.p, "n": params.n,
                    "m": params.m, "lambda": params.lam},

@@ -15,7 +15,9 @@ and gives the parameter window, the base point on axis 0 and the bands
 descriptors and the reference specs of the A3 grid are all read off that
 table, and every spec built from fields goes through one builder, `make_spec`.
 With p = (k+l)m + 2 + lam, cuboids have size (m+1)p^{n-1} and every type has
-size m*p^{n-1}.
+size m*p^{n-1}.  The starts of the sum-free intervals of Z_p come from one
+closed form, `sumfree_interval_starts`: the cuboid row's base I_j is its
+entry j at length m+1, and the Z_p search reads it too.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, bits_to_mask, dilation_masks, fold_masks, mod_inverse, word_array
+from .modmath import GeneratorCheckError, bits_to_mask, dilation_images, fold_masks, mod_inverse, word_array
 from .zpset import ZpSet, ed_profile
 from .vecset import (
     CriterionError,
@@ -79,6 +81,18 @@ def type5_a(params: Params) -> int:
     return (params.m + 2) * mod_inverse(2, params.p) % params.p
 
 
+def sumfree_interval_starts(p: int, k: int, l: int, length: int) -> list[int]:
+    """The starts a of the (k,l)-sum-free intervals [a, a+L-1] of Z_p of
+    length L, by the closed form: (l-k)a mod p lies in [k(L-1)+1, p-1-l(L-1)]
+    (the gap between the arcs kI and lI), a range empty once
+    (k+l)(L-1) > p-2.  No starts when p divides k-l.  At L = m+1 entry j is
+    the extremal interval I_j, the base of the cuboid row."""
+    if (k - l) % p == 0:
+        return []
+    inverse = pow(l - k, -1, p)
+    return [v * inverse % p for v in range(k * (length - 1) + 1, p - l * (length - 1))]
+
+
 # ---------------------------------------------------------------------------
 # The structure table
 #
@@ -120,7 +134,7 @@ def _pinched(m: int) -> tuple:
 STRUCTURES: dict[str, Structure] = {
     "cuboid": Structure(
         ("j",), "m >= 1 and lam <= k+l-3", lambda pr: pr.lambda_in_range(),
-        lambda pr, f: -(pr.k * pr.m + 1 + f["j"]) * mod_inverse(pr.k - pr.l, pr.p),
+        lambda pr, f: sumfree_interval_starts(pr.p, pr.k, pr.l, pr.m + 1)[f["j"]],
         lambda m: ((0, m, W),),
         lambda pr: [{"j": j} for j in range(pr.extremal_orbit_count())]),
     "type1": Structure(
@@ -437,10 +451,10 @@ def extremal_embeddings(p: int, masks, intervals: list[ZpSet]) -> list[tuple[int
 def _preimage_complements(p: int, masks: tuple[int, ...]) -> np.ndarray:
     """Read-only words whose entry (c-1)*J + j is the complement in Z_p of
     c^(-1) I_j, I_j the j-th of the J interval masks `masks`."""
-    full = (1 << p) - 1
-    dilates = [dilation_masks(p, mask) for mask in masks]
-    words = word_array(p, [full ^ images[pow(c, -1, p) - 1]
-                           for c in range(1, p) for images in dilates])
+    # one call per interval: dilation_images takes sets of one size
+    images = np.concatenate([dilation_images(p, [mask]) for mask in masks])
+    inverses = [pow(c, -1, p) - 1 for c in range(1, p)]
+    words = ((1 << p) - 1) ^ images[:, inverses].T.reshape(-1)
     words.setflags(write=False)
     return words
 
@@ -558,7 +572,7 @@ def certify_type_distinctness(params: Params) -> list[DistinctnessCertificate]:
                     raise GeneratorCheckError(
                         f"no obstruction separates {ka} and {kb} at {params}"
                     )
-                if sb.mask in dilation_masks(params.p, sa.mask):
+                if sb.mask in dilation_images(params.p, [sa.mask])[0].tolist():
                     raise GeneratorCheckError(
                         f"supports of {ka} and {kb} coincide up to dilation at {params}"
                     )

@@ -38,6 +38,16 @@ from .spectral import spectrum, verify_spectral_lemma
 SEED_RANDOM_PROPS = 20250808
 SEED_SAMPLED_SCAN = 20250808
 
+# The parameter grids of the criteria, each named once; A8 reads them all.
+A1_GRID = tuple(Params(2, 1, p) for p in primes_in(5, 41) if p % 3 == 2)
+A2_GRID = tuple(params for k, l in ((3, 1), (3, 2), (4, 1)) for p in primes_in(5, 43)
+                for params in [Params(k, l, p)] if params.m >= 1 and params.lambda_in_range())
+A3_GRID = tuple(Params(k, l, p, n) for p in primes_in(5, 23)
+                for k, l in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (6, 1))
+                for n in (1, 2))
+A3_SPOT = TypeSpec("type5", Params(3, 1, 1019, 2), s=1, pset=((1,), (5,)))
+A5_GRID = tuple(Params(k, l, p) for k, l, p in ((2, 1, 11), (2, 1, 17), (2, 1, 23), (3, 1, 23)))
+
 
 @dataclass
 class CriterionResult:
@@ -92,21 +102,16 @@ def _check_max_case(params: Params, res: CriterionResult) -> None:
 @_timed
 def run_a1() -> CriterionResult:
     res = CriterionResult("A1", True)
-    for p in primes_in(5, 41):
-        if p % 3 != 2:
-            continue
-        _check_max_case(Params(2, 1, p), res)
+    for params in A1_GRID:
+        _check_max_case(params, res)
     return res
 
 
 @_timed
 def run_a2() -> CriterionResult:
     res = CriterionResult("A2", True)
-    for k, l in ((3, 1), (3, 2), (4, 1)):
-        for p in primes_in(5, 43):
-            params = Params(k, l, p)
-            if params.m >= 1 and params.lambda_in_range():
-                _check_max_case(params, res)
+    for params in A2_GRID:
+        _check_max_case(params, res)
     return res
 
 
@@ -115,14 +120,9 @@ def run_a2() -> CriterionResult:
 
 
 def a3_grid() -> list[tuple[str, object]]:
-    """Every (kind, spec) pair of the standard generator grid (n <= 2, p <= 23):
-    the valid reference variants of every structure kind."""
-    out: list[tuple[str, object]] = []
-    for p in primes_in(5, 23):
-        for k, l in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (6, 1)):
-            for n in (1, 2):
-                out.extend((kind, spec) for kind, _, spec in reference_specs(Params(k, l, p, n)))
-    return out
+    """Every (kind, spec) pair of the standard generator grid A3_GRID
+    (n <= 2, p <= 23): the valid reference variants of every structure kind."""
+    return [(kind, spec) for params in A3_GRID for kind, _, spec in reference_specs(params)]
 
 
 @_timed
@@ -139,8 +139,7 @@ def run_a3() -> CriterionResult:
             res.findings.append(str(exc))
     res.details.append(f"{count} grid emissions verified (n <= 2, p <= 23)")
     try:
-        spot = TypeSpec("type5", Params(3, 1, 1019, 2), s=1, pset=((1,), (5,)))
-        out = gen_type(spot)
+        out = gen_type(A3_SPOT)
         res.details.append(f"type-5 spot check at p=1019: size {len(out)} verified")
     except AssertionError as exc:
         res.passed = False
@@ -187,10 +186,8 @@ def run_a4() -> CriterionResult:
 @_timed
 def run_a5() -> CriterionResult:
     res = CriterionResult("A5", True)
-    cases = [(2, 1, p) for p in (11, 17, 23)] + [(3, 1, 23)]
-    for k, l, p in cases:
-        params = Params(k, l, p)
-        m = params.m
+    for params in A5_GRID:
+        k, l, p, m = params.k, params.l, params.p, params.m
         run = enumerate_second_level(params)
         labels = {s.mask: rep.label for s, rep in run.second_level_orbits}
         notes = {s.mask: rep.notes for s, rep in run.second_level_orbits}
@@ -300,29 +297,23 @@ def run_a7() -> CriterionResult:
 
 def _a8_sets() -> list[tuple[str, VecSet, int, int]]:
     out = []
-    for p in primes_in(5, 41):
-        if p % 3 == 2:
-            run = enumerate_max(Params(2, 1, p))
-            for o in run.extremal_orbits:
-                out.append((f"A1 orbit p={p}", VecSet.from_zpset(o), 2, 1))
-    for k, l in ((3, 1), (3, 2), (4, 1)):
-        for p in primes_in(5, 43):
-            params = Params(k, l, p)
-            if params.m >= 1 and params.lambda_in_range():
-                run = enumerate_max(params)
-                for o in run.extremal_orbits:
-                    out.append((f"A2 orbit ({k},{l},{p})", VecSet.from_zpset(o), k, l))
-    for k, l, p in [(2, 1, 11), (2, 1, 17), (2, 1, 23), (3, 1, 23)]:
-        run = enumerate_second_level(Params(k, l, p))
-        for o, _ in run.second_level_orbits:
+    for params in A1_GRID:
+        for o in enumerate_max(params).extremal_orbits:
+            out.append((f"A1 orbit p={params.p}", VecSet.from_zpset(o), 2, 1))
+    for params in A2_GRID:
+        k, l, p = params.k, params.l, params.p
+        for o in enumerate_max(params).extremal_orbits:
+            out.append((f"A2 orbit ({k},{l},{p})", VecSet.from_zpset(o), k, l))
+    for params in A5_GRID:
+        k, l, p = params.k, params.l, params.p
+        for o, _ in enumerate_second_level(params).second_level_orbits:
             out.append((f"A5 orbit ({k},{l},{p})", VecSet.from_zpset(o), k, l))
     for kind, spec in a3_grid():
         params = spec.params
         made = gen_cuboid(spec) if kind == "cuboid" else gen_type(spec)
         out.append((f"A3 {kind} ({params.k},{params.l},{params.p},{params.n})",
                     made, params.k, params.l))
-    spot = gen_type(TypeSpec("type5", Params(3, 1, 1019, 2), s=1, pset=((1,), (5,))))
-    out.append(("A3 type-5 spot check p=1019", spot, 3, 1))
+    out.append(("A3 type-5 spot check p=1019", gen_type(A3_SPOT), 3, 1))
     return out
 
 
@@ -351,8 +342,6 @@ def run_a8() -> CriterionResult:
 
 @_timed
 def run_a9() -> CriterionResult:
-    import numpy as np
-
     res = CriterionResult("A9", True)
     rng = random.Random(SEED_RANDOM_PROPS + 1)
     zp_primes = primes_in(5, 101)

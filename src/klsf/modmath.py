@@ -4,9 +4,11 @@ The mask format lives here and nowhere else.  A subset of F_p^n is a Python
 int of p^n bits, bit i set iff the cell with index i = sum x_j * p^j belongs
 to the set (little-endian mixed radix; Z_p is the case n = 1).  The kernel
 converts masks to and from cell indices, bit arrays and coordinate rows, and
-computes sumsets, h-fold chains, (k,l)-sum-freeness, dilations, dilation
-orbits, translation stabilizers, and the doubling sizes |A + A| and shortest
-AP covers of a batch of Z_p residue rows (the one AP-cover scan: `ap_covers`
+computes sumsets, h-fold chains, (k,l)-sum-freeness, the dilates c*A of a
+batch of Z_p sets (the one dilation kernel, `dilation_images`, whose rows
+`dilation_orbits` and every other caller read), dilation orbits,
+translation stabilizers, and the doubling sizes |A + A| and shortest AP
+covers of a batch of Z_p residue rows (the one AP-cover scan: `ap_covers`
 over the widest-gap step `ap_gaps`); each operation picks its route from its
 input, after the sizes alone have had their say: a sumset with
 |A| + |B| > p^n is the whole space (pigeonhole), and so is every jA, j >= 2,
@@ -75,17 +77,16 @@ _SPARSE_POPCOUNT = 24
 # (k,l) checks settle 2|A| > p^n by size too, then try the row-class route
 # in F_p^2 at every size, and only then cut over here (`_fft_route`).
 _FFT_THRESHOLD = 64
-# Up to this many (dilation, element) pairs, p-1 dilations are cheaper as
-# Python int loops than as one `_dilation_images` call (break-even near
-# p*|A| = 100 on uint64 words: 13 us against 14 us at p = 13, |A| = 6; 19 us
-# against 15 us at p = 23, |A| = 5; 174 us against 29 us at p = 53, |A| = 18).
-_DILATION_LOOP_PAIRS = 100
 # The largest prime whose p-bit masks fit a uint64 word.  Batched Z_p mask
 # work (the search tree, the covering tree, dilation images) runs on uint64
 # arrays up to it and on object arrays of Python ints above.
 WORD_P_LIMIT = 61
-# Dilation orbits are computed over chunks of at most this many (mask, c,
-# element) triples, which bounds the int64 image array at 2 MB.
+# Dilation images are built over blocks of at most this many cells: up to
+# WORD_P_LIMIT, `dilation_orbits` gathers chunks of at most this many
+# (mask, c, element) table words (2 MB of uint64); above it,
+# `dilation_images` packs the products c*x mod p from bit arrays of at most
+# this many cells (blocks of _ORBIT_CELLS // p images), whatever p and the
+# batch size.  The packed images still take p-1 words of p bits per set.
 _ORBIT_CELLS = 1 << 18
 # Up to this set size `doubling_sizes` counts |A + A| from a sorted table of
 # the s(s+1)/2 pair sums of each row; above it one `sumset_mask` per row is
@@ -278,12 +279,11 @@ def words_to_bits(words: np.ndarray, p: int) -> np.ndarray:
 
 def words_to_residues(words: np.ndarray, p: int) -> np.ndarray:
     """(N, s) ascending residues of N words with s set bits each."""
-    bits = words_to_bits(words, p)
-    counts = np.count_nonzero(bits, axis=1)
+    counts = words_popcount(words)
     size = int(counts[0]) if len(counts) else 0
     if (counts != size).any():
         raise ValueError(f"residue rows need p-bit masks of one size ({size} set bits)")
-    return np.nonzero(bits)[1].reshape(len(words), size)
+    return np.nonzero(words_to_bits(words, p))[1].reshape(len(words), size)
 
 
 def words_popcount(words: np.ndarray) -> np.ndarray:
@@ -310,37 +310,31 @@ def child_folds(folds, parent: np.ndarray, x: np.ndarray, p: int) -> list[np.nda
     return out
 
 
-def dilation_masks(p: int, mask: int) -> list[int]:
-    """The masks of c*A for c = 1, ..., p-1 (entry c-1), A a subset of Z_p."""
-    elems = mask_to_indices(mask)
-    if p * len(elems) <= _DILATION_LOOP_PAIRS:
-        elems = elems.tolist()
-        images = []
-        for c in range(1, p):
-            image = 0
-            for x in elems:
-                image |= 1 << (c * x % p)
-            images.append(image)
-        return images
-    return _dilation_images(p, elems[None, :])[0].tolist()
-
-
-def _dilation_images(p: int, residues: np.ndarray) -> np.ndarray:
-    """(N, p-1) array whose entry (i, c-1) is the mask of c*A_i, c = 1..p-1,
-    for the rows A_i of an (N, s) array of residues, as words (`word_array`).
+def dilation_images(p: int, masks) -> np.ndarray:
+    """(N, p-1) word array (`word_array`) whose entry (i, c-1) is the mask of
+    c*A_i, c = 1..p-1, for a batch of N equal-size subsets A_i of Z_p
+    (p-bit masks, as a list or a word array): the one dilation kernel.
 
     Up to WORD_P_LIMIT the rows of `_dilation_table(p)` are gathered by
     residue and summed over each set: c is invertible, so the s bits of an
     image are distinct and their sum is their union.  Above it the products
-    c*x mod p are set in a bit array and packed.
+    c*x mod p are set in a bit array and packed, a block of at most
+    _ORBIT_CELLS // p images at a time, so that the bit array stays within
+    _ORBIT_CELLS cells whatever p and N.
     """
+    residues = words_to_residues(word_array(p, masks), p)
     if p <= WORD_P_LIMIT:
         return _dilation_table(p)[residues].sum(axis=1, dtype=np.uint64)
-    rows, size = residues.shape
-    images = residues[:, None, :] * np.arange(1, p, dtype=np.int64)[:, None] % p  # (N, p-1, s)
-    bits = np.zeros((rows * (p - 1), p), dtype=bool)
-    bits[np.arange(len(bits))[:, None], images.reshape(len(bits), size)] = True
-    return word_array(p, bits_to_mask(bits)).reshape(rows, p - 1)
+    rows = len(residues)
+    images = np.empty(rows * (p - 1), dtype=object)
+    block = max(1, _ORBIT_CELLS // p)
+    for lo in range(0, len(images), block):
+        at = np.arange(lo, min(lo + block, len(images)))
+        products = residues[at // (p - 1)] * (at % (p - 1) + 1)[:, None] % p
+        bits = np.zeros((len(at), p), dtype=bool)
+        bits[np.arange(len(at))[:, None], products] = True
+        images[lo:lo + len(at)] = bits_to_mask(bits)
+    return images.reshape(rows, p - 1)
 
 
 @lru_cache(maxsize=None)
@@ -363,17 +357,20 @@ def dilation_orbits(p: int, masks, ratio_counts: bool = False) -> tuple[list[int
     A (every dilate containing 1 is a^(-1)A, and its elements above 1 are
     ratios).  The lists follow the order of `masks`.
 
-    All images come from one residue array per chunk: the (N, s) residues of
-    the sets, their products c*x mod p, the packed masks, then a row minimum
-    and a count of the images equal to column c = 1 (A itself).  The ratio
-    count keeps, for the images with bit 1 set, the lowest bit above bit 1,
-    and counts the entries equal to the row's least.
+    The images come from `dilation_images`, one call per chunk of sets, then
+    a row minimum and a count of the images equal to column c = 1 (A
+    itself).  The ratio count keeps, for the images with bit 1 set, the
+    lowest bit above bit 1, and counts the entries equal to the row's least.
     """
-    residues = words_to_residues(word_array(p, masks), p)
+    words = word_array(p, masks)
+    size = int(words_popcount(words[:1]).sum())
+    chunk = max(1, _ORBIT_CELLS // ((p - 1) * max(size, 1)))
+    # each chunk's `dilation_images` call checks its own sizes
+    if len(words) > chunk and (words_popcount(words) != size).any():
+        raise ValueError("dilation orbits need p-bit masks of one size")
     least, stabs, counts = [], [], []
-    chunk = max(1, _ORBIT_CELLS // ((p - 1) * max(residues.shape[1], 1)))
-    for lo in range(0, len(residues), chunk):
-        images = _dilation_images(p, residues[lo:lo + chunk])
+    for lo in range(0, len(words), chunk):
+        images = dilation_images(p, words[lo:lo + chunk])
         least += images.min(axis=1).tolist()
         stabs += np.count_nonzero(images == images[:, :1], axis=1).tolist()
         if ratio_counts:

@@ -9,11 +9,11 @@ updates new_h = old_h | ((new_(h-1)) + x), starting from the h-fold masks
 {h} of the root.  A branch dies as soon as the k-fold and l-fold masks meet
 (sumsets only grow) or when the residues left cannot reach the current
 target size.  The maximum search is warm-started with the size of the
-longest sum-free interval, a lower bound read off a closed form: the
-interval [a, a+L-1] is (k,l)-sum-free iff (k+l)(L-1) <= p-2 and
-(l-k)a mod p lies in [k(L-1)+1, p-1-l(L-1)] (the gap between the arcs kI
-and lI), so the longest has L = m+1, m = (p-2)//(k+l), and starts at
-a = (km+1)(l-k)^(-1).  That interval is built and checked with
+longest sum-free interval, a lower bound read off the closed form of
+`constructions.sumfree_interval_starts`: the interval [a, a+L-1] is
+(k,l)-sum-free iff (k+l)(L-1) <= p-2 and (l-k)a mod p lies in
+[k(L-1)+1, p-1-l(L-1)], so the longest has L = m+1, m = (p-2)//(k+l), and
+starts at a = (km+1)(l-k)^(-1).  That interval is built and checked with
 `is_kl_sumfree` before the bound is used.  When p | k-l nothing is
 sum-free, and the scan returns before any of this.
 
@@ -90,7 +90,7 @@ from .modmath import (
 )
 from .zpset import ZpSet, is_kl_sumfree
 from .vecset import Params
-from .constructions import extremal_embeddings, extremal_intervals
+from .constructions import extremal_embeddings, extremal_intervals, sumfree_interval_starts
 from .classify import _classify_1d, _supports_1d
 
 
@@ -193,7 +193,7 @@ def _built_orbits(params: Params, size: int, second: bool) -> tuple[tuple[int, s
     every size-m structure support at n = 1."""
     p, k, l = params.p, params.k, params.l
     sets = [(ZpSet.interval(p, start, size).mask, f"sum-free interval of length {size}")
-            for start in _sumfree_interval_starts(p, k, l, size)]
+            for start in sumfree_interval_starts(p, k, l, size)]
     if second:
         for iv in extremal_intervals(params):
             sets += [(iv.mask ^ (1 << x), "subset of an extremal interval") for x in iv.elements()]
@@ -213,21 +213,11 @@ def _labeled_count(stabs, p: int) -> int:
     return sum((p - 1) // stab for stab in stabs)
 
 
-def _sumfree_interval_starts(p: int, k: int, l: int, length: int) -> list[int]:
-    """The starts a of the (k,l)-sum-free intervals [a, a+L-1] of Z_p of
-    length L, by the closed form: (l-k)a mod p lies in [k(L-1)+1, p-1-l(L-1)],
-    a range empty once (k+l)(L-1) > p-2.  No starts when p divides k-l."""
-    if (k - l) % p == 0:
-        return []
-    inverse = pow(l - k, -1, p)
-    return [v * inverse % p for v in range(k * (length - 1) + 1, p - l * (length - 1))]
-
-
 def _warm_start(p: int, k: int, l: int) -> int:
     """The size m+1 of the longest (k,l)-sum-free interval of Z_p (p not
     dividing k-l), after checking the first interval the closed form names."""
     m = (p - 2) // (k + l)
-    interval = ZpSet.interval(p, _sumfree_interval_starts(p, k, l, m + 1)[0], m + 1)
+    interval = ZpSet.interval(p, sumfree_interval_starts(p, k, l, m + 1)[0], m + 1)
     if not is_kl_sumfree(interval, k, l):
         raise GeneratorCheckError(
             f"warm-start interval {sorted(interval.elements())} of Z_{p} is not "

@@ -9,7 +9,10 @@ import pytest
 
 from klsf import criteria
 from klsf.criteria import run_criterion
+from klsf.constructions import TypeSpec
 from klsf.modmath import GeneratorCheckError
+from klsf.search import enumerate_max
+from klsf.vecset import Params, VecSet
 
 TIME_BUDGETS_S = {"A1": 30, "A2": 300, "A5": 600}
 
@@ -71,6 +74,25 @@ def test_a7_sumset_theorem_properties():
 def test_a8_spectral_lemma():
     res = _run("A8")
     assert not res.findings
+
+
+def test_a8_reads_the_other_criteria_grids(monkeypatch):
+    # A8 checks the sets of A1, A2, A3 and A5 by reading their grids, so a
+    # change to A2's grid changes A8's set list.
+    small = TypeSpec("type5", Params(3, 1, 23, 2), s=1, pset=((1,),))
+    for name, value in (("A1_GRID", ()), ("A3_GRID", ()), ("A5_GRID", ()), ("A3_SPOT", small)):
+        monkeypatch.setattr(criteria, name, value)
+    lists = {}
+    for params in (Params(3, 1, 23), Params(4, 1, 29)):
+        monkeypatch.setattr(criteria, "A2_GRID", (params,))
+        sets = criteria._a8_sets()
+        orbits = enumerate_max(params).extremal_orbits
+        assert [tag for tag, *_ in sets] == (
+            [f"A2 orbit ({params.k},{params.l},{params.p})"] * len(orbits)
+            + ["A3 type-5 spot check p=1019"])
+        assert [vec for _, vec, _, _ in sets[:-1]] == [VecSet.from_zpset(o) for o in orbits]
+        lists[params] = sets
+    assert lists[Params(3, 1, 23)] != lists[Params(4, 1, 29)]
 
 
 def test_a9_plancherel_convolution():

@@ -18,7 +18,7 @@ from klsf.constructions import (
     P, TYPE_KINDS, CuboidSpec, TypeSpec, band_layout, gen_cuboid, gen_type, reference_specs,
     type1_a_values, type_support,
 )
-from klsf.modmath import dilation_masks, mod_inverse, primes_in
+from klsf.modmath import mod_inverse, primes_in
 from test_vecset import reference_line_parts, reference_line_profile
 
 
@@ -135,7 +135,7 @@ def rebuilt_classify_1d(zp, params):
     `reference_specs` and `type_support` on every call, as the function did
     before the table was cached: the reference for the cached route."""
     p = params.p
-    images = dilation_masks(p, zp.mask)
+    images = [dilate(zp, c).mask for c in range(1, p)]
     matches = []
     for kind, _, spec in reference_specs(params, TYPE_KINDS):
         target = type_support(spec).mask
@@ -479,7 +479,7 @@ def reference_match_descriptor(desc, parts, supp, p):
     target_support = ZpSet(p, list(desc["bands"]))
     if len(supp) != len(target_support):
         return None
-    for s, image in enumerate(dilation_masks(p, supp.mask), 1):
+    for s, image in enumerate((dilate(supp, c).mask for c in range(1, p)), 1):
         if image != target_support.mask:
             continue
         sinv = mod_inverse(s, p)
@@ -547,9 +547,10 @@ def test_mask_matcher_matches_scalar_scan_reference(case):
     for line in range(p + 1):
         parts, support = reference_line_profile(a, line)
         masks = [x.mask for x in parts]
+        dilates = [dilate(support, c).mask for c in range(1, p)]
         for desc, ref_desc in pairs:
             ref = reference_match_descriptor(ref_desc, parts, support, p)
-            got = _match_descriptor_2d(desc, masks, support.mask, p)
+            got = _match_descriptor_2d(desc, masks, dilates, p)
             if ref is None:
                 assert got is None
                 continue

@@ -66,6 +66,33 @@ def test_construct_parameter_error_exit_1(capsys):
     assert code == 1 and "does not live in F_p^2" in err
 
 
+def test_construct_reports_no_triviality_outside_the_window(tmp_path, capsys):
+    # Triviality is containment in an extremal cuboid, and there is none
+    # outside the lambda window: a valid type there gets "nontrivial": null.
+    code, doc, err = run_cli(["construct", "--type", "1", "--k", "2", "--l", "1", "--p", "13",
+                              "--a", "8"], capsys)
+    assert code == 0, err
+    assert doc["results"]["set"] == "p=13;[8,10]" and doc["results"]["nontrivial"] is None
+    # every A3-grid spec outside the window, through one grid file
+    from klsf.criteria import a3_grid
+
+    specs = [spec for _, spec in a3_grid() if not spec.params.lambda_in_range()]
+    assert specs and all(isinstance(spec, TypeSpec) for spec in specs)
+    grid = [{"k": s.params.k, "l": s.params.l, "p": s.params.p, "n": s.params.n, "type": s.which,
+             "extras": {f: getattr(s, f) for f in STRUCTURES[s.which].reads
+                        if getattr(s, f) is not None}} for s in specs]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    code, doc, err = run_cli(["construct", "--grid", str(path)], capsys)
+    assert code == 0, err
+    assert [(r["kind"], r["size"], r["nontrivial"]) for r in doc["results"]] == [
+        (s.which, s.params.m * s.params.p ** (s.params.n - 1), None) for s in specs]
+    # a cuboid outside the window is still refused
+    code, _, err = run_cli(["construct", "--type", "cuboid", "--k", "2", "--l", "1", "--p", "13"],
+                           capsys)
+    assert code == 1 and "cuboid requires m >= 1 and lam <= k+l-3" in err
+
+
 def test_verify_and_classify(capsys):
     code, doc, _ = run_cli(["verify", "--k", "3", "--l", "1", "--set", "p=23;[15,20]"], capsys)
     assert code == 0 and doc["results"]["sumfree"] is True

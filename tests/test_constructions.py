@@ -25,6 +25,7 @@ from klsf.constructions import (
     gen_type,
     nontriviality_check,
     reference_specs,
+    sumfree_interval_starts,
     TYPE_KINDS,
     type1_a_values,
     type3_a,
@@ -70,6 +71,30 @@ def test_extremal_intervals_are_sumfree_and_mirrored():
             mirrored = dilate(ZpSet.interval(p, a_j, params.m + 1), p - 1)
             other = -(params.k * params.m + 1 + (lam - j)) * pow(params.k - params.l, -1, p) % p
             assert mirrored == ZpSet.interval(p, other, params.m + 1)
+
+
+def test_sumfree_interval_starts_match_an_interval_scan():
+    # Every length L and prime p <= 31: [a, a+L-1] is (k,l)-sum-free exactly
+    # when the closed form lists a (k + l <= 7; p | k-l lists nothing).
+    for p in primes_in(2, 31):
+        for k, l in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1)):
+            for length in range(1, p + 1):
+                want = [a for a in range(p) if is_kl_sumfree(ZpSet.interval(p, a, length), k, l)]
+                assert sorted(sumfree_interval_starts(p, k, l, length)) == want, (k, l, p, length)
+
+
+def test_cuboid_bases_keep_the_extremal_start_formula():
+    # The cuboid row reads entry j of the length-(m+1) starts; a_j is still
+    # -(km+1+j)(k-l)^(-1) mod p at every in-window (k, l, p), k <= 8, p <= 61.
+    for k in range(2, 9):
+        for l in range(1, k):
+            for p in primes_in(2, 61):
+                params = Params(k, l, p)
+                if not params.lambda_in_range():
+                    continue
+                for j in range(params.extremal_orbit_count()):
+                    want = -(k * params.m + 1 + j) * pow(k - l, -1, p) % p
+                    assert CuboidSpec(params, j).a_j == want, (k, l, p, j)
 
 
 def test_type1_examples():

@@ -625,8 +625,8 @@ def test_dilation_orbits_match_brute_force(case):
     assert list(zip(least, stabs)) == [naive_orbit(p, m) for m in masks]
     ratios = [naive_ratio_count(p, m) for m in masks]
     assert modmath.dilation_orbits(p, masks, ratio_counts=True) == (least, stabs, ratios)
-    assert modmath.dilation_masks(p, masks[0]) == [
-        dilate(ZpSet.from_mask(p, masks[0]), c).mask for c in range(1, p)]
+    assert modmath.dilation_images(p, masks).tolist() == [
+        [dilate(ZpSet.from_mask(p, m), c).mask for c in range(1, p)] for m in masks]
 
 
 def test_dilation_orbits_edge_cases(monkeypatch):
@@ -964,14 +964,15 @@ def test_dilation_orbits_take_a_list_or_a_word_array(p):
 
 
 def direct_dilation_images(p, rows):
-    """Entry (i, c-1) of `_dilation_images` from Python products: the mask of
+    """Entry (i, c-1) of `dilation_images` from Python products: the mask of
     c*A_i as the sum of the bits 1 << (c*x % p), x in A_i."""
     return [[sum(1 << (c * x % p) for x in row) for c in range(1, p)] for row in rows]
 
 
-def residue_rows(rng, p, size, count=5):
+def random_rows(rng, p, size, count=5):
+    """`count` random residue rows of `size` elements, and their masks."""
     rows = [sorted(rng.sample(range(p), size)) for _ in range(count)]
-    return rows, np.array(rows, dtype=np.int64).reshape(count, size)
+    return rows, [indices_to_mask(row) for row in rows]
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
@@ -980,21 +981,58 @@ def test_dilation_table_matches_direct_products(p):
     # about p/2, p - 1 and p (0 included), and no rows at all.
     rng = random.Random(p)
     for size in sorted({0, 1, 2, p // 2, p - 1, p}):
-        rows, residues = residue_rows(rng, p, size)
-        images = modmath._dilation_images(p, residues)
+        rows, masks = random_rows(rng, p, size)
+        images = modmath.dilation_images(p, masks)
         assert images.dtype == np.uint64 and images.shape == (len(rows), p - 1)
         assert images.tolist() == direct_dilation_images(p, rows), size
-    assert modmath._dilation_images(p, np.zeros((0, 3), dtype=np.int64)).shape == (0, p - 1)
+    assert modmath.dilation_images(p, []).shape == (0, p - 1)
 
 
 def test_dilation_images_above_the_word_limit_stay_python_ints():
     p = 67
     rng = random.Random(p)
     for size in (0, 1, 5, 33, 66, 67):
-        rows, residues = residue_rows(rng, p, size)
-        images = modmath._dilation_images(p, residues)
+        rows, masks = random_rows(rng, p, size)
+        images = modmath.dilation_images(p, masks)
         assert images.dtype == object and images.shape == (len(rows), p - 1)
         assert images.tolist() == direct_dilation_images(p, rows), size
+
+
+@pytest.mark.parametrize("p", [67, 101, 1009])
+def test_dilation_images_above_the_word_limit_match_direct_products_in_blocks(p, monkeypatch):
+    # Above WORD_P_LIMIT the images are packed a block of (row, c) pairs at a
+    # time; blocks that end inside a row, and blocks of one image, give the
+    # same words.
+    rng = random.Random(p)
+    for size in (0, 1, 3, 40):
+        rows, masks = random_rows(rng, p, size, count=3)
+        want = direct_dilation_images(p, rows)
+        assert modmath.dilation_images(p, masks).tolist() == want, size
+        for cells in (p * 7, p):
+            monkeypatch.setattr(modmath, "_ORBIT_CELLS", cells)
+            assert modmath.dilation_images(p, masks).tolist() == want, (size, cells)
+        monkeypatch.undo()
+    assert modmath.dilation_images(p, []).shape == (0, p - 1)
+
+
+def test_dilation_orbits_above_the_word_limit_bound_their_memory():
+    # The bit array above WORD_P_LIMIT is built in blocks of at most
+    # _ORBIT_CELLS cells, so a chunk of three-element sets at p = 1009 (the
+    # 86 rows `dilation_orbits` takes at once) stays far below the 118 MB
+    # of a single (86 * 1008, 1009) bit array.
+    import tracemalloc
+
+    p = 1009
+    rng = random.Random(p)
+    masks = [indices_to_mask(sorted(rng.sample(range(p), 3))) for _ in range(86)]
+    tracemalloc.start()
+    try:
+        least, stabs = modmath.dilation_orbits(p, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert list(zip(least, stabs))[:8] == [naive_orbit(p, m) for m in masks[:8]]
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])

@@ -25,6 +25,24 @@ def test_modules_read_every_name_they_import():
     assert not unused, unused
 
 
+def test_functions_read_every_name_they_import():
+    # An import inside a function binds a local name, so a read elsewhere in
+    # the module does not count: the function itself must read it.
+    unused = []
+    for path in sorted(Path(klsf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.asname or a.name.split(".")[0] for a in node.names]
+                    unused += [f"{path.name}:{node.lineno} {func.name} imports {name}"
+                               for name in names if name not in read]
+    assert not unused, unused
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips assert statements, so every self-check in the
     # package is an explicit raise.
