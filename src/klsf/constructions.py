@@ -29,7 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .modmath import GeneratorCheckError, bits_to_mask, dilation_images, fold_masks, mod_inverse, word_array
+from .modmath import (
+    GeneratorCheckError, bits_to_mask, chunk_rows, dilation_images, fold_masks, mod_inverse, word_array,
+)
 from .zpset import ZpSet, ed_profile
 from .vecset import (
     CriterionError,
@@ -416,11 +418,6 @@ class TrivialityReport:
     detail: str
 
 
-# Bound on the (row, c, j) cells of one `extremal_embeddings` array test
-# (512 KB of uint64 words).
-_EMBED_CELLS = 1 << 16
-
-
 def extremal_embeddings(p: int, masks, intervals: list[ZpSet]) -> list[tuple[int, int] | None]:
     """For each of a batch of subsets S of Z_p (p-bit masks, as a list or a
     word array), in the order of `masks`: the first (c, j), scanning
@@ -429,7 +426,8 @@ def extremal_embeddings(p: int, masks, intervals: list[ZpSet]) -> list[tuple[int
     c*S lies in I_j iff S misses the complement of c^(-1) I_j, so one array
     test of the masks against the cached complements, laid out by c and then
     j, decides every (c, j) at once, and a row's first miss is its first
-    (c, j).  Rows go in chunks of at most _EMBED_CELLS (row, c, j) cells.
+    (c, j).  Rows go in `chunk_rows` chunks, a row counted as its (c, j)
+    words: 8 bytes a uint64 word, ceil(p/8) a p-bit int above p = 61.
     """
     words = word_array(p, masks)
     if not intervals:
@@ -437,13 +435,12 @@ def extremal_embeddings(p: int, masks, intervals: list[ZpSet]) -> list[tuple[int
     outside = _preimage_complements(p, tuple(iv.mask for iv in intervals))
     width = len(intervals)
     out = []
-    chunk = max(1, _EMBED_CELLS // len(outside))
+    chunk = chunk_rows(len(outside) * max(8, (p + 7) // 8))
     for lo in range(0, len(words), chunk):
         inside = (words[lo:lo + chunk, None] & outside) == 0
         first = inside.argmax(axis=1)
-        found = inside[np.arange(len(first)), first]
         out += [(at // width + 1, at % width) if hit else None
-                for at, hit in zip(first.tolist(), found.tolist())]
+                for at, hit in zip(first.tolist(), inside[np.arange(len(first)), first].tolist())]
     return out
 
 

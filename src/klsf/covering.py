@@ -38,21 +38,22 @@ sizes take the remainder), sizes in increasing order, from one
 the one `Random.sample` would draw from range(p): `_sample_rows` follows
 CPython's algorithm on the same `getrandbits` words, without the per-call
 overhead that made `Random.sample` most of a scan.  The draws of one size
-form residue rows, up to _SAMPLE_CELLS residues per batch, whose |2A| come
-from one `modmath.doubling_sizes` call; masks are built only for the rows
-the cover test flags.  A size s whose loosest bound lies below
-min(p, 2s - 1) is drawn but not tested: by the Cauchy-Davenport theorem no
-set of that size meets a hypothesis.
+form residue rows, a `modmath.chunk_rows` batch at a time (8 bytes a
+residue), whose |2A| come from one `modmath.doubling_sizes` call; masks are
+built only for the rows the cover test flags.  A size s whose loosest bound
+lies below min(p, 2s - 1) is drawn but not tested: by the Cauchy-Davenport
+theorem no set of that size meets a hypothesis.
 
 In both modes the sets meeting a hypothesis go, grouped by size, through one
-batched AP-cover test (`_uncovered`) on their residue rows, a batch of at
-most _SAMPLE_CELLS residues per call (`modmath.words_to_residues` gives the
-exhaustive scan's rows).  The test takes the differences d in blocks through
-the kernel's widest-gap step (`modmath.ap_gaps`), and drops the rows a block
-covers before the next.  The sets it flags in all batches of a size go on in
-chunks of at most _COVER_ROWS rows: each chunk is reduced to its dilation
-orbits by one `modmath.dilation_orbits` call, and the orbits not seen before
-are re-checked by one `covering_verdicts` call, whose shortest AP covers come
+batched AP-cover test (`_uncovered`) on their residue rows, in batches of
+the same size (`modmath.words_to_residues` gives the exhaustive scan's
+rows).  The test takes the differences d in blocks through the kernel's
+widest-gap step (`modmath.ap_gaps`), and drops the rows a block covers
+before the next.  The sets it flags in all batches of a size go on in
+`chunk_rows` chunks, a set's row its 8(p-1)s bytes of dilation table words:
+each chunk is reduced to its dilation orbits by one
+`modmath.dilation_orbits` call, and the orbits not seen before are
+re-checked by one `covering_verdicts` call, whose shortest AP covers come
 from the kernel's AP-cover scan (`modmath.ap_covers`, the scan behind
 `zpset.min_ap_cover`), every d for every row over the same gap step.
 
@@ -74,8 +75,8 @@ from fractions import Fraction
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, ap_covers, ap_gaps, child_folds, dilation_orbits, doubling_sizes, indices_to_mask,
-    is_prime, word_array, words_popcount, words_to_residues,
+    GeneratorCheckError, ap_covers, ap_gaps, child_folds, chunk_rows, dilation_orbits, doubling_sizes,
+    indices_to_mask, is_prime, word_array, words_popcount, words_to_residues,
 )
 from .zpset import ApCover, ZpSet, ZpSetError
 
@@ -92,20 +93,6 @@ DEFAULT_GRID_STEP = Fraction(1, 20)
 # trees, (p, c, top of grid) = (29, 1/3, 3/5), (31, 1/3, 1/4) and
 # (29, 1/4, 3/4).
 _BLOCK_CHILDREN = 4096
-# Flagged sets per `dilation_orbits` call, and so at most as many new orbits
-# per `covering_verdicts` call.  A verdict call costs a few dozen numpy
-# operations whatever its size; 256 rows keep each of its (rows, D, s) image
-# blocks within `modmath._COVER_CELLS` for sets of up to 64 elements.
-_COVER_ROWS = 256
-# Both scans run the cover test on the hypothesis sets of one size in batches
-# of at most this many residues (a sampled scan also draws its trials in
-# them, one `_sample_rows` call per batch).  A lone seed-1 benchmark
-# covering pass peaks at 32.8-32.9 MB resident with 2^16 (24 exhaustive
-# cover tests) and 32.1-32.2 MB with 2^14 (29 tests), but in the benchmark
-# 2^14 reads item_p90_ms 25.6-26.2 against 23.4-23.7 and the same
-# peak_rss_mb (4 alternating pairs), where the digests the harness keeps
-# dominate.
-_SAMPLE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -308,14 +295,15 @@ def _uncovered(residues: np.ndarray, doubling: np.ndarray, p: int) -> np.ndarray
     return out
 
 
-def _record_violations(p: int, masks, limits, grid, violations: dict) -> None:
+def _record_violations(p: int, size: int, masks, limits, grid, violations: dict) -> None:
     """Reduce sets of one size that the batched test found uncovered to their
     dilation orbits and re-check the orbits not seen before with the exact
-    verdict, one batched call per chunk of _COVER_ROWS sets; the stored
-    witness is the orbit's canonical form (the verdict is
-    dilation-invariant)."""
-    for lo in range(0, len(masks), _COVER_ROWS):
-        orbits = dict.fromkeys(dilation_orbits(p, masks[lo:lo + _COVER_ROWS])[0])
+    verdict, one batched call per `chunk_rows` chunk of sets (a set's row is
+    its 8(p-1)*size bytes of dilation table words); the stored witness is the
+    orbit's canonical form (the verdict is dilation-invariant)."""
+    chunk = chunk_rows(8 * (p - 1) * size)
+    for lo in range(0, len(masks), chunk):
+        orbits = dict.fromkeys(dilation_orbits(p, masks[lo:lo + chunk])[0])
         for verdict in covering_verdicts(p, [m for m in orbits if m not in violations]):
             if verdict.covered:
                 raise GeneratorCheckError(
@@ -392,12 +380,12 @@ def _tau_scan_exhaustive(p: int, c: Fraction, grid) -> TauScan:
     for size, parts in found.items():
         masks = np.concatenate([m for m, _ in parts])
         doubling = np.concatenate([d for _, d in parts])
-        batch = max(1, _SAMPLE_CELLS // size)
+        batch = chunk_rows(8 * size)
         flagged = []
         for lo in range(0, len(masks), batch):
             part = slice(lo, lo + batch)
             flagged.append(masks[part][_uncovered(words_to_residues(masks[part], p), doubling[part], p)])
-        _record_violations(p, np.concatenate(flagged), limits, grid, violations)
+        _record_violations(p, size, np.concatenate(flagged), limits, grid, violations)
     mode = {"kind": "exhaustive", "normalization": "orbit representative contains 1"}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)
 
@@ -457,7 +445,7 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
         # size s meets a hypothesis.  Its rows are still drawn, to keep the
         # seeded stream and the examined count.
         reachable = top >= min(p, 2 * s - 1)
-        batch = max(1, _SAMPLE_CELLS // s)
+        batch = chunk_rows(8 * s)
         flagged = []
         for lo in range(0, count, batch):
             rows = _sample_rows(rng, p, s, min(batch, count - lo))
@@ -470,6 +458,6 @@ def _tau_scan_sampled(p: int, c: Fraction, grid, seed: int, trials: int) -> TauS
             hyp_hits += len(hits)
             if len(hits):
                 flagged += map(indices_to_mask, hits[_uncovered(hits, doubling[hit], p)].tolist())
-        _record_violations(p, flagged, limits, grid, violations)
+        _record_violations(p, s, flagged, limits, grid, violations)
     mode = {"kind": "sampled", "seed": seed, "trials": trials}
     return _finish_scan(p, c, grid, mode, violations.values(), examined, hyp_hits, t0)

@@ -415,7 +415,7 @@ def run_a10() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # A11: equation witnesses from the small-weight case tables
 
-A11_ROWS = (
+A11_GRID = (
     # (k, l, p, C construction, left, right, max_distinct)
     ("3(3m+2)=(2m+1)+(2m+2) at p=5m+3, m=8",
      3, 2, 43, ("interval", 17, 10), (26, 26, 26), (17, 18), 3),
@@ -431,7 +431,7 @@ A11_ROWS = (
 @_timed
 def run_a11() -> CriterionResult:
     res = CriterionResult("A11", True)
-    for label, k, l, p, cdef, left, right, max_distinct in A11_ROWS:
+    for label, k, l, p, cdef, left, right, max_distinct in A11_GRID:
         _, start, length = cdef
         c = ZpSet.interval(p, start, length)
         sols = find_kl_sums(c, k, l, max_distinct)

@@ -17,7 +17,10 @@ size p does not divide is {0} (Lagrange).  `MaskSet` is the set algebra that
 ZpSet and VecSet share.  Batches of p-bit masks of Z_p are arrays of words
 (`word_array`), which the word helpers unpack, count and rotate whatever
 their dtype; `child_folds` is the one fold step of both block trees, the Z_p
-search and the covering lab.
+search and the covering lab.  Batched array work here and in the packages
+that call it (dilation images and orbits, AP gaps, pair-sum tables, cover
+tests and draws, extremal embeddings, line part sizes) is chunked by one
+byte budget, _CHUNK_BYTES, through `chunk_rows`.
 
 Over Z_p (and the one-cell space F_p^0) a sumset ORs the plain shifts
 large << x, one per element x of the smaller operand, into one int of 2p
@@ -81,13 +84,31 @@ _FFT_THRESHOLD = 64
 # work (the search tree, the covering tree, dilation images) runs on uint64
 # arrays up to it and on object arrays of Python ints above.
 WORD_P_LIMIT = 61
-# Dilation images are built over blocks of at most this many cells: up to
-# WORD_P_LIMIT, `dilation_orbits` gathers chunks of at most this many
-# (mask, c, element) table words (2 MB of uint64); above it,
-# `dilation_images` packs the products c*x mod p from bit arrays of at most
-# this many cells (blocks of _ORBIT_CELLS // p images), whatever p and the
-# batch size.  The packed images still take p-1 words of p bits per set.
-_ORBIT_CELLS = 1 << 18
+# The one memory budget of batched array work: every chunked temporary in
+# the kernel, the constructions, the covering lab and the lines of F_p^2
+# takes `chunk_rows(row_bytes)` rows at a time, a row counted as the bytes
+# of its block's arrays: 8 per 64-bit cell, 1 per bool, ceil(p/8) per p-bit
+# Python int, and 8 per int32 cell of `ap_gaps`, which returns two arrays.
+# Measured on a shared 2-vCPU Xeon (CPython 3.11, NumPy 2.4; peaks under
+# tracemalloc), outputs unchanged, against the six per-site cell counts
+# this replaced:
+# - `vecset.line_part_sizes` (8|A| bytes a line) on the p = 503 type-5 set
+#   (62,875 points): 243.7 -> 3.9 MiB, one line per chunk where the whole
+#   (|A|, p+1) matrix was built, and 0.35-0.37 -> 0.30-0.31 s (best of 9);
+#   the benchmark's p <= 59 inputs stay in one chunk, level at 0.42-0.48 ms;
+# - `dilation_orbits` above p = 61 (a set's p-1 image ints): 30 three-element
+#   sets at p = 10007 158.5 -> 20.7 MiB, 30 five-element sets at p = 4001
+#   48.0 -> 4.6 MiB, times level within the host's spread at p = 101, 1009
+#   and 4001; `constructions.extremal_embeddings` on 20 size-m sets at
+#   p = 4001 tested 16 rows of 4,000 ints at once (34.7 MiB) and now one
+#   (2.2 MiB);
+# - `ap_gaps` blocks of 2^16 int32 cells read level with 2^14 in the
+#   benchmark's covering workload, where 2^17 read wall_s 0.241-0.245
+#   against 0.220-0.226 s and int64 cells item_p90_ms 25.0-25.6 against
+#   18.9-19.7 ms (three alternating pairs); the covering lab's cover-test
+#   and draw batches of 2^16 residues read item_p90_ms 23.4-23.7 against
+#   25.6-26.2 ms for 2^14 at the same peak RSS (four alternating pairs).
+_CHUNK_BYTES = 1 << 19
 # Up to this set size `doubling_sizes` counts |A + A| from a sorted table of
 # the s(s+1)/2 pair sums of each row; above it one `sumset_mask` per row is
 # cheaper.  Per row against the one-wrap shift loop, mask build included
@@ -98,17 +119,6 @@ _ORBIT_CELLS = 1 << 18
 # the cut-over is conservative for larger p (at p = 10007, s = 96 the table
 # is still 2x faster).
 _PAIR_TABLE_SIZE = 32
-# The pair-sum tables are built over chunks of rows of at most this many
-# cells (512 KB of int64).
-_PAIR_TABLE_CELLS = 1 << 16
-# The AP-cover scan takes the differences d in blocks, one sorted (rows, D, s)
-# image array of at most this many cells per block.  The covering lab's cover
-# test drops the rows a block covers before the next, and the rows of a batch
-# are covered evenly across d, so a larger block trades more wasted work for
-# fewer calls.  The six exhaustive scans of a seed-1 benchmark covering pass
-# take 199-204 ms with blocks of 2^12 to 2^16 cells alike (median of 5,
-# 2-vCPU Xeon, CPython 3.11).
-_COVER_CELLS = 1 << 14
 
 
 class GeneratorCheckError(AssertionError):
@@ -143,6 +153,13 @@ def mod_inverse(a: int, p: int) -> int:
 def primes_in(lo: int, hi: int) -> list[int]:
     """All primes in the closed range [lo, hi]."""
     return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """How many rows of `row_bytes` bytes each one chunk of a batched
+    temporary takes: as many as fit _CHUNK_BYTES, and at least one (a row of
+    0 bytes counts as 1).  The one chunk policy of the package."""
+    return max(1, _CHUNK_BYTES // max(1, row_bytes))
 
 
 def rotate_mask(mask: int, shift: int, p: int) -> int:
@@ -318,23 +335,21 @@ def dilation_images(p: int, masks) -> np.ndarray:
     Up to WORD_P_LIMIT the rows of `_dilation_table(p)` are gathered by
     residue and summed over each set: c is invertible, so the s bits of an
     image are distinct and their sum is their union.  Above it the products
-    c*x mod p are set in a bit array and packed, a block of at most
-    _ORBIT_CELLS // p images at a time, so that the bit array stays within
-    _ORBIT_CELLS cells whatever p and N.
+    c*x mod p are set in a bool array and packed, a `chunk_rows(p)` block
+    of images at a time, whatever p and N.
     """
     residues = words_to_residues(word_array(p, masks), p)
     if p <= WORD_P_LIMIT:
         return _dilation_table(p)[residues].sum(axis=1, dtype=np.uint64)
-    rows = len(residues)
-    images = np.empty(rows * (p - 1), dtype=object)
-    block = max(1, _ORBIT_CELLS // p)
+    images = np.empty(len(residues) * (p - 1), dtype=object)
+    block = chunk_rows(p)
     for lo in range(0, len(images), block):
         at = np.arange(lo, min(lo + block, len(images)))
         products = residues[at // (p - 1)] * (at % (p - 1) + 1)[:, None] % p
         bits = np.zeros((len(at), p), dtype=bool)
         bits[np.arange(len(at))[:, None], products] = True
         images[lo:lo + len(at)] = bits_to_mask(bits)
-    return images.reshape(rows, p - 1)
+    return images.reshape(-1, p - 1)
 
 
 @lru_cache(maxsize=None)
@@ -359,12 +374,14 @@ def dilation_orbits(p: int, masks, ratio_counts: bool = False) -> tuple[list[int
 
     The images come from `dilation_images`, one call per chunk of sets, then
     a row minimum and a count of the images equal to column c = 1 (A
-    itself).  The ratio count keeps, for the images with bit 1 set, the
-    lowest bit above bit 1, and counts the entries equal to the row's least.
+    itself).  A set's row in a chunk is its (p-1, s) gathered table words
+    up to WORD_P_LIMIT and its p-1 image ints above.  The ratio count keeps,
+    for the images with bit 1 set, the lowest bit above bit 1, and counts
+    the entries equal to the row's least.
     """
     words = word_array(p, masks)
     size = int(words_popcount(words[:1]).sum())
-    chunk = max(1, _ORBIT_CELLS // ((p - 1) * max(size, 1)))
+    chunk = chunk_rows((p - 1) * (8 * max(size, 1) if p <= WORD_P_LIMIT else (p + 7) // 8))
     # each chunk's `dilation_images` call checks its own sizes
     if len(words) > chunk and (words_popcount(words) != size).any():
         raise ValueError("dilation orbits need p-bit masks of one size")
@@ -394,16 +411,16 @@ def _ap_inverses(p: int) -> np.ndarray:
 def ap_gaps(p: int, residues: np.ndarray, lo: int):
     """The widest-gap step of the AP-cover scan.  For the rows A of an (N, s)
     array of residues mod p and the block of differences d = lo+1, lo+2, ...
-    that keeps an (N, D, s) array within _COVER_CELLS cells (at least one
-    difference, none past p // 2), the sorted images d^(-1)*A as an
-    (N, D, s) array, and the same-shape array of the number of residues
-    missing between each image entry and its cyclic predecessor.
+    of `chunk_rows` (a difference's row is both arrays' N*s cells, 8 bytes a
+    cell; none past p // 2), the sorted images d^(-1)*A as an (N, D, s)
+    array, and the same-shape array of the number of residues missing
+    between each image entry and its cyclic predecessor.
 
     The shortest AP of difference d containing A is the complement of the
     widest such gap, starting at the entry after it; d and -d give the same
     length, so d <= (p-1)/2 will do.
     """
-    block = _ap_inverses(p)[lo:][:max(1, _COVER_CELLS // residues.size)]
+    block = _ap_inverses(p)[lo:][:chunk_rows(8 * residues.size)]
     img = np.sort(residues.astype(block.dtype, copy=False)[:, None, :] * block[:, None] % p, axis=2)
     return img, np.diff(img, axis=2, prepend=img[:, :, -1:] - p) - 1
 
@@ -485,11 +502,10 @@ def doubling_sizes(p: int, residues) -> np.ndarray:
         return np.fromiter((sumset_mask(p, 1, m, m).bit_count() for m in masks),
                            dtype=np.int64, count=rows)
     i, j = _pair_indices(size)
-    chunk = max(1, _PAIR_TABLE_CELLS // len(i))
+    chunk = chunk_rows(8 * len(i))
     out = np.empty(rows, dtype=np.int64)
     for lo in range(0, rows, chunk):
-        part = residues[lo:lo + chunk]
-        sums = np.sort((part[:, i] + part[:, j]) % p, axis=1)
+        sums = np.sort((residues[lo:lo + chunk, i] + residues[lo:lo + chunk, j]) % p, axis=1)
         out[lo:lo + chunk] = 1 + np.count_nonzero(sums[:, 1:] != sums[:, :-1], axis=1)
     return out
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modmath import (
-    GeneratorCheckError, MaskSet, bits_to_mask, fold_masks, indices_to_mask, indices_to_rows,
+    GeneratorCheckError, MaskSet, bits_to_mask, chunk_rows, fold_masks, indices_to_mask, indices_to_rows,
     is_kl_sumfree_mask, is_prime, mask_to_bits, mask_to_indices, mod_inverse, rows_to_indices,
     stabilizer_mask, sumset_mask,
 )
@@ -82,11 +82,15 @@ class VecSet(MaskSet):
         object.__setattr__(self, "mask", indices_to_mask(rows_to_indices(self._rows(vectors), p)))
 
     def _rows(self, vectors) -> np.ndarray:
-        """The vectors as coordinate rows, after checking arity and range."""
+        """The vectors as coordinate rows, after checking arity, that every
+        coordinate is an integer (Python or numpy; a float such as 2.0 is
+        refused, not truncated) and range."""
         vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != self.n:
                 raise VecSetError(f"vector {v} has wrong arity for dimension {self.n}")
+            if not all(isinstance(c, (int, np.integer)) for c in v):
+                raise VecSetError(f"vector {v} has a coordinate that is not an integer")
         rows = np.array(vecs, dtype=np.int64).reshape(len(vecs), self.n)
         bad = (rows < 0) | (rows >= self.p)
         if bad.any():
@@ -113,8 +117,8 @@ class VecSet(MaskSet):
     @classmethod
     def from_indices(cls, p: int, n: int, indices) -> "VecSet":
         indices = list(indices)
-        if indices and min(indices) < 0:
-            raise VecSetError("negative cell index")
+        if indices and not (all(isinstance(i, (int, np.integer)) for i in indices) and min(indices) >= 0):
+            raise VecSetError("cell indices must be nonnegative integers")
         return cls.from_mask(p, n, indices_to_mask(indices))
 
     @classmethod
@@ -145,8 +149,9 @@ class VecSet(MaskSet):
         return f"VecSet(p={self.p}, n={self.n}, size={len(self)})"
 
     def translate(self, g) -> "VecSet":
-        """A + g, as the sumset with {g}; coordinates of g are taken mod p."""
-        g = [int(c) % self.p for c in g]
+        """A + g, as the sumset with {g}; coordinates of g are taken mod p
+        (and one that is not an integer is left for `_rows` to refuse)."""
+        g = [c % self.p if isinstance(c, (int, np.integer)) else c for c in g]
         return self._with_mask(sumset_mask(
             self.p, self.n, self.mask, indices_to_mask(rows_to_indices(self._rows([g]), self.p))))
 
@@ -280,17 +285,23 @@ def line_part_sizes(a: VecSet) -> np.ndarray:
     """(p+1, p) part-size matrix of A in F_p^2: entry (l, i) is |A_i| along
     line l, the number of c with i*v + c*k in A.
 
-    One product of A's coordinate rows with row 0 of every `line_bases`
-    entry and one offset bincount give all p+1 line profiles at once.
+    A product of A's coordinate rows with row 0 of the `line_bases` entries
+    and one offset bincount give the line profiles of a `chunk_rows` chunk
+    of lines at a time, a line's row its 8|A| bytes of coordinates.  A line
+    missing from the table leaves its row 0, which the row-sum check
+    catches.
     """
     p = a.p
     if a.n != 2:
         raise VecSetError("line part sizes need n = 2")
-    f = line_bases(p)[:, 0]
-    coords = indices_to_rows(a.index_array(), p, 2) @ f.T
-    coords %= p
-    coords += np.arange(len(f), dtype=np.int64) * p
-    counts = np.bincount(coords.ravel(), minlength=(p + 1) * p).reshape(p + 1, p)
+    points = indices_to_rows(a.index_array(), p, 2)
+    chunk = chunk_rows(8 * len(a))
+    counts = np.zeros((p + 1, p), dtype=np.int64)
+    for lo in range(0, p + 1, chunk):
+        cells = points @ line_bases(p)[lo:lo + chunk, 0].T
+        cells %= p
+        cells += np.arange(cells.shape[1], dtype=np.int64) * p
+        counts[lo:lo + cells.shape[1]] = np.bincount(cells.ravel(), minlength=cells.shape[1] * p).reshape(-1, p)
     if (counts.sum(axis=1) != len(a)).any():
         raise GeneratorCheckError("line part sizes do not sum to |A|: implementation bug")
     return counts

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from .modmath import (
     MaskSet, ap_covers, fold_masks, indices_to_mask, is_kl_sumfree_mask, is_prime, mask_to_indices,
     rotate_mask, sumset_mask,
@@ -48,6 +50,8 @@ class ZpSet(MaskSet):
         object.__setattr__(self, "p", p)
         elements = list(elements)
         for e in elements:
+            if not isinstance(e, (int, np.integer)):
+                raise ZpSetError(f"residue {e!r} is not an integer")
             if not 0 <= e < p:
                 raise ZpSetError(f"residue {e} out of range for modulus {p}")
         object.__setattr__(self, "mask", indices_to_mask(elements))

@@ -10,7 +10,7 @@ from klsf.zpset import ZpSet, dilate, ed_profile, is_kl_sumfree
 from klsf.modmath import dilation_orbits, primes_in, word_array
 from klsf.search import enumerate_second_level
 from klsf.vecset import Params, VecSet, apply_automorphism, line_basis, vec_is_kl_sumfree
-from klsf import constructions, search
+from klsf import constructions, modmath, search
 from test_vecset import reference_line_profile
 from klsf.constructions import (
     CuboidSpec,
@@ -346,8 +346,30 @@ def test_extremal_embeddings_edge_cases(p, monkeypatch):
     assert extremal_embeddings(p, word_array(p, masks), intervals) == want
     assert extremal_embeddings(p, [], intervals) == []
     assert extremal_embeddings(p, masks, []) == [None] * len(masks)
-    monkeypatch.setattr(constructions, "_EMBED_CELLS", 1)
+    monkeypatch.setattr(modmath, "_CHUNK_BYTES", 1)
     assert extremal_embeddings(p, masks, intervals) == want
+
+
+def test_extremal_embeddings_chunk_by_the_bytes_of_their_words(monkeypatch):
+    # Above p = 61 a row's (c, j) complements are p-bit ints of ceil(p/8)
+    # bytes, so at p = 4001 a chunk holds one row where 16 rows of 4,000 ints
+    # (34.7 MiB) were tested at once.  The cached complements are warmed
+    # first; a set dilated from the interval embeds, and the results match
+    # one unchunked test.
+    from test_modmath import traced_peak
+
+    params = Params(2, 1, 4001)
+    p, intervals = params.p, extremal_intervals(params)
+    assert len(intervals) == 1
+    rng = random.Random(p)
+    masks = [dilate(intervals[0], 3).mask] + [ZpSet(p, rng.sample(range(p), params.m)).mask for _ in range(19)]
+    extremal_embeddings(p, masks[:1], intervals)
+    got, peak = traced_peak(lambda: extremal_embeddings(p, masks, intervals))
+    assert peak < 8 << 20, peak
+    c, j = got[0]
+    assert dilate(ZpSet.from_mask(p, masks[0]), c).issubset(intervals[j])
+    monkeypatch.setattr(modmath, "_CHUNK_BYTES", 1 << 30)
+    assert extremal_embeddings(p, masks[:3], intervals) == got[:3]
 
 
 # (k, l, p) at n = 2 inside the lambda window, p <= 29.

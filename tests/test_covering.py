@@ -154,19 +154,20 @@ def test_exhaustive_scan_matches_direct_enumeration():
 @settings(max_examples=30)
 @given(st.sampled_from(primes_in(2, 19)), st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)]),
        st.integers(1, 20), st.sampled_from([3, covering._BLOCK_CHILDREN]),
-       st.sampled_from([1, covering._COVER_ROWS]))
-def test_scan_matches_scalar_scan_and_brute_force(p, c, top, block, rows):
-    # Small blocks force every frontier to be split across expansions; with
-    # rows = 1, one-residue batches split every size's hypothesis sets between
-    # cover tests and one-row chunks its flagged sets between verdict calls.
+       st.sampled_from([1, modmath._CHUNK_BYTES]))
+def test_scan_matches_scalar_scan_and_brute_force(p, c, top, block, budget):
+    # Small blocks force every frontier to be split across expansions; with a
+    # budget of 1 byte, one-row batches split every size's hypothesis sets
+    # between cover tests and one-row chunks its flagged sets between verdict
+    # calls.
     # A bound with c*p < 1 (p = 2, or p = 3 and c < 1/3) admits no set.
     grid = tuple(t for t in default_grid() if t <= Fraction(top, 20))
     if c * p < 1:
         with pytest.raises(ZpSetError, match="admits no nonempty sets"):
             tau_scan(p, c, grid=grid)
         return
-    with mock.patch.multiple(covering, _BLOCK_CHILDREN=block, _COVER_ROWS=rows,
-                             _SAMPLE_CELLS=1 if rows == 1 else covering._SAMPLE_CELLS):
+    with mock.patch.object(covering, "_BLOCK_CHILDREN", block), \
+            mock.patch.object(modmath, "_CHUNK_BYTES", budget):
         scan = tau_scan(p, c, grid=grid)
     got = {v.verdict.set.mask: v.tau_star for v in scan.violations}
     violations, feasible, examined, hits = scalar_tau_scan(p, c, grid)
@@ -298,14 +299,7 @@ def test_sampled_scan_matches_per_trial_scan(case, seed, route, split):
     # row or one difference.
     p, c, grid, trials = case
     cut = {"auto": modmath._PAIR_TABLE_SIZE, "table": p, "sumset": 0}[route]
-
-    def budget(module, name):
-        return 1 if split else getattr(module, name)
-
-    with mock.patch.multiple(modmath, _PAIR_TABLE_SIZE=cut,
-                             _PAIR_TABLE_CELLS=budget(modmath, "_PAIR_TABLE_CELLS"),
-                             _COVER_CELLS=budget(modmath, "_COVER_CELLS")), \
-            mock.patch.multiple(covering, _SAMPLE_CELLS=budget(covering, "_SAMPLE_CELLS")):
+    with mock.patch.multiple(modmath, _PAIR_TABLE_SIZE=cut, _CHUNK_BYTES=1 if split else modmath._CHUNK_BYTES):
         scan = tau_scan(p, c, mode="sampled", grid=grid, seed=seed, trials=trials)
     assert ([v.to_dict() for v in scan.violations], scan.tau_feasible, scan.sets_examined,
             scan.hypothesis_hits) == per_trial_sampled_scan(p, c, grid, seed, trials)
@@ -379,14 +373,17 @@ def test_scan_refuses_seeds_and_trial_counts_it_cannot_honour():
 
 def test_cover_test_hands_dilation_orbits_at_most_one_chunk():
     # dilation_orbits builds a (rows, p-1, s) image array, so the cover test
-    # must not pass it a whole tree block's worth of flagged sets; the new
-    # orbits of a chunk get one batched verdict call, never one per orbit.
+    # must not pass it a whole tree block's worth of flagged sets, but at most
+    # the chunk_rows(8(p-1)s) rows of one chunk; the new orbits of a chunk get
+    # one batched verdict call, never one per orbit.  The small budget takes
+    # 7 five-element sets per chunk.
     p, c, top = 29, Fraction(1, 5), Fraction(1)
-    for rows in (7, covering._COVER_ROWS):
-        orbit_calls, verdict_calls = [], []
+    for budget in (7 * 8 * (p - 1) * 5, modmath._CHUNK_BYTES):
+        orbit_calls, verdict_calls, rows = [], [], []
 
         def counted_orbits(p, masks):
             orbit_calls.append(len(masks))
+            rows.append(modmath.chunk_rows(8 * (p - 1) * int(masks[0]).bit_count()))
             return dilation_orbits(p, masks)
 
         def counted_verdicts(p, masks):
@@ -395,11 +392,11 @@ def test_cover_test_hands_dilation_orbits_at_most_one_chunk():
 
         with mock.patch.object(covering, "dilation_orbits", counted_orbits), \
                 mock.patch.object(covering, "covering_verdicts", counted_verdicts), \
-                mock.patch.object(covering, "_COVER_ROWS", rows):
+                mock.patch.object(modmath, "_CHUNK_BYTES", budget):
             scan = tau_scan(p, c, grid=tuple(t for t in default_grid() if t <= top))
         assert len(scan.violations) == BENCHMARK_EXHAUSTIVE_CASES[(p, c, top)][2]
-        assert orbit_calls and max(orbit_calls) <= rows
-        assert len(verdict_calls) == len(orbit_calls) and max(verdict_calls) <= rows
+        assert orbit_calls and all(n <= most for n, most in zip(orbit_calls, rows))
+        assert len(verdict_calls) == len(orbit_calls) and all(n <= most for n, most in zip(verdict_calls, rows))
         # each orbit is judged once, by the first chunk that meets it
         assert sum(verdict_calls) == len(scan.violations) > len(verdict_calls)
 
@@ -418,17 +415,19 @@ def test_cover_test_sees_every_hypothesis_set_once():
         return uncovered(residues, doubling, p)
 
     uncovered = covering._uncovered
-    for cells in (10, covering._SAMPLE_CELLS):
+    for budget in (80, modmath._CHUNK_BYTES):
+        cells = budget // 8  # residues per batch, 8 bytes each
         seen.clear()
         calls.clear()
-        with mock.patch.multiple(covering, _uncovered=counted, _SAMPLE_CELLS=cells):
+        with mock.patch.object(covering, "_uncovered", counted), \
+                mock.patch.object(modmath, "_CHUNK_BYTES", budget):
             tau_scan(p, c, grid=grid)
         want = [combo for size in range(3, int(c * p) + 1) for combo in combinations(range(p), size)
                 if 1 in combo and len(sumset(ZpSet(p, combo), ZpSet(p, combo))) <= (2 + grid[-1]) * size - 3]
         assert sorted(seen) == sorted(want)
         # one cover test per size (3 and 4), unless the batches are cut small
         assert max(calls) <= max(cells, 4)
-        assert (len(calls) == 2) == (cells == covering._SAMPLE_CELLS)
+        assert (len(calls) == 2) == (budget == modmath._CHUNK_BYTES)
 
 
 def test_scan_reports_are_monotone_and_flag_small_tau_clean():

@@ -649,7 +649,8 @@ def test_dilation_orbits_edge_cases(monkeypatch):
     for p in (29, 67):
         masks = [indices_to_mask(sorted(rng.sample(range(p), 6))) for _ in range(40)]
         want = modmath.dilation_orbits(p, masks)
-        monkeypatch.setattr(modmath, "_ORBIT_CELLS", 7 * (p - 1) * 6)
+        # 7 sets per chunk: 8 bytes a table word up to p = 61, ceil(p/8) an image above
+        monkeypatch.setattr(modmath, "_CHUNK_BYTES", 7 * (p - 1) * (8 * 6 if p <= 61 else (p + 7) // 8))
         assert modmath.dilation_orbits(p, masks) == want
         assert want == tuple(map(list, zip(*(naive_orbit(p, m) for m in masks))))
         ratios = modmath.dilation_orbits(p, masks, ratio_counts=True)[2]
@@ -949,7 +950,7 @@ def test_doubling_sizes_match_sumsets_on_both_routes(p, monkeypatch):
         assert got.dtype == np.int64 and got.tolist() == want
         for forced in (0, p):
             monkeypatch.setattr(modmath, "_PAIR_TABLE_SIZE", forced)
-            monkeypatch.setattr(modmath, "_PAIR_TABLE_CELLS", 1)
+            monkeypatch.setattr(modmath, "_CHUNK_BYTES", 1)
             assert modmath.doubling_sizes(p, rows).tolist() == want
             monkeypatch.undo()
     assert modmath.doubling_sizes(p, np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
@@ -1008,31 +1009,55 @@ def test_dilation_images_above_the_word_limit_match_direct_products_in_blocks(p,
         rows, masks = random_rows(rng, p, size, count=3)
         want = direct_dilation_images(p, rows)
         assert modmath.dilation_images(p, masks).tolist() == want, size
-        for cells in (p * 7, p):
-            monkeypatch.setattr(modmath, "_ORBIT_CELLS", cells)
-            assert modmath.dilation_images(p, masks).tolist() == want, (size, cells)
+        for budget in (p * 7, p):  # p bytes (bools) an image
+            monkeypatch.setattr(modmath, "_CHUNK_BYTES", budget)
+            assert modmath.dilation_images(p, masks).tolist() == want, (size, budget)
         monkeypatch.undo()
     assert modmath.dilation_images(p, []).shape == (0, p - 1)
 
 
-def test_dilation_orbits_above_the_word_limit_bound_their_memory():
-    # The bit array above WORD_P_LIMIT is built in blocks of at most
-    # _ORBIT_CELLS cells, so a chunk of three-element sets at p = 1009 (the
-    # 86 rows `dilation_orbits` takes at once) stays far below the 118 MB
-    # of a single (86 * 1008, 1009) bit array.
+def traced_peak(call):
+    """(result, peak bytes) of call(): the tracemalloc peak of what it
+    allocates, memory held before the call not counted."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dilation_orbits_above_the_word_limit_bound_their_memory():
+    # The bool array above WORD_P_LIMIT is built a `chunk_rows(p)` block of
+    # images at a time, so 86 three-element sets at p = 1009 stay far below
+    # the 118 MB of a single (86 * 1008, 1009) bit array.
     p = 1009
     rng = random.Random(p)
     masks = [indices_to_mask(sorted(rng.sample(range(p), 3))) for _ in range(86)]
-    tracemalloc.start()
-    try:
-        least, stabs = modmath.dilation_orbits(p, masks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (least, stabs), peak = traced_peak(lambda: modmath.dilation_orbits(p, masks))
     assert peak < 16 << 20, peak
     assert list(zip(least, stabs))[:8] == [naive_orbit(p, m) for m in masks[:8]]
+
+
+def test_dilation_orbits_chunk_by_the_bytes_of_their_images():
+    # Above WORD_P_LIMIT a set's row in a chunk is its p-1 image ints of
+    # ceil(p/8) bytes, so at p = 4001 (2 MB of images a set) each chunk holds
+    # one set; counted as (mask, c, element) cells, 30 five-element sets
+    # took 48 MiB at once.
+    p = 4001
+    rng = random.Random(p)
+    masks = [indices_to_mask(sorted(rng.sample(range(p), 5))) for _ in range(30)]
+    (least, stabs), peak = traced_peak(lambda: modmath.dilation_orbits(p, masks))
+    assert peak < 8 << 20, peak
+    assert list(zip(least, stabs))[:2] == [naive_orbit(p, m) for m in masks[:2]]
+
+
+def test_chunk_rows_fit_the_byte_budget():
+    budget = modmath._CHUNK_BYTES
+    assert [modmath.chunk_rows(b) for b in (0, 1, 8, budget // 3, budget, budget + 1, 10 * budget)] == [
+        budget, budget, budget // 8, 3, 1, 1, 1]
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
@@ -1224,7 +1249,7 @@ def test_ap_cover_scan_lives_in_modmath():
     src = Path(modmath.__file__).parent
     for name in ("zpset.py", "covering.py"):
         text = (src / name).read_text()
-        for token in ("pow(", "mod_inverse", "np.sort", "argsort", "_COVER_CELLS ="):
+        for token in ("pow(", "mod_inverse", "np.sort", "argsort", "_CHUNK_BYTES ="):
             assert token not in text, f"{name} uses {token}"
 
 

@@ -64,3 +64,23 @@ def test_structure_rows_name_every_spec_field():
     read = {f for row in STRUCTURES.values() for f in row.reads}
     spec_fields = {f.name for spec in (CuboidSpec, TypeSpec) for f in fields(spec)}
     assert read == spec_fields - {"which", "params", "notes"}
+
+
+
+def test_one_chunk_budget():
+    # Batched array work is chunked by one byte budget, modmath._CHUNK_BYTES,
+    # read through modmath.chunk_rows: no other module-level name ends in
+    # _CELLS, _ROWS or _BYTES, in modmath or any other module.
+    found = []
+    for path in sorted(Path(klsf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [(path.name, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and n.id.endswith(("_CELLS", "_ROWS", "_BYTES"))]
+    assert found == [("modmath.py", "_CHUNK_BYTES")], found

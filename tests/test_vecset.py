@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -180,6 +181,50 @@ def test_line_part_sizes_edge_sets():
         ((1, 0), (0, 1)), ((0, 1), (1, 0))] + [((1, 0), (1, t)) for t in range(1, 7)]
     with pytest.raises(VecSetError, match="n = 2"):
         line_part_sizes(VecSet(5, 3, [(1, 2, 3)]))
+
+
+def test_line_part_sizes_chunk_their_lines():
+    # A line's row in a chunk is its 8|A| bytes of coordinates, so the
+    # p = 211 type-5 set (10,972 points) takes a few lines per chunk where the
+    # whole (|A|, p+1) coordinate matrix (18 MiB) was built at once.  The
+    # counts equal that unchunked product, and so do those of one-line chunks.
+    from unittest import mock
+
+    from klsf import modmath
+    from klsf.constructions import TypeSpec, gen_type
+    from klsf.modmath import indices_to_rows
+    from test_modmath import traced_peak
+
+    p = 211
+    a = gen_type(TypeSpec("type5", Params(3, 1, p, 2), s=1, pset=((1,),)))
+    coords = indices_to_rows(a.index_array(), p, 2) @ line_bases(p)[:, 0].T % p
+    want = [np.bincount(col, minlength=p).tolist() for col in coords.T]
+    counts, peak = traced_peak(lambda: line_part_sizes(a))
+    assert peak < 4 << 20, peak
+    assert counts.tolist() == want
+    with mock.patch.object(modmath, "_CHUNK_BYTES", 1):
+        assert line_part_sizes(a).tolist() == want
+
+
+def test_vectors_refuse_coordinates_that_are_not_integers():
+    # A float is refused, never truncated (2.0 too), and so is a string;
+    # numpy integers and bools are integers.
+    a = VecSet(7, 2, [(1, 2)])
+    for bad in (1.5, 2.0, np.float64(2), np.array(2.5), "3"):
+        with pytest.raises(VecSetError, match="not an integer"):
+            VecSet(7, 2, [(bad, 2)])
+        with pytest.raises(VecSetError, match="not an integer"):
+            a.translate((bad, 0))
+        with pytest.raises(VecSetError, match="not an integer"):
+            (bad, 2) in a
+        with pytest.raises(VecSetError, match="nonnegative integers"):
+            VecSet.from_indices(7, 2, [1, bad])
+    with pytest.raises(VecSetError, match="nonnegative integers"):
+        VecSet.from_indices(7, 2, [-1])
+    assert VecSet(7, 2, [(np.int64(1), np.uint8(2)), (True, 2)]) == VecSet(7, 2, [(1, 2), (1, 2)])
+    assert VecSet.from_indices(7, 2, [np.int32(15)]) == a
+    assert a.translate((np.int64(-1), 7 * 10**20)) == VecSet(7, 2, [(0, 2)])
+    assert (np.int64(1), 2) in a
 
 
 def test_decompose_automorphism_compatibility():

@@ -228,6 +228,15 @@ def test_literals():
         parse_zpset("p=11;{11}")
 
 
+def test_residues_must_be_integers():
+    # A float is refused, never truncated (2.0 too), and a string is refused
+    # with the set's own error; numpy integers and bools are integers.
+    for bad in (1.5, 2.0, np.float64(2), np.array(2.5), "3", None):
+        with pytest.raises(ZpSetError, match="is not an integer"):
+            ZpSet(7, [1, bad])
+    assert ZpSet(7, [np.int64(3), np.uint8(1), True]) == ZpSet(7, [1, 3])
+
+
 @pytest.mark.parametrize("text, field", [
     ("p=7;[1,2,3]", "interval bounds"),
     ("p=7;[1]", "interval bounds"),
@@ -393,14 +402,14 @@ def test_min_ap_cover_tie_rules_and_early_exit(p, data):
 VERDICT_PRIMES = primes_in(2, 31) + [67, 101]
 
 
-def check_batched_verdicts(p, sets, as_words=False, cells=modmath._COVER_CELLS):
+def check_batched_verdicts(p, sets, as_words=False, budget=modmath._CHUNK_BYTES):
     """covering.covering_verdicts on one batch of equal-size sets against the
     scalar route (a sumset and the scalar scan per set) and the brute-force
     cover, row by row and in input order, and against its one-row call
-    covering.covering_verdict and min_ap_cover.  cells = 1 takes one
-    difference per block, so ties across blocks are tested too."""
+    covering.covering_verdict and min_ap_cover.  A budget of 1 byte takes
+    one difference per block, so ties across blocks are tested too."""
     masks = [ZpSet(p, elems).mask for elems in sets]
-    with mock.patch.object(modmath, "_COVER_CELLS", cells):
+    with mock.patch.object(modmath, "_CHUNK_BYTES", budget):
         verdicts = covering.covering_verdicts(p, modmath.word_array(p, masks) if as_words else masks)
     assert len(verdicts) == len(sets)
     for mask, v in zip(masks, verdicts):
@@ -434,7 +443,7 @@ def test_covering_verdicts_match_scalar_route(p, data):
     sets = data.draw(st.lists(st.sets(st.integers(0, p - 1), min_size=size, max_size=size),
                               min_size=1, max_size=5 if p <= modmath.WORD_P_LIMIT else 1))
     check_batched_verdicts(p, sets, as_words=data.draw(st.booleans()),
-                           cells=data.draw(st.sampled_from([1, modmath._COVER_CELLS])))
+                           budget=data.draw(st.sampled_from([1, modmath._CHUNK_BYTES])))
 
 
 def test_covering_verdicts_refuse_empty_sets():
